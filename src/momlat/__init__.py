@@ -13,11 +13,9 @@ from .algebra import (
     GaussianRational,
     LaurentPoly,
     SymbolicOperator,
-    expression_matrix,
     format_normal_form,
     normal_form,
     parse,
-    to_matrix,
     verify_symbolic_suite,
 )
 from .eigen import (
@@ -50,7 +48,9 @@ from .operators import (
     bracket,
     build_operator,
     continuum_scan,
+    expression_matrix,
     interior_residual,
+    to_matrix,
     verify_identity_suite,
     window_lattice,
 )

@@ -11,8 +11,12 @@ with coefficients that are Laurent polynomials in the spacing symbol a over
 the Gaussian rationals.  Everything here is exact: no floating point enters
 until a normal form is evaluated on a concrete lattice.
 
-The module also provides the expression grammar used by the CLI `check`
-subcommand and the suite of identities certified as exact rewrites to zero.
+The module also owns the expression grammar and the two tables the other
+layers read.  `DEFINITIONS` writes the composite operators D, Dbar, X, Q, H
+over the primitives A, Abar, P, I, i, a; `ATOMS` is its exact fold.
+`IDENTITIES` holds one `(name, text, margin)` row per identity: every row is
+certified here as an exact rewrite to zero, and `operators` evaluates each
+row with a margin on truncated matrices.  Adding an identity takes one row.
 """
 
 from __future__ import annotations
@@ -20,11 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
-
-from .lattice import MomentumLattice
-from .operators import OperatorMatrix, bracket, build_operator
 
 ATOM_NAMES = ("A", "Abar", "P", "X", "Q", "H", "D", "Dbar", "I", "i", "a")
 MAX_EXPONENT = 16
@@ -291,26 +290,6 @@ OP_ZERO = SymbolicOperator()
 OP_ONE = _basis(0, 0)
 
 
-def _build_atoms() -> dict:
-    A = _basis(0, 1)
-    Abar = _basis(0, -1)
-    P = _basis(1, 0)
-    one = OP_ONE
-    i_ = _basis(0, 0, LaurentPoly.constant(GR_I))
-    a_ = _basis(0, 0, LaurentPoly.monomial(1))
-    inv_a = LaurentPoly.monomial(-1)
-    D = (A - one).scaled(inv_a)
-    Dbar = (one - Abar).scaled(inv_a)
-    X = (D + Dbar).scaled(LaurentPoly.constant(GaussianRational(0, Fraction(-1, 2))))
-    Q = Dbar - D
-    H = X * X + P * P
-    return {"A": A, "Abar": Abar, "P": P, "I": one, "i": i_, "a": a_,
-            "D": D, "Dbar": Dbar, "X": X, "Q": Q, "H": H}
-
-
-ATOMS = _build_atoms()
-
-
 # ---------------------------------------------------------------------------
 # expression grammar
 # ---------------------------------------------------------------------------
@@ -433,7 +412,7 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "NAME":
             self.advance()
-            if value not in ATOMS:
+            if value not in ATOM_NAMES:
                 raise ExpressionError(f"unknown identifier {value!r}", pos)
             return Atom(value)
         if kind == "INT":
@@ -476,27 +455,27 @@ def normal_form(expr) -> SymbolicOperator:
     """Rewrite an expression (AST or text) to its unique normal form."""
     if isinstance(expr, str):
         expr = parse(expr)
-    return _fold(expr)
+    return _fold(expr, ATOMS)
 
 
-def _fold(node) -> SymbolicOperator:
+def _fold(node, atoms) -> SymbolicOperator:
     if isinstance(node, Atom):
-        return ATOMS[node.name]
+        return atoms[node.name]
     if isinstance(node, IntLit):
         return OP_ONE.scaled(LaurentPoly.constant(node.value))
     if isinstance(node, Neg):
-        return -_fold(node.operand)
+        return -_fold(node.operand, atoms)
     if isinstance(node, Power):
-        return _fold(node.base) ** node.exponent
+        return _fold(node.base, atoms) ** node.exponent
     if isinstance(node, Bracket):
-        left = _fold(node.left)
-        right = _fold(node.right)
+        left = _fold(node.left, atoms)
+        right = _fold(node.right, atoms)
         if node.kind == "commutator":
             return left * right - right * left
         return left * right + right * left
     if isinstance(node, BinOp):
-        left = _fold(node.left)
-        right = _fold(node.right)
+        left = _fold(node.left, atoms)
+        right = _fold(node.right, atoms)
         if node.op == "+":
             return left + right
         if node.op == "-":
@@ -514,25 +493,48 @@ def _fold(node) -> SymbolicOperator:
 
 
 # ---------------------------------------------------------------------------
+# the definition table
+# ---------------------------------------------------------------------------
+
+# Each composite operator as an expression over the primitives A, Abar, P,
+# I, i, a and the rows above it.
+DEFINITIONS = (
+    ("D", "(A - I)/a"),
+    ("Dbar", "(I - Abar)/a"),
+    ("X", "(D + Dbar)/(2*i)"),
+    ("Q", "Dbar - D"),
+    ("H", "X*X + P*P"),
+)
+
+
+def _build_atoms() -> dict:
+    atoms = {"A": _basis(0, 1), "Abar": _basis(0, -1), "P": _basis(1, 0), "I": OP_ONE,
+             "i": _basis(0, 0, LaurentPoly.constant(GR_I)),
+             "a": _basis(0, 0, LaurentPoly.monomial(1))}
+    for name, text in DEFINITIONS:
+        atoms[name] = _fold(parse(text), atoms)
+    return atoms
+
+
+ATOMS = _build_atoms()
+
+
+# ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
 
-def _format_fraction(f: Fraction) -> str:
-    return str(f)
-
-
 def _format_gaussian(g: GaussianRational) -> str:
     if g.im == 0:
-        return _format_fraction(g.re)
+        return str(g.re)
     if g.re == 0:
         if g.im == 1:
             return "i"
         if g.im == -1:
             return "-i"
-        return f"{_format_fraction(g.im)}*i"
-    im = "i" if abs(g.im) == 1 else f"{_format_fraction(abs(g.im))}*i"
+        return f"{str(g.im)}*i"
+    im = "i" if abs(g.im) == 1 else f"{str(abs(g.im))}*i"
     sign = "+" if g.im > 0 else "-"
-    return f"({_format_fraction(g.re)}{sign}{im})"
+    return f"({str(g.re)}{sign}{im})"
 
 
 def _format_laurent(poly: LaurentPoly, wrap_products: bool) -> str:
@@ -623,31 +625,34 @@ class SymbolicCheck:
     normal_form_term_count: int
 
 
-# The last two entries are internal-consistency lemmas: the equivalence of
-# the two printed bracket expansions, and the commutativity of the one-sided
-# derivatives (a consequence of the shift presentation).
-SYMBOLIC_IDENTITIES = (
-    ("A_Abar_is_identity", "A*Abar - I"),
-    ("Abar_A_is_identity", "Abar*A - I"),
-    ("commutator_A_P", "[A,P] - a*A"),
-    ("commutator_Abar_P", "[Abar,P] + a*Abar"),
-    ("commutator_D_P", "[D,P] - A"),
-    ("commutator_Dbar_P", "[Dbar,P] - Abar"),
-    ("commutator_X_P", "[X,P] + i - (i*a/2)*Q"),
-    ("H_shift_form", "H + (1/(4*a^2))*(A - Abar)^2 - P^2"),
-    ("commutator_X_H_braced", "[X,H] + 2*i*P - (i*a/2)*{Q,P}"),
-    ("commutator_X_H_expanded", "[X,H] + 2*i*P - i*a*P*Q - a^2*X"),
-    ("commutator_P_H_braced", "[P,H] - 2*i*X + (i*a/2)*{Q,X}"),
-    ("commutator_P_H_expanded", "[P,H] - 2*i*X + i*a*X*Q"),
-    ("QP_brace_expansion", "(i*a/2)*{Q,P} - i*a*P*Q - a^2*X"),
-    ("D_Dbar_commute_lemma", "[D,Dbar]"),
+# Rows are (name, text, margin).  The margin counts the boundary rows that
+# truncation corrupts; it is data, not the band radius (A*Abar - I has radius
+# 2, but only its last row is wrong).  None marks the two consistency lemmas
+# (the bracket expansions agree; D and Dbar commute), checked only
+# symbolically.  A text's grouping sets the float operation order of its
+# matrix evaluation.
+IDENTITIES = (
+    ("A_Abar_is_identity", "A*Abar - I", 1),
+    ("Abar_A_is_identity", "Abar*A - I", 1),
+    ("commutator_A_P", "[A,P] - a*A", 1),
+    ("commutator_Abar_P", "[Abar,P] + a*Abar", 1),
+    ("commutator_D_P", "[D,P] - A", 1),
+    ("commutator_Dbar_P", "[Dbar,P] - Abar", 1),
+    ("commutator_X_P", "[X,P] + i - (i*a/2)*Q", 1),
+    ("H_shift_form", "H - ((-1/(4*a^2))*(A - Abar)^2 + P^2)", 2),
+    ("commutator_X_H_braced", "[X,H] + 2*i*P - (i*a/2)*{Q,P}", 3),
+    ("commutator_X_H_expanded", "[X,H] + 2*i*P - i*a*(P*Q) - a^2*X", 3),
+    ("commutator_P_H_braced", "[P,H] - 2*i*X + (i*a/2)*{Q,X}", 3),
+    ("commutator_P_H_expanded", "[P,H] - 2*i*X + i*a*(X*Q)", 3),
+    ("QP_brace_expansion", "(i*a/2)*{Q,P} - i*a*P*Q - a^2*X", None),
+    ("D_Dbar_commute_lemma", "[D,Dbar]", None),
 )
 
 
 def verify_symbolic_suite() -> list:
     """Normal-form every identity and report whether it is exactly zero."""
     results = []
-    for name, text in SYMBOLIC_IDENTITIES:
+    for name, text, _ in IDENTITIES:
         nf = normal_form(text)
         results.append(SymbolicCheck(name, nf.is_zero, nf.term_count))
     return results
@@ -660,73 +665,3 @@ def check_to_dict(check: SymbolicCheck) -> dict:
         "normal_form_term_count": check.normal_form_term_count,
     }
 
-
-# ---------------------------------------------------------------------------
-# evaluation on a concrete lattice
-# ---------------------------------------------------------------------------
-
-def to_matrix(op: SymbolicOperator, lattice: MomentumLattice) -> OperatorMatrix:
-    """Evaluate a normal form on a lattice: sum c_{k,m}(a) diag(p^k) Shift^m."""
-    n = lattice.n_points
-    momenta = lattice.momenta()
-    total = np.zeros((n, n), dtype=complex)
-    radius = 0
-    for (k, m), poly in op.items():
-        coeff = poly.evaluate(lattice.a)
-        total += coeff * (momenta.astype(complex) ** k)[:, None] * np.eye(n, k=m)
-        radius = max(radius, abs(m))
-    return OperatorMatrix(lattice, total, radius)
-
-
-def expression_matrix(expr, lattice: MomentumLattice) -> OperatorMatrix:
-    """Evaluate an expression (AST or text) directly with truncated matrices."""
-    if isinstance(expr, str):
-        expr = parse(expr)
-    return _fold_matrix(expr, lattice)
-
-
-def _scalar_of(M: OperatorMatrix):
-    """The scalar c if M == c*I exactly, else None."""
-    n = M.lattice.n_points
-    c = M.entries[0, 0]
-    if np.array_equal(M.entries, c * np.eye(n)):
-        return c
-    return None
-
-
-def _fold_matrix(node, lattice) -> OperatorMatrix:
-    identity = build_operator(lattice, "I")
-    if isinstance(node, Atom):
-        if node.name == "i":
-            return identity.scaled(1j)
-        if node.name == "a":
-            return identity.scaled(lattice.a)
-        return build_operator(lattice, node.name)
-    if isinstance(node, IntLit):
-        return identity.scaled(node.value)
-    if isinstance(node, Neg):
-        return -_fold_matrix(node.operand, lattice)
-    if isinstance(node, Power):
-        base = _fold_matrix(node.base, lattice)
-        result = identity
-        for _ in range(node.exponent):
-            result = result @ base
-        return result
-    if isinstance(node, Bracket):
-        return bracket(node.kind,
-                       _fold_matrix(node.left, lattice),
-                       _fold_matrix(node.right, lattice))
-    if isinstance(node, BinOp):
-        left = _fold_matrix(node.left, lattice)
-        right = _fold_matrix(node.right, lattice)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left @ right
-        c = _scalar_of(right)
-        if c is None or c == 0:
-            raise ValueError("division is only defined by nonzero scalars")
-        return left.scaled(1.0 / c)
-    raise TypeError(f"not an expression node: {node!r}")

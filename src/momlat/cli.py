@@ -92,30 +92,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _suite_sections(lattice: MomentumLattice, tol: float):
+def _suite_report(args, lattice: MomentumLattice, lattice_doc: dict, csv_head: str = "") -> int:
+    """Run both identity suites on the lattice and emit the report.
+
+    Exit 1 when a symbolic identity is not exactly zero or a numeric
+    residual is not below --tol.
+    """
+    if not args.tol >= 0:
+        raise ValueError(f"tolerance must be a non-negative number, got --tol {args.tol}")
     symbolic = algebra.verify_symbolic_suite()
     numeric = operators.verify_identity_suite(lattice)
     passed = all(c.zero for c in symbolic) and \
-        all(r.max_interior_residual < tol for r in numeric)
-    return symbolic, numeric, passed
-
-
-def _suite_csv(symbolic, numeric) -> str:
-    lines = [SYMBOLIC_CSV_HEADER]
-    for c in symbolic:
-        lines.append(f"{c.identity},{'true' if c.zero else 'false'},"
-                     f"{c.normal_form_term_count}")
-    return "\n".join(lines) + "\n\n" + operators.reports_to_csv(numeric)
-
-
-def run_verify(args) -> int:
-    if args.n < 8:
-        raise ValueError("n must be >= 8")
-    lattice = MomentumLattice(args.p0, args.a, args.n)
-    symbolic, numeric, passed = _suite_sections(lattice, args.tol)
+        all(r.max_interior_residual < args.tol for r in numeric)
     if args.format == "json":
         doc = {
-            "lattice": {"p0": lattice.p0, "a": lattice.a, "n": lattice.n_points},
+            "lattice": lattice_doc,
             "tolerance": args.tol,
             "symbolic": [algebra.check_to_dict(c) for c in symbolic],
             "numeric": [operators.report_to_dict(r) for r in numeric],
@@ -123,8 +114,21 @@ def run_verify(args) -> int:
         }
         _emit(dumps(doc) + "\n", args.out)
     else:
-        _emit(_suite_csv(symbolic, numeric), args.out)
+        lines = [SYMBOLIC_CSV_HEADER]
+        for c in symbolic:
+            lines.append(f"{c.identity},{'true' if c.zero else 'false'},"
+                         f"{c.normal_form_term_count}")
+        _emit(csv_head + "\n".join(lines) + "\n\n" + operators.reports_to_csv(numeric),
+              args.out)
     return 0 if passed else 1
+
+
+def run_verify(args) -> int:
+    if args.n < 8:
+        raise ValueError("n must be >= 8")
+    lattice = MomentumLattice(args.p0, args.a, args.n)
+    return _suite_report(args, lattice,
+                         {"p0": lattice.p0, "a": lattice.a, "n": lattice.n_points})
 
 
 def run_check(args) -> int:
@@ -137,8 +141,6 @@ def run_check(args) -> int:
 def run_eigvec(args) -> int:
     if args.n < 1:
         raise ValueError("n must be >= 1")
-    if abs(args.a * args.x) > 1:
-        raise ValueError("eigenvalue outside lattice band")
     lattice = MomentumLattice(args.p0, args.a, args.n)
     phi0 = eigen.phase_seed(args.phi0_phase)
     closed = eigen.eigenvector_closed_form(lattice, args.x, phi0)
@@ -223,21 +225,11 @@ def run_well(args) -> int:
     if args.levels < 8:
         raise ValueError("levels must be >= 8 to run the identity suite")
     lattice = square_well_lattice(args.L, args.levels, args.hbar)
-    symbolic, numeric, passed = _suite_sections(lattice, args.tol)
-    if args.format == "json":
-        doc = {
-            "lattice": {"p0": lattice.p0, "a": lattice.a, "levels": lattice.n_points},
-            "tolerance": args.tol,
-            "symbolic": [algebra.check_to_dict(c) for c in symbolic],
-            "numeric": [operators.report_to_dict(r) for r in numeric],
-            "passed": passed,
-        }
-        _emit(dumps(doc) + "\n", args.out)
-    else:
-        head = ("p0,a,levels\n"
-                f"{fmt_real(lattice.p0)},{fmt_real(lattice.a)},{lattice.n_points}\n\n")
-        _emit(head + _suite_csv(symbolic, numeric), args.out)
-    return 0 if passed else 1
+    head = ("p0,a,levels\n"
+            f"{fmt_real(lattice.p0)},{fmt_real(lattice.a)},{lattice.n_points}\n\n")
+    return _suite_report(args, lattice,
+                         {"p0": lattice.p0, "a": lattice.a, "levels": lattice.n_points},
+                         head)
 
 
 def main(argv=None) -> int:

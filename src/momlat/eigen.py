@@ -45,6 +45,8 @@ class EigenResult:
 def alpha(x: float, a: float) -> AlphaValue:
     """alpha = iax - sqrt(1 - a^2 x^2); unimodular for |ax| <= 1."""
     s = a * x
+    if math.isnan(s):
+        raise ValueError(f"a*x is not a number: a={a}, x={x}")
     if abs(s) > 1:
         raise ValueError(f"eigenvalue outside lattice band: |a*x| = {abs(s)} > 1")
     return AlphaValue(x, a, complex(-math.sqrt(max(1.0 - s * s, 0.0)), s))
@@ -73,9 +75,6 @@ def eigenvector_closed_form(lattice: MomentumLattice, x: float,
     Requires |ax| < 1 strictly: on the band edge the denominator
     alpha + conj(alpha) = -2 sqrt(1 - a^2 x^2) vanishes.
     """
-    s = lattice.a * x
-    if abs(s) > 1:
-        raise ValueError(f"eigenvalue outside lattice band: |a*x| = {abs(s)} > 1")
     al = alpha(x, lattice.a).alpha
     denom = 2.0 * al.real
     if denom == 0.0:

@@ -17,11 +17,6 @@ def fmt_real(x: float) -> str:
     return format(float(x), ".15g")
 
 
-def fmt_complex_pair(z: complex) -> list[str]:
-    """Real/imaginary parts of z as a two-entry list of formatted strings."""
-    return [fmt_real(z.real), fmt_real(z.imag)]
-
-
 def dumps(obj, indent: int = 0) -> str:
     """Serialize dicts/lists/scalars to JSON with fmt_real for floats.
 

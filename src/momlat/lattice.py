@@ -30,8 +30,10 @@ class MomentumLattice:
     n_points: int
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError(f"lattice spacing must be positive, got a={self.a}")
+        if not math.isfinite(self.p0):
+            raise ValueError(f"base momentum must be finite, got p0={self.p0}")
+        if not (self.a > 0 and math.isfinite(self.a)):
+            raise ValueError(f"lattice spacing must be positive and finite, got a={self.a}")
         if self.n_points < 1:
             raise ValueError(f"lattice needs at least one point, got {self.n_points}")
 

@@ -5,8 +5,12 @@ quotients D/Dbar, multiplication by momentum P, the symmetrized position
 operator X, the curvature operator Q and H = X^2 + P^2, on a finite window of
 the momentum grid.  Truncation zeroes everything beyond the window (Dirichlet
 convention), so operator identities that hold on the unbounded grid hold here
-on interior rows only; `interior_residual` measures exactly that, and
-`verify_identity_suite` runs the full battery of identity checks.
+on interior rows only; `interior_residual` measures exactly that.
+
+The algebra is not restated here: A, Abar, P and I are built directly, every
+other operator folds its `algebra.DEFINITIONS` row, and `verify_identity_suite`
+folds the `algebra.IDENTITIES` rows that have a margin.  In the fold, scalar
+subtrees stay Python numbers standing for c*I, so a*A scales A.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import (DEFINITIONS, IDENTITIES, Atom, BinOp, Bracket, IntLit, Neg, Power,
+                      SymbolicOperator, parse)
 from .formatting import fmt_real
 from .lattice import GridFunction, MomentumLattice, inner_product
 
@@ -97,44 +103,51 @@ class ConvergenceTable:
     slope: float
 
 
+_PRIMITIVES = {
+    "I": lambda lat: OperatorMatrix(lat, np.eye(lat.n_points, dtype=complex), 0),
+    "A": lambda lat: OperatorMatrix(lat, np.eye(lat.n_points, k=1, dtype=complex), 1),
+    "Abar": lambda lat: OperatorMatrix(lat, np.eye(lat.n_points, k=-1, dtype=complex), 1),
+    "P": lambda lat: OperatorMatrix(lat, np.diag(lat.momenta().astype(complex)), 0),
+}
+_DEFINITION_TREES = {name: parse(text) for name, text in DEFINITIONS}
+_NUMERIC_IDENTITIES = tuple((name, parse(text), margin)
+                            for name, text, margin in IDENTITIES if margin is not None)
+
+
+class _LatticeAtoms(dict):
+    """The grammar's atoms on one lattice, each built on first lookup and kept.
+
+    i and a are Python numbers.  A definition row is folded in a scope that
+    starts from the atoms built so far and is dropped when the row is done,
+    so the operators built only for that row are released with it.
+    """
+
+    def __init__(self, lattice: MomentumLattice):
+        super().__init__(i=1j, a=lattice.a)
+        self.lattice = lattice
+
+    def __missing__(self, name):
+        if name in _PRIMITIVES:
+            value = _PRIMITIVES[name](self.lattice)
+        else:
+            scope = _LatticeAtoms(self.lattice)
+            scope.update(self)
+            value = _fold(_DEFINITION_TREES[name], scope)
+        self[name] = value
+        return value
+
+
 def build_operator(lattice: MomentumLattice, name: str) -> OperatorMatrix:
     """Truncated matrix of one named operator.
 
     A shifts samples down-index (row j picks up sample j+1) and has a zero
-    last row; Abar is its mirror.  D = (A-I)/a, Dbar = (I-Abar)/a,
-    P = diag(p_j), X = (D+Dbar)/(2i), Q = Dbar-D, H = X@X + P@P.
+    last row; Abar is its mirror; P = diag(p_j); I is the identity.  The
+    others fold their `algebra.DEFINITIONS` row: D = (A-I)/a,
+    Dbar = (I-Abar)/a, X = (D+Dbar)/(2i), Q = Dbar-D, H = X*X + P*P.
     """
-    n = lattice.n_points
-    a = lattice.a
-    if name == "I":
-        return OperatorMatrix(lattice, np.eye(n, dtype=complex), 0)
-    if name == "A":
-        return OperatorMatrix(lattice, np.eye(n, k=1, dtype=complex), 1)
-    if name == "Abar":
-        return OperatorMatrix(lattice, np.eye(n, k=-1, dtype=complex), 1)
-    if name == "P":
-        return OperatorMatrix(lattice, np.diag(lattice.momenta().astype(complex)), 0)
-    if name == "D":
-        A = build_operator(lattice, "A")
-        I = build_operator(lattice, "I")
-        return (A - I).scaled(1.0 / a)
-    if name == "Dbar":
-        Abar = build_operator(lattice, "Abar")
-        I = build_operator(lattice, "I")
-        return (I - Abar).scaled(1.0 / a)
-    if name == "X":
-        D = build_operator(lattice, "D")
-        Dbar = build_operator(lattice, "Dbar")
-        return (D + Dbar).scaled(1.0 / 2.0j)
-    if name == "Q":
-        D = build_operator(lattice, "D")
-        Dbar = build_operator(lattice, "Dbar")
-        return Dbar - D
-    if name == "H":
-        X = build_operator(lattice, "X")
-        P = build_operator(lattice, "P")
-        return X @ X + P @ P
-    raise ValueError(f"unknown operator name {name!r}; expected one of {OPERATOR_NAMES}")
+    if name not in OPERATOR_NAMES:
+        raise ValueError(f"unknown operator name {name!r}; expected one of {OPERATOR_NAMES}")
+    return _LatticeAtoms(lattice)[name]
 
 
 def adjoint(M: OperatorMatrix) -> OperatorMatrix:
@@ -173,68 +186,114 @@ def interior_residual(M: OperatorMatrix, margin: int) -> float:
     return float(np.max(np.abs(block)))
 
 
-def _commutator(M1, M2):
-    return bracket("commutator", M1, M2)
+# ---------------------------------------------------------------------------
+# evaluation of expressions on a lattice
+# ---------------------------------------------------------------------------
+
+def to_matrix(op: SymbolicOperator, lattice: MomentumLattice) -> OperatorMatrix:
+    """Evaluate a normal form on a lattice: sum c_{k,m}(a) diag(p^k) Shift^m."""
+    n = lattice.n_points
+    momenta = lattice.momenta()
+    total = np.zeros((n, n), dtype=complex)
+    radius = 0
+    for (k, m), poly in op.items():
+        coeff = poly.evaluate(lattice.a)
+        total += coeff * (momenta.astype(complex) ** k)[:, None] * np.eye(n, k=m)
+        radius = max(radius, abs(m))
+    return OperatorMatrix(lattice, total, radius)
 
 
-def _anticommutator(M1, M2):
-    return bracket("anticommutator", M1, M2)
+def expression_matrix(expr, lattice: MomentumLattice) -> OperatorMatrix:
+    """Evaluate an expression (AST or text) directly with truncated matrices."""
+    if isinstance(expr, str):
+        expr = parse(expr)
+    atoms = _LatticeAtoms(lattice)
+    return _as_matrix(_fold(expr, atoms), atoms)
+
+
+def _as_matrix(value, atoms) -> OperatorMatrix:
+    """A fold result as a matrix: a Python number c stands for c*I."""
+    if isinstance(value, OperatorMatrix):
+        return value
+    return atoms["I"].scaled(value)
+
+
+def _scalar_of(M: OperatorMatrix):
+    """The scalar c if M == c*I exactly, else None."""
+    n = M.lattice.n_points
+    c = M.entries[0, 0]
+    if np.array_equal(M.entries, c * np.eye(n)):
+        return c
+    return None
+
+
+def _times(x, y):
+    if isinstance(x, OperatorMatrix):
+        return x @ y if isinstance(y, OperatorMatrix) else x.scaled(y)
+    return y.scaled(x) if isinstance(y, OperatorMatrix) else x * y
+
+
+def _plus(op: str, x, y, atoms):
+    if isinstance(x, OperatorMatrix) or isinstance(y, OperatorMatrix):
+        x, y = _as_matrix(x, atoms), _as_matrix(y, atoms)
+    return x + y if op == "+" else x - y
+
+
+def _fold(node, atoms):
+    """Value of an expression tree: an OperatorMatrix or a Python number."""
+    if isinstance(node, Atom):
+        return atoms[node.name]
+    if isinstance(node, IntLit):
+        return node.value
+    if isinstance(node, Neg):
+        return -_fold(node.operand, atoms)
+    if isinstance(node, Power):
+        base = _fold(node.base, atoms)
+        result = base if node.exponent else 1
+        for _ in range(node.exponent - 1):
+            result = _times(result, base)
+        return result
+    if not isinstance(node, (Bracket, BinOp)):
+        raise TypeError(f"not an expression node: {node!r}")
+    left = _fold(node.left, atoms)
+    right = _fold(node.right, atoms)
+    if isinstance(node, Bracket):
+        op = "-" if node.kind == "commutator" else "+"
+        return _plus(op, _times(left, right), _times(right, left), atoms)
+    if node.op == "*":
+        return _times(left, right)
+    if node.op == "/":
+        c = _scalar_of(right) if isinstance(right, OperatorMatrix) else right
+        if c is None or c == 0:
+            raise ValueError("division is only defined by nonzero scalars")
+        return left.scaled(1.0 / c) if isinstance(left, OperatorMatrix) else left / c
+    return _plus(node.op, left, right, atoms)
 
 
 def verify_identity_suite(lattice: MomentumLattice, seed: int = 181054) -> list:
     """Check every operator identity on the truncated matrices.
 
-    Each report carries the largest interior residual entry of LHS-RHS, with
-    the margin set to the total band radius of the expression.  The adjoint
-    relation between the shifts and the inner product is exercised on random
-    grid functions vanishing at both endpoints.
+    Each row of `algebra.IDENTITIES` with a margin is evaluated on the
+    lattice and reported with the largest residual entry at least `margin`
+    rows inside the window.  The grammar has no adjoint, so the hermiticity
+    rows and the adjoint relation between the shifts are checked here; the
+    latter on random grid functions vanishing at both endpoints.
     """
     n = lattice.n_points
     if n < 8:
         raise ValueError(f"identity suite needs n >= 8, got {n}")
-    a = lattice.a
     desc = lattice.descriptor()
-
-    A = build_operator(lattice, "A")
-    Abar = build_operator(lattice, "Abar")
-    D = build_operator(lattice, "D")
-    Dbar = build_operator(lattice, "Dbar")
-    P = build_operator(lattice, "P")
-    X = build_operator(lattice, "X")
-    Q = build_operator(lattice, "Q")
-    I = build_operator(lattice, "I")
-    H = X @ X + P @ P
-
-    XH = _commutator(X, H)
-    PH = _commutator(P, H)
-    H_shift = (A - Abar) @ (A - Abar)
-    H_shift = H_shift.scaled(-1.0 / (4.0 * a * a)) + P @ P
-
-    checks = [
-        ("A_Abar_is_identity", A @ Abar - I, 1),
-        ("Abar_A_is_identity", Abar @ A - I, 1),
-        ("commutator_A_P", _commutator(A, P) - A.scaled(a), 1),
-        ("commutator_Abar_P", _commutator(Abar, P) + Abar.scaled(a), 1),
-        ("commutator_D_P", _commutator(D, P) - A, 1),
-        ("commutator_Dbar_P", _commutator(Dbar, P) - Abar, 1),
-        ("commutator_X_P", _commutator(X, P) + I.scaled(1.0j) - Q.scaled(0.5j * a), 1),
-        ("H_shift_form", H - H_shift, 2),
-        ("commutator_X_H_braced",
-         XH + P.scaled(2.0j) - _anticommutator(Q, P).scaled(0.5j * a), 3),
-        ("commutator_X_H_expanded",
-         XH + P.scaled(2.0j) - (P @ Q).scaled(1.0j * a) - X.scaled(a * a), 3),
-        ("commutator_P_H_braced",
-         PH - X.scaled(2.0j) + _anticommutator(Q, X).scaled(0.5j * a), 3),
-        ("commutator_P_H_expanded",
-         PH - X.scaled(2.0j) + (X @ Q).scaled(1.0j * a), 3),
-        ("P_hermitian", P - adjoint(P), 0),
-        ("X_hermitian", X - adjoint(X), 0),
-        ("Abar_is_A_adjoint", Abar - adjoint(A), 0),
-    ]
+    atoms = _LatticeAtoms(lattice)
     reports = [
-        ResidualReport(name, interior_residual(resid, margin), margin, desc)
-        for name, resid, margin in checks
+        ResidualReport(name, interior_residual(_as_matrix(_fold(tree, atoms), atoms), margin),
+                       margin, desc)
+        for name, tree, margin in _NUMERIC_IDENTITIES
     ]
+    A, Abar, P, X = atoms["A"], atoms["Abar"], atoms["P"], atoms["X"]
+    for name, resid in (("P_hermitian", P - adjoint(P)),
+                        ("X_hermitian", X - adjoint(X)),
+                        ("Abar_is_A_adjoint", Abar - adjoint(A))):
+        reports.append(ResidualReport(name, interior_residual(resid, 0), 0, desc))
 
     # <f|A g> = <Abar f|g> on random functions vanishing at both endpoints.
     rng = np.random.default_rng(seed)

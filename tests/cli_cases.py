@@ -2,8 +2,10 @@
 
 import contextlib
 import io
+import os
 from pathlib import Path
 
+import momlat
 from momlat.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -28,3 +30,10 @@ def run_cli(*argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def subprocess_env():
+    """Environment in which `python -m momlat` imports this same momlat."""
+    src = str(Path(momlat.__file__).parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}

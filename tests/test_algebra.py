@@ -1,4 +1,8 @@
+import ast
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,18 +19,23 @@ from momlat.algebra import (
     IntLit,
     LaurentPoly,
     Neg,
+    IDENTITIES,
     Power,
-    SYMBOLIC_IDENTITIES,
     SymbolicOperator,
-    expression_matrix,
     format_normal_form,
     normal_form,
     parse,
-    to_matrix,
     verify_symbolic_suite,
 )
+import momlat
 from momlat.lattice import MomentumLattice
-from momlat.operators import build_operator, interior_residual, verify_identity_suite
+from momlat.operators import (
+    build_operator,
+    expression_matrix,
+    interior_residual,
+    to_matrix,
+    verify_identity_suite,
+)
 
 GR = GaussianRational
 ZERO = GR()
@@ -134,19 +143,36 @@ class TestNormalForm:
 class TestSymbolicSuite:
     def test_all_identities_reduce_to_zero(self):
         checks = verify_symbolic_suite()
-        assert len(checks) == len(SYMBOLIC_IDENTITIES) == 14
+        assert len(checks) == len(IDENTITIES) == 14
         for check in checks:
             assert check.zero, check.identity
             assert check.normal_form_term_count == 0
 
     def test_cross_module_numeric_agreement(self):
         # every symbolically certified identity also holds numerically
-        symbolic_names = {name for name, _ in SYMBOLIC_IDENTITIES}
+        symbolic_names = {name for name, _, _ in IDENTITIES}
         reports = verify_identity_suite(MomentumLattice(0.0, 0.1, 64))
         shared = [r for r in reports if r.identity_name in symbolic_names]
         assert len(shared) == 12
         for r in shared:
             assert r.max_interior_residual < 1e-12, r.identity_name
+
+
+def test_algebra_does_not_import_operators():
+    # momlat/__init__.py re-exports every module, so the probe stands in an
+    # empty package namespace and sees what importing momlat.algebra loads.
+    code = ("import sys, types\n"
+            "pkg = types.ModuleType('momlat')\n"
+            f"pkg.__path__ = [{str(Path(momlat.__file__).parent)!r}]\n"
+            "sys.modules['momlat'] = pkg\n"
+            "import momlat.algebra\n"
+            "print(sorted(m for m in sys.modules if m.startswith('momlat.')))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = ast.literal_eval(proc.stdout)
+    assert "momlat.algebra" in loaded
+    assert "momlat.operators" not in loaded
 
 
 # --- exact reference evaluation -------------------------------------------

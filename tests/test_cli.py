@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cli_cases import GOLDEN, GOLDEN_CASES, run_cli
+from cli_cases import GOLDEN, GOLDEN_CASES, run_cli, subprocess_env
 
 
 class TestExitCodes:
@@ -49,6 +49,21 @@ class TestExitCodes:
         code, _, err = run_cli("check", "[X,[P,")
         assert code == 2
         assert "offset 6" in err
+
+    @pytest.mark.parametrize("argv,bad", [
+        (("verify", "--p0", "nan"), "p0=nan"),
+        (("verify", "--a", "inf"), "a=inf"),
+        (("spectrum", "--a", "inf"), "a=inf"),
+        (("eigvec", "--x", "nan"), "x=nan"),
+        (("verify", "--tol", "nan"), "--tol nan"),
+        (("verify", "--tol", "-1"), "--tol -1"),
+        (("well", "--L", "1", "--tol", "nan"), "--tol nan"),
+    ])
+    def test_non_finite_input_usage_error(self, argv, bad):
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert bad in err
+        assert out == ""
 
     def test_eigvec_band_violation(self):
         code, _, err = run_cli("eigvec", "--x", "2", "--a", "1", "--n", "5")
@@ -195,12 +210,12 @@ class TestSubprocessEntry:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "momlat", "check", "[P,P]"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=subprocess_env())
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == ["0", "ZERO"]
 
     def test_module_invocation_failure_code(self):
         proc = subprocess.run(
             [sys.executable, "-m", "momlat", "verify", "--n", "4"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=subprocess_env())
         assert proc.returncode == 2

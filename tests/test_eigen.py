@@ -36,6 +36,12 @@ class TestAlpha:
         with pytest.raises(ValueError, match="outside lattice band"):
             alpha(2.0, 1.0)
 
+    def test_nan_product_rejected(self):
+        with pytest.raises(ValueError, match="x=nan"):
+            alpha(math.nan, 1.0)
+        with pytest.raises(ValueError, match="not a number"):
+            alpha(math.inf, 0.0)  # inf * 0 is nan
+
     @given(st.floats(-1.0, 1.0), st.floats(0.01, 3.0))
     def test_unimodular_inside_band(self, s, a):
         # sample x through s = a*x so the precondition holds by construction

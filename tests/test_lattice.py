@@ -45,6 +45,12 @@ class TestMomentumLattice:
         with pytest.raises(ValueError):
             MomentumLattice(0.0, 1.0, 0)
 
+    @pytest.mark.parametrize("p0,a,bad", [(math.nan, 0.1, "p0=nan"), (math.inf, 0.1, "p0=inf"),
+                                          (0.0, math.inf, "a=inf"), (0.0, math.nan, "a=nan")])
+    def test_non_finite_parameters_named(self, p0, a, bad):
+        with pytest.raises(ValueError, match=bad):
+            MomentumLattice(p0, a, 4)
+
     @given(st.floats(-5, 5), st.floats(0.01, 3), st.integers(2, 40))
     def test_momenta_strictly_increasing_constant_gap(self, p0, a, n):
         lat = MomentumLattice(p0, a, n)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momlat.algebra import IDENTITIES
 from momlat.lattice import GridFunction, MomentumLattice, square_well_lattice
 from momlat.operators import (
     OperatorMatrix,
@@ -199,6 +200,105 @@ class TestIdentitySuite:
         lat = MomentumLattice(-10.0, 20.0 / 1023, 1024)
         for r in verify_identity_suite(lat):
             assert r.max_interior_residual < 1e-12, r.identity_name
+
+
+# --- hand-written reference ---------------------------------------------------
+# The operators and identity checks written out with matrix arithmetic, in
+# the floating-point operation order the table-driven code must reproduce.
+
+def reference_operator(lattice, name):
+    """The recursive builder that the definition table replaced."""
+    n = lattice.n_points
+    a = lattice.a
+
+    def ref(other):
+        return reference_operator(lattice, other)
+
+    if name == "I":
+        return OperatorMatrix(lattice, np.eye(n, dtype=complex), 0)
+    if name == "A":
+        return OperatorMatrix(lattice, np.eye(n, k=1, dtype=complex), 1)
+    if name == "Abar":
+        return OperatorMatrix(lattice, np.eye(n, k=-1, dtype=complex), 1)
+    if name == "P":
+        return OperatorMatrix(lattice, np.diag(lattice.momenta().astype(complex)), 0)
+    if name == "D":
+        return (ref("A") - ref("I")).scaled(1.0 / a)
+    if name == "Dbar":
+        return (ref("I") - ref("Abar")).scaled(1.0 / a)
+    if name == "X":
+        return (ref("D") + ref("Dbar")).scaled(1.0 / 2.0j)
+    if name == "Q":
+        return ref("Dbar") - ref("D")
+    assert name == "H"
+    return ref("X") @ ref("X") + ref("P") @ ref("P")
+
+
+def reference_checks(lattice):
+    """(name, residual, margin) of every identity with a margin, in table order."""
+    a = lattice.a
+    A, Abar, D, Dbar, P, X, Q, I = (reference_operator(lattice, name) for name in
+                                    ("A", "Abar", "D", "Dbar", "P", "X", "Q", "I"))
+    H = X @ X + P @ P
+
+    def comm(M1, M2):
+        return M1 @ M2 - M2 @ M1
+
+    def anti(M1, M2):
+        return M1 @ M2 + M2 @ M1
+
+    XH = comm(X, H)
+    PH = comm(P, H)
+    H_shift = ((A - Abar) @ (A - Abar)).scaled(-1.0 / (4.0 * a * a)) + P @ P
+    checks = [
+        ("A_Abar_is_identity", A @ Abar - I, 1),
+        ("Abar_A_is_identity", Abar @ A - I, 1),
+        ("commutator_A_P", comm(A, P) - A.scaled(a), 1),
+        ("commutator_Abar_P", comm(Abar, P) + Abar.scaled(a), 1),
+        ("commutator_D_P", comm(D, P) - A, 1),
+        ("commutator_Dbar_P", comm(Dbar, P) - Abar, 1),
+        ("commutator_X_P", comm(X, P) + I.scaled(1.0j) - Q.scaled(0.5j * a), 1),
+        ("H_shift_form", H - H_shift, 2),
+        ("commutator_X_H_braced", XH + P.scaled(2.0j) - anti(Q, P).scaled(0.5j * a), 3),
+        ("commutator_X_H_expanded",
+         XH + P.scaled(2.0j) - (P @ Q).scaled(1.0j * a) - X.scaled(a * a), 3),
+        ("commutator_P_H_braced", PH - X.scaled(2.0j) + anti(Q, X).scaled(0.5j * a), 3),
+        ("commutator_P_H_expanded", PH - X.scaled(2.0j) + (X @ Q).scaled(1.0j * a), 3),
+    ]
+    return [(name, interior_residual(M, margin), margin) for name, M, margin in checks]
+
+
+def _reference_lattices():
+    rng = np.random.default_rng(20240)
+    seeded = [MomentumLattice(float(rng.uniform(-10, 10)), float(rng.uniform(0.01, 2.0)),
+                              int(rng.integers(8, 161))) for _ in range(12)]
+    return [MomentumLattice(0.0, 0.1, 64), square_well_lattice(1.0, 16)] + seeded
+
+
+class TestTableDrivenSuite:
+    @pytest.mark.parametrize("lat", _reference_lattices(), ids=lambda lat: lat.descriptor())
+    def test_bitwise_equal_to_hand_written_reference(self, lat):
+        reports = verify_identity_suite(lat)
+        expected = reference_checks(lat)
+        got = [(r.identity_name, r.max_interior_residual, r.margin_rows)
+               for r in reports[:len(expected)]]
+        assert got == expected
+
+    @pytest.mark.parametrize("lat", _reference_lattices()[:4], ids=lambda lat: lat.descriptor())
+    def test_operators_bitwise_equal_to_reference(self, lat):
+        for name in ("A", "Abar", "D", "Dbar", "P", "X", "Q", "H", "I"):
+            built, ref = build_operator(lat, name), reference_operator(lat, name)
+            assert np.array_equal(built.entries, ref.entries), name
+            assert built.shift_radius == ref.shift_radius, name
+
+    def test_rows_with_a_margin_and_only_those_are_reported_in_table_order(self):
+        reports = verify_identity_suite(MomentumLattice(0.0, 0.1, 16))
+        table = [(name, margin) for name, _, margin in IDENTITIES if margin is not None]
+        assert [(r.identity_name, r.margin_rows) for r in reports[:len(table)]] == table
+        symbolic_only = {name for name, _, margin in IDENTITIES if margin is None}
+        assert symbolic_only == {"QP_brace_expansion", "D_Dbar_commute_lemma"}
+        assert [r.identity_name for r in reports[len(table):]] == [
+            "P_hermitian", "X_hermitian", "Abar_is_A_adjoint", "A_adjoint_inner_product"]
 
 
 class TestLeibnizRules:
