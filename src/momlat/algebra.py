@@ -27,6 +27,9 @@ from fractions import Fraction
 
 ATOM_NAMES = ("A", "Abar", "P", "X", "Q", "H", "D", "Dbar", "I", "i", "a")
 MAX_EXPONENT = 16
+# Deepest nesting the parser descends into, and deepest expression tree it
+# returns; both are walked recursively, so deeper input is a usage error.
+MAX_DEPTH = 200
 
 
 class ExpressionError(ValueError):
@@ -363,6 +366,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.index]
@@ -394,18 +398,23 @@ class _Parser:
         return node
 
     def parse_factor(self):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExpressionError(f"nesting deeper than the limit {MAX_DEPTH}", self.peek()[2])
         if self.peek()[0] == "-":
             self.advance()
-            return Neg(self.parse_factor())
-        node = self.parse_primary()
-        if self.peek()[0] == "^":
-            self.advance()
-            tok = self.expect("INT")
-            exponent = int(tok[1])
-            if exponent > MAX_EXPONENT:
-                raise ExpressionError(
-                    f"exponent {exponent} exceeds the limit {MAX_EXPONENT}", tok[2])
-            node = Power(node, exponent)
+            node = Neg(self.parse_factor())
+        else:
+            node = self.parse_primary()
+            if self.peek()[0] == "^":
+                self.advance()
+                tok = self.expect("INT")
+                exponent = int(tok[1])
+                if exponent > MAX_EXPONENT:
+                    raise ExpressionError(
+                        f"exponent {exponent} exceeds the limit {MAX_EXPONENT}", tok[2])
+                node = Power(node, exponent)
+        self.depth -= 1
         return node
 
     def parse_primary(self):
@@ -448,7 +457,24 @@ def parse(text: str):
     tok = parser.peek()
     if tok[0] != "END":
         raise ExpressionError(f"unexpected trailing input {tok[1]!r}", tok[2])
+    if _height(node) > MAX_DEPTH:
+        raise ExpressionError(f"expression tree deeper than the limit {MAX_DEPTH}", 0)
     return node
+
+
+def _height(node) -> int:
+    """Levels of an expression tree, counted without recursion."""
+    height, stack = 0, [(node, 1)]
+    while stack:
+        node, level = stack.pop()
+        height = max(height, level)
+        if isinstance(node, (BinOp, Bracket)):
+            stack += [(node.left, level + 1), (node.right, level + 1)]
+        elif isinstance(node, Neg):
+            stack.append((node.operand, level + 1))
+        elif isinstance(node, Power):
+            stack.append((node.base, level + 1))
+    return height
 
 
 def normal_form(expr) -> SymbolicOperator:

@@ -132,7 +132,8 @@ def normalization_formula(x: float, a: float, N: int) -> float:
 
 
 def truncated_spectrum(lattice: MomentumLattice) -> np.ndarray:
-    """Ascending eigenvalues of the truncated X matrix (Hermitian tridiagonal)."""
+    """Ascending eigenvalues of the truncated X matrix (Hermitian tridiagonal),
+    by a dense eigensolver on its dense view."""
     X = build_operator(lattice, "X")
     return np.linalg.eigvalsh(X.entries)
 

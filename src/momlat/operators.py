@@ -1,11 +1,13 @@
-"""Truncated matrix representations of the lattice operators.
+"""Banded truncated representations of the lattice operators.
 
-Builds dense matrices for the shifts A/Abar, the one-sided difference
-quotients D/Dbar, multiplication by momentum P, the symmetrized position
-operator X, the curvature operator Q and H = X^2 + P^2, on a finite window of
-the momentum grid.  Truncation zeroes everything beyond the window (Dirichlet
-convention), so operator identities that hold on the unbounded grid hold here
-on interior rows only; `interior_residual` measures exactly that.
+Every operator here is a short-range stencil on a finite window of the
+momentum grid: the shifts A/Abar, the one-sided difference quotients D/Dbar,
+multiplication by momentum P, the symmetrized position operator X, the
+curvature operator Q and H = X^2 + P^2 reach at most a few neighbours.  So each
+is stored as its diagonals, and sums, products, adjoints and residuals cost
+O(n * band) time and memory.  Truncation zeroes everything beyond the window
+(Dirichlet convention), so operator identities that hold on the unbounded grid
+hold here on interior rows only; `interior_residual` measures exactly that.
 
 The algebra is not restated here: A, Abar, P and I are built directly, every
 other operator folds its `algebra.DEFINITIONS` row, and `verify_identity_suite`
@@ -31,57 +33,114 @@ RESIDUAL_CSV_HEADER = "identity,margin,residual"
 CONVERGENCE_CSV_HEADER = "a,r,log_a,log_r"
 
 
+def _rows(m: int, n: int) -> slice:
+    """The rows i of an n-point lattice whose column i+m is on the lattice;
+    empty, with start == stop, when |m| >= n."""
+    return slice(min(n, max(0, -m)), max(0, n - max(0, m)))
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense complex matrix on a lattice, with a tracked band radius.
+    """Truncated operator on a lattice, stored as its diagonals.
 
-    shift_radius is an upper bound on |row - column| of nonzero entries; it
-    is carried through arithmetic (max under +/-, sum under products) and the
-    band structure is asserted on construction.
+    `bands` has shape (2*shift_radius + 1, n): row shift_radius + m holds
+    M[i, i+m] at index i, and 0 wherever i+m falls outside the lattice.  No
+    entry farther than shift_radius from the diagonal has a place, so the
+    storage is the band.  The radius is carried through arithmetic: max under
+    +/-, sum under products.  `entries` is the dense matrix, built on demand
+    for the eigensolver and for tests.
     """
 
     lattice: MomentumLattice
-    entries: np.ndarray
+    bands: np.ndarray
     shift_radius: int
 
     def __post_init__(self):
-        n = self.lattice.n_points
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.shape != (n, n):
-            raise ValueError(f"expected a {n}x{n} matrix, got shape {entries.shape}")
         if self.shift_radius < 0:
             raise ValueError("shift_radius must be non-negative")
-        if self.shift_radius < n - 1:
-            idx = np.arange(n)
-            outside = np.abs(idx[:, None] - idx[None, :]) > self.shift_radius
-            if np.any(entries[outside] != 0):
-                raise ValueError("nonzero entry outside the declared band")
-        object.__setattr__(self, "entries", entries)
+        bands = np.array(self.bands, dtype=complex)
+        shape = (2 * self.shift_radius + 1, self.lattice.n_points)
+        if bands.shape != shape:
+            raise ValueError(f"expected bands of shape {shape}, got {bands.shape}")
+        bands.setflags(write=False)
+        object.__setattr__(self, "bands", bands)
+
+    @classmethod
+    def from_dense(cls, lattice: MomentumLattice, dense, shift_radius: int) -> "OperatorMatrix":
+        """The diagonals of a dense n x n matrix; rejects entries off the band."""
+        n = lattice.n_points
+        dense = np.asarray(dense, dtype=complex)
+        if dense.shape != (n, n):
+            raise ValueError(f"expected a {n}x{n} matrix, got shape {dense.shape}")
+        bands = np.zeros((2 * shift_radius + 1, n), dtype=complex)
+        for m in range(-shift_radius, shift_radius + 1):
+            bands[shift_radius + m, _rows(m, n)] = np.diagonal(dense, m)
+        # every nonzero of the dense matrix must have landed in a diagonal
+        if np.count_nonzero(bands) != np.count_nonzero(dense):
+            raise ValueError("nonzero entry outside the declared band")
+        return cls(lattice, bands, shift_radius)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Read-only dense n x n matrix of the operator."""
+        n, r = self.lattice.n_points, self.shift_radius
+        dense = np.zeros((n, n), dtype=complex)
+        idx = np.arange(n)
+        for m in range(-r, r + 1):
+            i = idx[_rows(m, n)]
+            dense[i, i + m] = self.bands[r + m, i]
+        dense.setflags(write=False)
+        return dense
 
     def _same_lattice(self, other: "OperatorMatrix"):
         if self.lattice != other.lattice:
             raise ValueError("operators live on different lattices")
 
+    def _widened(self, radius: int) -> np.ndarray:
+        """The bands padded with zero diagonals out to a larger radius."""
+        pad = radius - self.shift_radius
+        if not pad:
+            return self.bands
+        bands = np.zeros((2 * radius + 1, self.lattice.n_points), dtype=complex)
+        bands[pad:2 * radius + 1 - pad] = self.bands
+        return bands
+
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._same_lattice(other)
-        return OperatorMatrix(self.lattice, self.entries + other.entries,
-                              max(self.shift_radius, other.shift_radius))
+        r = max(self.shift_radius, other.shift_radius)
+        return OperatorMatrix(self.lattice, self._widened(r) + other._widened(r), r)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._same_lattice(other)
-        return OperatorMatrix(self.lattice, self.entries - other.entries,
-                              max(self.shift_radius, other.shift_radius))
+        r = max(self.shift_radius, other.shift_radius)
+        return OperatorMatrix(self.lattice, self._widened(r) - other._widened(r), r)
 
     def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.lattice, -self.entries, self.shift_radius)
+        return OperatorMatrix(self.lattice, -self.bands, self.shift_radius)
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+        """Truncated convolution of diagonals.
+
+        (LR)[i, i+m] = sum over m1 + m2 = m of L[i, i+m1] * R[i+m1, i+m], each
+        entry summed in ascending column i+m1, as a dense product summing in
+        column order would.  Columns off the lattice hold zeros and add none.
+        """
         self._same_lattice(other)
-        return OperatorMatrix(self.lattice, self.entries @ other.entries,
-                              self.shift_radius + other.shift_radius)
+        n = self.lattice.n_points
+        r1, r2 = self.shift_radius, other.shift_radius
+        r = r1 + r2
+        out = np.zeros((2 * r + 1, n), dtype=complex)
+        for m1 in range(-r1, r1 + 1):
+            rows = _rows(m1, n)
+            # kept 2-d: numpy multiplies a (1,) by a (1, 1) array in a loop
+            # that rounds differently from the loop every other shape takes
+            left = self.bands[r1 + m1, None, rows]
+            right = other.bands[:, rows.start + m1:rows.stop + m1]
+            out[r + m1 - r2:r + m1 + r2 + 1, rows] += left * right
+        return OperatorMatrix(self.lattice, out, r)
 
     def scaled(self, c: complex) -> "OperatorMatrix":
-        return OperatorMatrix(self.lattice, c * self.entries, self.shift_radius)
+        return OperatorMatrix(self.lattice, c * self.bands, self.shift_radius)
 
 
 @dataclass(frozen=True)
@@ -103,11 +162,18 @@ class ConvergenceTable:
     slope: float
 
 
+def _shift(lattice: MomentumLattice, m: int) -> OperatorMatrix:
+    """The radius-1 operator with ones on diagonal m (A for m = 1, Abar for -1)."""
+    bands = np.zeros((3, lattice.n_points), dtype=complex)
+    bands[1 + m, _rows(m, lattice.n_points)] = 1
+    return OperatorMatrix(lattice, bands, 1)
+
+
 _PRIMITIVES = {
-    "I": lambda lat: OperatorMatrix(lat, np.eye(lat.n_points, dtype=complex), 0),
-    "A": lambda lat: OperatorMatrix(lat, np.eye(lat.n_points, k=1, dtype=complex), 1),
-    "Abar": lambda lat: OperatorMatrix(lat, np.eye(lat.n_points, k=-1, dtype=complex), 1),
-    "P": lambda lat: OperatorMatrix(lat, np.diag(lat.momenta().astype(complex)), 0),
+    "I": lambda lat: OperatorMatrix(lat, np.ones((1, lat.n_points)), 0),
+    "A": lambda lat: _shift(lat, 1),
+    "Abar": lambda lat: _shift(lat, -1),
+    "P": lambda lat: OperatorMatrix(lat, lat.momenta()[None, :], 0),
 }
 _DEFINITION_TREES = {name: parse(text) for name, text in DEFINITIONS}
 _NUMERIC_IDENTITIES = tuple((name, parse(text), margin)
@@ -151,8 +217,14 @@ def build_operator(lattice: MomentumLattice, name: str) -> OperatorMatrix:
 
 
 def adjoint(M: OperatorMatrix) -> OperatorMatrix:
-    """Conjugate transpose, same band radius."""
-    return OperatorMatrix(M.lattice, M.entries.conj().T.copy(), M.shift_radius)
+    """Conjugate transpose, same band radius: diagonal m is the conjugate of
+    diagonal -m, moved m places."""
+    n, r = M.lattice.n_points, M.shift_radius
+    bands = np.zeros_like(M.bands)
+    for m in range(-r, r + 1):
+        rows = _rows(m, n)
+        bands[r + m, rows] = M.bands[r - m, rows.start + m:rows.stop + m].conj()
+    return OperatorMatrix(M.lattice, bands, r)
 
 
 def bracket(kind: str, M1: OperatorMatrix, M2: OperatorMatrix) -> OperatorMatrix:
@@ -165,10 +237,16 @@ def bracket(kind: str, M1: OperatorMatrix, M2: OperatorMatrix) -> OperatorMatrix
 
 
 def apply(M: OperatorMatrix, f: GridFunction) -> GridFunction:
-    """Matrix-vector action of an operator on a grid function."""
+    """Matrix-vector action of an operator on a grid function, each entry
+    summed in ascending column."""
     if M.lattice != f.lattice:
         raise ValueError("operator and function live on different lattices")
-    return GridFunction(f.lattice, M.entries @ f.values)
+    n, r = M.lattice.n_points, M.shift_radius
+    out = np.zeros(n, dtype=complex)
+    for m in range(-r, r + 1):
+        rows = _rows(m, n)
+        out[rows] += M.bands[r + m, rows] * f.values[rows.start + m:rows.stop + m]
+    return GridFunction(f.lattice, out)
 
 
 def interior_residual(M: OperatorMatrix, margin: int) -> float:
@@ -182,8 +260,7 @@ def interior_residual(M: OperatorMatrix, margin: int) -> float:
         raise ValueError("margin must be non-negative")
     if 2 * margin >= n:
         raise ValueError(f"margin {margin} leaves no interior rows on {n} points")
-    block = M.entries[margin:n - margin, :]
-    return float(np.max(np.abs(block)))
+    return float(np.max(np.abs(M.bands[:, margin:n - margin])))
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +268,15 @@ def interior_residual(M: OperatorMatrix, margin: int) -> float:
 # ---------------------------------------------------------------------------
 
 def to_matrix(op: SymbolicOperator, lattice: MomentumLattice) -> OperatorMatrix:
-    """Evaluate a normal form on a lattice: sum c_{k,m}(a) diag(p^k) Shift^m."""
+    """Evaluate a normal form on a lattice: diagonal m is sum_k c_{k,m}(a) p^k."""
     n = lattice.n_points
-    momenta = lattice.momenta()
-    total = np.zeros((n, n), dtype=complex)
-    radius = 0
+    momenta = lattice.momenta().astype(complex)
+    radius = op.shift_radius
+    bands = np.zeros((2 * radius + 1, n), dtype=complex)
     for (k, m), poly in op.items():
-        coeff = poly.evaluate(lattice.a)
-        total += coeff * (momenta.astype(complex) ** k)[:, None] * np.eye(n, k=m)
-        radius = max(radius, abs(m))
-    return OperatorMatrix(lattice, total, radius)
+        rows = _rows(m, n)
+        bands[radius + m, rows] += poly.evaluate(lattice.a) * momenta[rows] ** k
+    return OperatorMatrix(lattice, bands, radius)
 
 
 def expression_matrix(expr, lattice: MomentumLattice) -> OperatorMatrix:
@@ -220,11 +296,10 @@ def _as_matrix(value, atoms) -> OperatorMatrix:
 
 def _scalar_of(M: OperatorMatrix):
     """The scalar c if M == c*I exactly, else None."""
-    n = M.lattice.n_points
-    c = M.entries[0, 0]
-    if np.array_equal(M.entries, c * np.eye(n)):
-        return c
-    return None
+    r = M.shift_radius
+    scalar = np.zeros_like(M.bands)
+    scalar[r] = M.bands[r, 0]
+    return M.bands[r, 0] if np.array_equal(M.bands, scalar) else None
 
 
 def _times(x, y):
@@ -277,38 +352,45 @@ def verify_identity_suite(lattice: MomentumLattice, seed: int = 181054) -> list:
     lattice and reported with the largest residual entry at least `margin`
     rows inside the window.  The grammar has no adjoint, so the hermiticity
     rows and the adjoint relation between the shifts are checked here; the
-    latter on random grid functions vanishing at both endpoints.
+    latter on random grid functions vanishing at both endpoints.  A residual
+    that is not finite means the entries overflowed double precision; it is
+    rejected with a ValueError naming the identity and the lattice.
     """
     n = lattice.n_points
     if n < 8:
         raise ValueError(f"identity suite needs n >= 8, got {n}")
     desc = lattice.descriptor()
-    atoms = _LatticeAtoms(lattice)
-    reports = [
-        ResidualReport(name, interior_residual(_as_matrix(_fold(tree, atoms), atoms), margin),
-                       margin, desc)
-        for name, tree, margin in _NUMERIC_IDENTITIES
-    ]
-    A, Abar, P, X = atoms["A"], atoms["Abar"], atoms["P"], atoms["X"]
-    for name, resid in (("P_hermitian", P - adjoint(P)),
-                        ("X_hermitian", X - adjoint(X)),
-                        ("Abar_is_A_adjoint", Abar - adjoint(A))):
-        reports.append(ResidualReport(name, interior_residual(resid, 0), 0, desc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        atoms = _LatticeAtoms(lattice)
+        reports = [
+            ResidualReport(name, interior_residual(_as_matrix(_fold(tree, atoms), atoms), margin),
+                           margin, desc)
+            for name, tree, margin in _NUMERIC_IDENTITIES
+        ]
+        A, Abar, P, X = atoms["A"], atoms["Abar"], atoms["P"], atoms["X"]
+        for name, resid in (("P_hermitian", P - adjoint(P)),
+                            ("X_hermitian", X - adjoint(X)),
+                            ("Abar_is_A_adjoint", Abar - adjoint(A))):
+            reports.append(ResidualReport(name, interior_residual(resid, 0), 0, desc))
 
-    # <f|A g> = <Abar f|g> on random functions vanishing at both endpoints.
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(4):
-        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        f[0] = f[-1] = 0.0
-        g[0] = g[-1] = 0.0
-        gf = GridFunction(lattice, f)
-        gg = GridFunction(lattice, g)
-        lhs = inner_product(gf, apply(A, gg))
-        rhs = inner_product(apply(Abar, gf), gg)
-        worst = max(worst, abs(lhs - rhs))
-    reports.append(ResidualReport("A_adjoint_inner_product", worst, 0, desc))
+        # <f|A g> = <Abar f|g> on random functions vanishing at both endpoints.
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(4):
+            f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            f[0] = f[-1] = 0.0
+            g[0] = g[-1] = 0.0
+            gf = GridFunction(lattice, f)
+            gg = GridFunction(lattice, g)
+            lhs = inner_product(gf, apply(A, gg))
+            rhs = inner_product(apply(Abar, gf), gg)
+            worst = max(worst, abs(lhs - rhs))
+        reports.append(ResidualReport("A_adjoint_inner_product", worst, 0, desc))
+    for r in reports:
+        if not math.isfinite(r.max_interior_residual):
+            raise ValueError(f"identity {r.identity_name} on the lattice {desc} has no finite "
+                             "residual: its matrix entries overflowed double precision")
     return reports
 
 
@@ -318,11 +400,18 @@ def unit_gaussian(p: np.ndarray) -> np.ndarray:
 
 
 def window_lattice(spacing: float, window: tuple = (-8.0, 8.0)) -> MomentumLattice:
-    """Smallest lattice with the given spacing whose points cover the window."""
+    """Smallest lattice with the given spacing whose points cover the window.
+
+    The scan measures interior rows, so a spacing that leaves fewer than 3
+    points in the window is rejected.
+    """
     lo, hi = window
-    if not hi > lo:
-        raise ValueError(f"empty window {window}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise ValueError(f"window must be finite with lo < hi, got {lo}:{hi}")
     n = int(math.floor((hi - lo) / spacing + 1e-9)) + 1
+    if n < 3:
+        raise ValueError(f"spacing {spacing} leaves {n} point(s) in the window {lo}:{hi}; "
+                         "the scan needs at least 3 for an interior row")
     return MomentumLattice(p0=lo, a=spacing, n_points=n)
 
 
@@ -346,11 +435,14 @@ def continuum_scan(spacings, test_function=None, window: tuple = (-8.0, 8.0)) ->
     residuals = []
     for a in spacings:
         lat = window_lattice(a, window)
-        f = np.asarray(fn(lat.momenta()), dtype=complex)
-        X = build_operator(lat, "X").entries
-        P = build_operator(lat, "P").entries
-        g = X @ (P @ f) - P @ (X @ f) + 1j * f
-        residuals.append(float(np.max(np.abs(g[1:-1])) / np.max(np.abs(f))))
+        f = GridFunction(lat, fn(lat.momenta()))
+        X, P = build_operator(lat, "X"), build_operator(lat, "P")
+        g = apply(X, apply(P, f)).values - apply(P, apply(X, f)).values + 1j * f.values
+        scale = np.max(np.abs(f.values))
+        if not scale > 0:
+            raise ValueError(f"the test function vanishes on the lattice {lat.descriptor()}, "
+                             "so the residual has no scale")
+        residuals.append(float(np.max(np.abs(g[1:-1])) / scale))
 
     if all(r > 0 for r in residuals):
         slope = float(np.polyfit(np.log(spacings), np.log(residuals), 1)[0])

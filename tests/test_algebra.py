@@ -18,6 +18,7 @@ from momlat.algebra import (
     GaussianRational,
     IntLit,
     LaurentPoly,
+    MAX_DEPTH,
     Neg,
     IDENTITIES,
     Power,
@@ -87,6 +88,32 @@ class TestParse:
 
     def test_whitespace_insignificant(self):
         assert parse(" [ A , P ] ") == parse("[A,P]")
+
+    def test_nesting_limit(self):
+        inner = MAX_DEPTH - 1  # the atom itself is one more level
+        assert parse("(" * inner + "P" + ")" * inner) == Atom("P")
+        with pytest.raises(ExpressionError, match="nesting") as err:
+            parse("(" * MAX_DEPTH + "P" + ")" * MAX_DEPTH)
+        assert err.value.position == MAX_DEPTH
+        with pytest.raises(ExpressionError, match="nesting"):
+            parse("[P," * 3000 + "A" + "]" * 3000)
+        with pytest.raises(ExpressionError, match="nesting"):
+            parse("-" * 3000 + "P")
+
+    def test_tree_height_limit(self):
+        with pytest.raises(ExpressionError, match="tree"):
+            parse("+".join(["P"] * (MAX_DEPTH + 1)))
+        with pytest.raises(ExpressionError, match="tree"):
+            parse("*".join(["A"] * 3000))
+
+    @pytest.mark.parametrize("text", ["+".join(["P"] * MAX_DEPTH),
+                                      "-" * (MAX_DEPTH - 1) + "P",
+                                      "(" * (MAX_DEPTH - 2) + "[A,P]" + ")" * (MAX_DEPTH - 2)])
+    def test_deepest_accepted_expressions_fold(self, text):
+        nf = normal_form(text)
+        lat = MomentumLattice(0.0, 0.5, 8)
+        resid = expression_matrix(text, lat) - to_matrix(nf, lat)
+        assert interior_residual(resid, 1) < 1e-9
 
 
 class TestNormalForm:

@@ -65,6 +65,33 @@ class TestExitCodes:
         assert bad in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv,lattice,identity", [
+        (("verify", "--a", "1e200"), "a=1e+200", "H_shift_form"),
+        (("verify", "--p0", "1e300"), "p0=1e+300", "H_shift_form"),
+        (("well", "--L", "1e-300", "--levels", "8"), "a=3.14159265358979e+300", "H_shift_form"),
+    ])
+    def test_overflowing_lattice_usage_error(self, argv, lattice, identity):
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert "overflowed" in err and lattice in err and identity in err
+        assert "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("continuum", "--window=0:0.05", "--spacings", "0.1,0.05,0.025"),
+         "spacing 0.1 leaves 1 point(s) in the window 0.0:0.05"),
+        (("continuum", "--window=-inf:8"), "window must be finite"),
+        (("continuum", "--window=100:110"), "test function vanishes"),
+        (("check", "(" * 3000 + "P" + ")" * 3000), "nesting deeper than the limit"),
+        (("check", "+".join(["P"] * 3000)), "tree deeper than the limit"),
+    ])
+    def test_degenerate_input_usage_error(self, argv, message):
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Warning" not in err and "Traceback" not in err
+
     def test_eigvec_band_violation(self):
         code, _, err = run_cli("eigvec", "--x", "2", "--a", "1", "--n", "5")
         assert code == 2
