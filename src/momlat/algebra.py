@@ -11,6 +11,14 @@ with coefficients that are Laurent polynomials in the spacing symbol a over
 the Gaussian rationals.  Everything here is exact: no floating point enters
 until a normal form is evaluated on a concrete lattice.
 
+A `SymbolicOperator` stores its normal form flat, as one map
+(k, m, e) -> (re, im) of Python ints over a single shared denominator: the
+term ((re + i*im)/den) a^e P^k A^m.  Products and sums are integer
+arithmetic followed by one gcd reduction, so the stored form is canonical.
+`GaussianRational` and `LaurentPoly` are the value types that `items()` and
+`coefficient()` build on demand for rendering and evaluation.  One
+`normal_form` call multiplies at most `MAX_PRODUCT_WORK` pairs of flat terms.
+
 The module also owns the expression grammar and the two tables the other
 layers read.  `DEFINITIONS` writes the composite operators D, Dbar, X, Q, H
 over the primitives A, Abar, P, I, i, a; `ATOMS` is its exact fold.
@@ -30,18 +38,23 @@ MAX_EXPONENT = 16
 # Deepest nesting the parser descends into, and deepest expression tree it
 # returns; both are walked recursively, so deeper input is a usage error.
 MAX_DEPTH = 200
+# Most flat term pairs the products of one normal_form call may multiply
+# (|left| * |right| summed over its products, powers included).  H^16*H^8
+# takes ~1.4e6 and about a second; H^16*H^16 would take ~1e7.
+MAX_PRODUCT_WORK = 2_000_000
 
 
 class ExpressionError(ValueError):
-    """Parse or evaluation failure, carrying the 0-based character offset."""
+    """Parse or evaluation failure, carrying the 0-based character offset
+    (None for a limit that belongs to no single offset)."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} at offset {position}")
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message if position is None else f"{message} at offset {position}")
         self.position = position
 
 
 # ---------------------------------------------------------------------------
-# exact scalars
+# exact scalars: the value types a coefficient is read as
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -92,7 +105,6 @@ class GaussianRational:
 
 GR_ZERO = GaussianRational()
 GR_ONE = GaussianRational(Fraction(1))
-GR_I = GaussianRational(Fraction(0), Fraction(1))
 
 
 def _as_gaussian(v) -> GaussianRational:
@@ -186,10 +198,6 @@ class LaurentPoly:
         return sum((c.to_complex() * a ** e for e, c in self._terms.items()), 0j)
 
 
-LP_ZERO = LaurentPoly()
-LP_ONE = LaurentPoly.constant(1)
-
-
 # ---------------------------------------------------------------------------
 # normal-ordered operators
 # ---------------------------------------------------------------------------
@@ -197,29 +205,45 @@ LP_ONE = LaurentPoly.constant(1)
 class SymbolicOperator:
     """Exact element of the algebra in normal form sum c_{k,m}(a) P^k A^m.
 
-    The key (k, m) has k >= 0 (power of P) and any integer m (shift power;
-    m < 0 stands for Abar^|m|).  The zero operator is the empty map, and
-    equality of operators is equality of maps.
+    Stored flat: `_terms` maps (k, m, e) to a Gaussian integer (re, im) of
+    Python ints, and the entry stands for ((re + i*im)/_den) a^e P^k A^m, with
+    k >= 0, any integer m (m < 0 is Abar^|m|) and any integer e.  Every entry
+    shares the one positive denominator `_den`.  The storage is reduced: no
+    entry is (0, 0) and gcd(_den, every numerator) == 1, so the zero operator
+    is the empty map over 1, and equality of operators is equality of
+    (map, denominator).  `items()` and `coefficient()` build the
+    `LaurentPoly` view of a (k, m) coefficient on demand.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: dict | None = None):
-        clean = {}
+        """Operator from {(k, m): LaurentPoly or scalar}, the form `items()` lists."""
+        flat = {}
         for (k, m), poly in (terms or {}).items():
             if not isinstance(poly, LaurentPoly):
                 poly = LaurentPoly.constant(poly)
             if k < 0:
                 raise ValueError("P exponent must be non-negative")
-            if not poly.is_zero:
-                clean[(int(k), int(m))] = poly
-        self._terms = clean
+            for e, c in poly._terms.items():
+                flat[(int(k), int(m), e)] = c
+        den = math.lcm(1, *(x.denominator for c in flat.values() for x in (c.re, c.im)))
+        self._terms, self._den = _reduced(
+            {key: (int(c.re * den), int(c.im * den)) for key, c in flat.items()}, den)
 
     def items(self):
-        return sorted(self._terms.items())
+        """[((k, m), LaurentPoly)] sorted by (k, m)."""
+        polys: dict = {}
+        for (k, m, e), c in self._terms.items():
+            polys.setdefault((k, m), {})[e] = self._gaussian(c)
+        return sorted((key, LaurentPoly(p)) for key, p in polys.items())
 
     def coefficient(self, k: int, m: int) -> LaurentPoly:
-        return self._terms.get((k, m), LP_ZERO)
+        return LaurentPoly({e: self._gaussian(c) for (k2, m2, e), c in self._terms.items()
+                            if (k2, m2) == (k, m)})
+
+    def _gaussian(self, c) -> GaussianRational:
+        return GaussianRational(Fraction(c[0], self._den), Fraction(c[1], self._den))
 
     @property
     def is_zero(self) -> bool:
@@ -227,70 +251,103 @@ class SymbolicOperator:
 
     @property
     def term_count(self) -> int:
-        return len(self._terms)
+        """Number of distinct (k, m) coefficients."""
+        return len({(k, m) for k, m, _ in self._terms})
 
     @property
     def shift_radius(self) -> int:
-        return max((abs(m) for _, m in self._terms), default=0)
+        return max((abs(m) for _, m, _ in self._terms), default=0)
 
     def __eq__(self, other):
-        return isinstance(other, SymbolicOperator) and self._terms == other._terms
+        return (isinstance(other, SymbolicOperator) and self._den == other._den
+                and self._terms == other._terms)
 
     def __hash__(self):
-        return hash(tuple(sorted(self._terms.items())))
+        return hash((frozenset(self._terms.items()), self._den))
 
     def __add__(self, other):
-        out = dict(self._terms)
-        for key, poly in other._terms.items():
-            s = out.get(key, LP_ZERO) + poly
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return SymbolicOperator(out)
-
-    def __neg__(self):
-        return SymbolicOperator({key: -poly for key, poly in self._terms.items()})
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign: int) -> "SymbolicOperator":
+        # both operands over the lcm of their denominators
+        g = math.gcd(self._den, other._den)
+        f1, f2 = other._den // g, sign * (self._den // g)
+        acc = {key: (re * f1, im * f1) for key, (re, im) in self._terms.items()}
+        for key, (re, im) in other._terms.items():
+            old = acc.get(key)
+            acc[key] = (re * f2, im * f2) if old is None else (old[0] + re * f2, old[1] + im * f2)
+        return _operator(*_reduced(acc, self._den // g * other._den))
+
+    def __neg__(self):
+        return _operator({key: (-re, -im) for key, (re, im) in self._terms.items()}, self._den)
 
     def __mul__(self, other):
-        # (P^k1 A^m1)(P^k2 A^m2) = P^k1 (P + m1 a)^k2 A^(m1+m2), expanded by
-        # the binomial theorem; this is the closed form of the exchange rules.
-        out: dict = {}
-        for (k1, m1), c1 in self._terms.items():
-            for (k2, m2), c2 in other._terms.items():
-                base = c1 * c2
-                for i in range(k2 + 1):
-                    coeff = base * LaurentPoly.monomial(
-                        k2 - i, math.comb(k2, i) * m1 ** (k2 - i))
-                    key = (k1 + i, m1 + m2)
-                    s = out.get(key, LP_ZERO) + coeff
-                    if s.is_zero:
-                        out.pop(key, None)
+        # (P^k1 A^m1)(P^k2 A^m2) = P^k1 (P + m1 a)^k2 A^(m1+m2), the closed form
+        # of the exchange rules: the right operand is moved past A^m1 once per
+        # distinct m1, then every pair of terms multiplies in integers.
+        by_shift: dict = {}
+        for (k1, m1, e1), (re, im) in self._terms.items():
+            by_shift.setdefault(m1, []).append((k1, e1, re, im))
+        acc: dict = {}
+        get = acc.get
+        for m1, left in by_shift.items():
+            right = _shifted(other._terms, m1) if m1 else other._terms
+            for (k2, m2, e2), (c, d) in right.items():
+                m = m1 + m2
+                for k1, e1, a, b in left:
+                    key = (k1 + k2, m, e1 + e2)
+                    old = get(key)
+                    if old is None:
+                        acc[key] = (a * c - b * d, a * d + b * c)
                     else:
-                        out[key] = s
-        return SymbolicOperator(out)
+                        acc[key] = (old[0] + a * c - b * d, old[1] + a * d + b * c)
+        return _operator(*_reduced(acc, self._den * other._den))
 
-    def scaled(self, poly: LaurentPoly) -> "SymbolicOperator":
-        return SymbolicOperator({key: p * poly for key, p in self._terms.items()})
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("operator powers must be non-negative")
-        result = OP_ONE
-        for _ in range(exponent):
-            result = result * self
-        return result
+    def scaled(self, re: int, im: int, den: int, e: int) -> "SymbolicOperator":
+        """This operator times the scalar ((re + i*im)/den) a^e, den > 0."""
+        return _operator(*_reduced(
+            {(k, m, e1 + e): (a * re - b * im, a * im + b * re)
+             for (k, m, e1), (a, b) in self._terms.items()}, self._den * den))
 
 
-def _basis(k: int, m: int, poly=LP_ONE) -> SymbolicOperator:
-    return SymbolicOperator({(k, m): poly})
+def _operator(terms: dict, den: int) -> SymbolicOperator:
+    """Operator over already reduced storage."""
+    op = object.__new__(SymbolicOperator)
+    op._terms, op._den = terms, den
+    return op
 
 
-OP_ZERO = SymbolicOperator()
-OP_ONE = _basis(0, 0)
+def _reduced(acc: dict, den: int):
+    """(terms, den) with the zero entries of acc dropped and the common
+    factor of den and every numerator divided out."""
+    terms = {key: c for key, c in acc.items() if c[0] or c[1]}
+    g = den
+    for re, im in terms.values():
+        g = math.gcd(g, re, im)
+        if g == 1:
+            return terms, den
+    return {key: (re // g, im // g) for key, (re, im) in terms.items()}, den // g
+
+
+def _shifted(terms: dict, s: int) -> dict:
+    """Right-hand terms moved past A^s: P^k A^m becomes (P + s a)^k A^m
+    = sum_i C(k, i) s^(k-i) a^(k-i) P^i A^m."""
+    out: dict = {}
+    get = out.get
+    for (k, m, e), (re, im) in terms.items():
+        for i in range(k + 1):
+            f = math.comb(k, i) * s ** (k - i)
+            key = (i, m, e + k - i)
+            old = get(key)
+            out[key] = (re * f, im * f) if old is None else (old[0] + re * f, old[1] + im * f)
+    return out
+
+
+OP_ZERO = _operator({}, 1)
+OP_ONE = _operator({(0, 0, 0): (1, 0)}, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -478,43 +535,72 @@ def _height(node) -> int:
 
 
 def normal_form(expr) -> SymbolicOperator:
-    """Rewrite an expression (AST or text) to its unique normal form."""
+    """Rewrite an expression (AST or text) to its unique normal form.
+
+    The products of one call may multiply at most MAX_PRODUCT_WORK pairs of
+    flat terms in all; a larger expression is rejected before the product
+    that would pass the limit starts.
+    """
     if isinstance(expr, str):
         expr = parse(expr)
-    return _fold(expr, ATOMS)
+    return _fold(expr, ATOMS, _Work())
 
 
-def _fold(node, atoms) -> SymbolicOperator:
+class _Work:
+    """Flat term pairs multiplied so far in one fold."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self):
+        self.pairs = 0
+
+    def product(self, left: SymbolicOperator, right: SymbolicOperator) -> SymbolicOperator:
+        self.pairs += len(left._terms) * len(right._terms)
+        if self.pairs > MAX_PRODUCT_WORK:
+            raise ExpressionError(f"normal form needs more than the work limit of "
+                                  f"{MAX_PRODUCT_WORK} term pairs in products")
+        return left * right
+
+
+def _fold(node, atoms, work: _Work) -> SymbolicOperator:
     if isinstance(node, Atom):
         return atoms[node.name]
     if isinstance(node, IntLit):
-        return OP_ONE.scaled(LaurentPoly.constant(node.value))
+        return _operator({(0, 0, 0): (node.value, 0)}, 1) if node.value else OP_ZERO
     if isinstance(node, Neg):
-        return -_fold(node.operand, atoms)
+        return -_fold(node.operand, atoms, work)
     if isinstance(node, Power):
-        return _fold(node.base, atoms) ** node.exponent
+        # repeated multiplication by the base: squaring was measured slower on H
+        base = _fold(node.base, atoms, work)
+        result = OP_ONE
+        for _ in range(node.exponent):
+            result = work.product(result, base)
+        return result
     if isinstance(node, Bracket):
-        left = _fold(node.left, atoms)
-        right = _fold(node.right, atoms)
+        left = _fold(node.left, atoms, work)
+        right = _fold(node.right, atoms, work)
         if node.kind == "commutator":
-            return left * right - right * left
-        return left * right + right * left
+            return work.product(left, right) - work.product(right, left)
+        return work.product(left, right) + work.product(right, left)
     if isinstance(node, BinOp):
-        left = _fold(node.left, atoms)
-        right = _fold(node.right, atoms)
+        left = _fold(node.left, atoms, work)
+        right = _fold(node.right, atoms, work)
         if node.op == "+":
             return left + right
         if node.op == "-":
             return left - right
         if node.op == "*":
-            return left * right
-        # division: the divisor must normal-form to an invertible scalar
+            return work.product(left, right)
+        # division: the divisor must normal-form to an invertible scalar,
+        # one term (re + i*im)/den a^e, whose inverse is den (re - i*im)/norm a^-e
         if right.is_zero:
             raise ValueError("division by zero")
-        items = right.items()
-        if len(items) != 1 or items[0][0] != (0, 0):
+        if any(k or m for k, m, _ in right._terms):
             raise ValueError("division is only defined by scalar coefficients")
-        return left.scaled(items[0][1].inverse())
+        if len(right._terms) != 1:
+            raise ValueError("only monomial coefficients are invertible")
+        [((_, _, e), (re, im))] = right._terms.items()
+        return left.scaled(right._den * re, -right._den * im, re * re + im * im, -e)
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -534,11 +620,11 @@ DEFINITIONS = (
 
 
 def _build_atoms() -> dict:
-    atoms = {"A": _basis(0, 1), "Abar": _basis(0, -1), "P": _basis(1, 0), "I": OP_ONE,
-             "i": _basis(0, 0, LaurentPoly.constant(GR_I)),
-             "a": _basis(0, 0, LaurentPoly.monomial(1))}
+    atoms = {"A": _operator({(0, 1, 0): (1, 0)}, 1), "Abar": _operator({(0, -1, 0): (1, 0)}, 1),
+             "P": _operator({(1, 0, 0): (1, 0)}, 1), "I": OP_ONE,
+             "i": _operator({(0, 0, 0): (0, 1)}, 1), "a": _operator({(0, 0, 1): (1, 0)}, 1)}
     for name, text in DEFINITIONS:
-        atoms[name] = _fold(parse(text), atoms)
+        atoms[name] = _fold(parse(text), atoms, _Work())
     return atoms
 
 

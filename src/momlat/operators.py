@@ -354,12 +354,16 @@ def verify_identity_suite(lattice: MomentumLattice, seed: int = 181054) -> list:
     rows and the adjoint relation between the shifts are checked here; the
     latter on random grid functions vanishing at both endpoints.  A residual
     that is not finite means the entries overflowed double precision; it is
-    rejected with a ValueError naming the identity and the lattice.
+    rejected with a ValueError naming the identity and the lattice.  So is a
+    spacing whose square underflows to 0, since H_shift_form divides by a^2.
     """
     n = lattice.n_points
     if n < 8:
         raise ValueError(f"identity suite needs n >= 8, got {n}")
     desc = lattice.descriptor()
+    if lattice.a * lattice.a == 0.0:
+        raise ValueError(f"spacing a={fmt_real(lattice.a)} of the lattice {desc} is too small "
+                         "for the identity suite: a^2 underflows to 0 in double precision")
     with np.errstate(over="ignore", invalid="ignore"):
         atoms = _LatticeAtoms(lattice)
         reports = [

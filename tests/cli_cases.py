@@ -15,6 +15,8 @@ GOLDEN_CASES = {
     "verify_a01_n64.json": ("verify", "--p0", "0", "--a", "0.1", "--n", "64",
                             "--format", "json"),
     "check_AP.txt": ("check", "A*P"),
+    "check_XH2.txt": ("check", "[X,H^2]"),
+    "check_H3.txt": ("check", "H^3"),
     "eigvec_x0_a1_n5.csv": ("eigvec", "--x", "0", "--a", "1", "--n", "5"),
     "eigvec_x05_a1_n8.json": ("eigvec", "--x", "0.5", "--a", "1", "--n", "8",
                               "--format", "json"),

@@ -1,4 +1,5 @@
 import ast
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,6 +20,7 @@ from momlat.algebra import (
     IntLit,
     LaurentPoly,
     MAX_DEPTH,
+    MAX_PRODUCT_WORK,
     Neg,
     IDENTITIES,
     Power,
@@ -365,6 +367,125 @@ class TestConfluenceAndHomomorphism:
         nf = normal_form(e)
         assume(all(k <= 16 and abs(m) <= 16 for (k, m), _ in nf.items()))
         assert normal_form(format_normal_form(nf)) == nf
+
+
+# --- the flat integer engine against the per-term LaurentPoly product -------
+
+def reference_product(x: SymbolicOperator, y: SymbolicOperator) -> list:
+    """(P^k1 A^m1)(P^k2 A^m2) = P^k1 (P + m1 a)^k2 A^(m1+m2), expanded one pair
+    of (k, m) coefficients at a time in LaurentPoly arithmetic."""
+    out: dict = {}
+    for (k1, m1), c1 in x.items():
+        for (k2, m2), c2 in y.items():
+            base = c1 * c2
+            for i in range(k2 + 1):
+                coeff = base * LaurentPoly.monomial(k2 - i, math.comb(k2, i) * m1 ** (k2 - i))
+                key = (k1 + i, m1 + m2)
+                out[key] = out.get(key, LaurentPoly()) + coeff
+    return sorted((key, c) for key, c in out.items() if not c.is_zero)
+
+
+def reference_sum(x: SymbolicOperator, y: SymbolicOperator, sign: int) -> list:
+    out = dict(x.items())
+    for key, c in y.items():
+        out[key] = out.get(key, LaurentPoly()) + (c if sign > 0 else -c)
+    return sorted((key, c) for key, c in out.items() if not c.is_zero)
+
+
+FRACTION_ST = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 7]))
+LAURENT_ST = st.dictionaries(st.integers(-3, 3), st.builds(GR, FRACTION_ST, FRACTION_ST),
+                             max_size=3).map(LaurentPoly)
+OPERATOR_ST = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(-3, 3)), LAURENT_ST,
+                              max_size=5).map(SymbolicOperator)
+DIVISOR_ST = st.sampled_from(["3", "5", "7", "i", "(-i)", "a", "(2*i*a^2)", "(3-2*i)"])
+
+
+def assert_reduced(op: SymbolicOperator):
+    assert op._den > 0
+    assert all(c != (0, 0) for c in op._terms.values())
+    assert math.gcd(op._den, *(x for c in op._terms.values() for x in c)) == 1
+
+
+class TestFlatEngine:
+    @given(OPERATOR_ST, OPERATOR_ST)
+    @settings(max_examples=150, deadline=None)
+    def test_product_matches_reference(self, x, y):
+        assert (x * y).items() == reference_product(x, y)
+
+    @given(OPERATOR_ST, OPERATOR_ST)
+    @settings(max_examples=100, deadline=None)
+    def test_sum_and_difference_match_reference(self, x, y):
+        assert (x + y).items() == reference_sum(x, y, 1)
+        assert (x - y).items() == reference_sum(x, y, -1)
+        assert (x - x).is_zero and (x - x) == SymbolicOperator()
+
+    @given(OPERATOR_ST)
+    @settings(max_examples=60, deadline=None)
+    def test_items_round_trip(self, x):
+        assert SymbolicOperator(dict(x.items())) == x
+        for (k, m), c in x.items():
+            assert x.coefficient(k, m) == c
+        assert x.term_count == len(x.items())
+
+    @given(EXPR_ST, DIVISOR_ST)
+    @settings(max_examples=80, deadline=None)
+    def test_storage_is_reduced(self, e, divisor):
+        assume(tracked_radius(e) <= 6)
+        for op in (normal_form(e), normal_form(BinOp("/", e, parse(divisor)))):
+            assert_reduced(op)
+            if op.is_zero:
+                assert op._den == 1
+
+    @given(OPERATOR_ST, OPERATOR_ST)
+    @settings(max_examples=60, deadline=None)
+    def test_products_and_sums_stay_reduced(self, x, y):
+        for op in (x, y, x * y, x + y, x - y, -x):
+            assert_reduced(op)
+
+    @pytest.mark.parametrize("texts", [
+        ("X*X", "X^2", "H - P^2", "(2*X*X)/2", "X*(3*X)/3", "(X^2*a)/a"),
+        ("P", "P/2 + P/2", "(6*P)/6", "(i*P)/i", "(P*(3-2*i))/(3-2*i)"),
+        ("-2*i*P", "(6*P)/(3*i)", "2*(P/i)"),
+        ("0", "P - P", "[P,P]", "(A*Abar - I)/7"),
+        ("D", "(A - I)/a", "A/a - 1/a", "(2*A - 2*I)/(2*a)"),
+    ])
+    def test_routes_to_one_operator_compare_and_hash_equal(self, texts):
+        ops = [normal_form(t) for t in texts]
+        assert all(op == ops[0] for op in ops), texts
+        assert len({hash(op) for op in ops}) == 1
+        assert len(set(ops)) == 1
+
+    def test_division_errors(self):
+        with pytest.raises(ValueError, match="division is only defined by scalar coefficients"):
+            normal_form("P / (i + P)")
+        with pytest.raises(ValueError, match="only monomial coefficients are invertible"):
+            normal_form("P / (1 + a)")
+
+
+class TestWorkBudget:
+    def test_counts_flat_term_pairs_over_one_call(self, monkeypatch):
+        # H^2 multiplies 1 * |H| and then |H| * |H| flat term pairs, and the
+        # product with P adds |H^2| * 1 more
+        h, h2 = len(ATOMS["H"]._terms), len(normal_form("H^2")._terms)
+        pairs = h + h * h + h2
+        monkeypatch.setattr("momlat.algebra.MAX_PRODUCT_WORK", pairs)
+        assert not normal_form("H^2*P").is_zero
+        monkeypatch.setattr("momlat.algebra.MAX_PRODUCT_WORK", pairs - 1)
+        with pytest.raises(ExpressionError, match=f"work limit of {pairs - 1} term pairs"):
+            normal_form("H^2*P")
+        # the budget is per call: the same expression twice fits each time
+        monkeypatch.setattr("momlat.algebra.MAX_PRODUCT_WORK", pairs)
+        normal_form("H^2*P")
+        normal_form("H^2*P")
+
+    def test_suite_and_large_products_fit(self):
+        assert MAX_PRODUCT_WORK >= 1_500_000
+        assert not normal_form("H^16*H^4").is_zero
+
+    def test_too_large_product_rejected_before_it_starts(self):
+        with pytest.raises(ExpressionError, match="work limit") as err:
+            normal_form("H^16*H^16")
+        assert err.value.position is None
 
 
 class TestMatrixEvaluation:

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -84,6 +85,10 @@ class TestExitCodes:
         (("continuum", "--window=100:110"), "test function vanishes"),
         (("check", "(" * 3000 + "P" + ")" * 3000), "nesting deeper than the limit"),
         (("check", "+".join(["P"] * 3000)), "tree deeper than the limit"),
+        (("verify", "--a", "1e-200"),
+         "spacing a=1e-200 of the lattice p0=0,a=1e-200,n=64 is too small for the identity "
+         "suite: a^2 underflows to 0"),
+        (("well", "--L", "1e300", "--levels", "8"), "a^2 underflows to 0"),
     ])
     def test_degenerate_input_usage_error(self, argv, message):
         code, out, err = run_cli(*argv)
@@ -91,6 +96,17 @@ class TestExitCodes:
         assert out == ""
         assert message in err
         assert "Warning" not in err and "Traceback" not in err
+
+    def test_check_work_budget(self):
+        start = time.perf_counter()
+        code, out, err = run_cli("check", "H^16*H^16*H^16")
+        assert time.perf_counter() - start < 30
+        assert code == 2
+        assert out == ""
+        assert "work limit of 2000000 term pairs" in err
+        code, out, _ = run_cli("check", "H^16*H^4")
+        assert code == 1
+        assert out.splitlines()[-1] == "NONZERO"
 
     def test_eigvec_band_violation(self):
         code, _, err = run_cli("eigvec", "--x", "2", "--a", "1", "--n", "5")
