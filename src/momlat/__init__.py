@@ -25,6 +25,7 @@ from .eigen import (
     eigenvector_closed_form,
     eigenvector_recurrence,
     normalization_direct,
+    normalization_direct_first_n,
     normalization_formula,
     normalized,
     truncated_spectrum,
@@ -85,6 +86,7 @@ __all__ = [
     "interior_residual",
     "normal_form",
     "normalization_direct",
+    "normalization_direct_first_n",
     "normalization_formula",
     "normalized",
     "parse",

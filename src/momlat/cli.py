@@ -160,15 +160,13 @@ def run_eigvec(args) -> int:
     except ValueError:
         summary["phi0_magnitude_formula"] = None
     if formula_n >= 1:
-        head = MomentumLattice(args.p0, args.a, formula_n)
-        head_vec = eigen.eigenvector_recurrence(head, args.x, phi0)
         summary["phi0_magnitude_direct_first_N"] = \
-            eigen.normalization_direct(head_vec) * abs(phi0)
+            eigen.normalization_direct_first_n(rec, formula_n) * abs(phi0)
     else:
         summary["phi0_magnitude_direct_first_N"] = None
 
     if args.format == "json":
-        summary["values"] = [[v.real, v.imag] for v in unit.phi.values]
+        summary["values"] = unit.phi.values.tolist()
         _emit(dumps(summary) + "\n", args.out)
     else:
         _emit(grid_to_csv(unit.phi), args.out)

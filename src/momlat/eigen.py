@@ -8,6 +8,15 @@ alpha = iax - sqrt(1 - a^2 x^2).  Normalization is done by direct summation;
 the closed normalization formula for |phi(p_0)| is kept as a comparison
 target only (it corresponds to summing the first N points, see
 `normalization_formula`).
+
+The spectrum of the truncated X is solved in real arithmetic.  X is
+Hermitian tridiagonal with a real diagonal, and a diagonal phase similarity
+carries it to the real symmetric tridiagonal matrix with the same diagonal
+and off-diagonals |e|.  The eigenvalues are bitwise those of the complex
+dense solve: LAPACK's values-only Hermitian driver first reduces X to that
+same real tridiagonal form and then runs the root-free QL iteration
+(`dsterf`) that the real driver runs, which reads the off-diagonal only as
+e^2.  `cos(k*pi/(n+1))/a` is an oracle for the tests, never the result.
 """
 
 from __future__ import annotations
@@ -20,6 +29,10 @@ import numpy as np
 
 from .lattice import GridFunction, MomentumLattice, inner_product
 from .operators import build_operator
+
+# Largest lattice `truncated_spectrum` accepts.  The dense solve keeps an
+# n x n real matrix (128 MiB at the cap) and takes O(n^3) time.
+MAX_SPECTRUM_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -56,14 +69,14 @@ def eigenvector_recurrence(lattice: MomentumLattice, x: float,
                            phi0: complex = 1.0 + 0.0j) -> EigenResult:
     """Step the recurrence phi_{j+1} = phi_{j-1} + 2iax phi_j from phi_{-1} = 0."""
     alpha(x, lattice.a)  # band validation
-    n = lattice.n_points
     t = 2.0j * lattice.a * x
-    values = np.empty(n, dtype=complex)
-    values[0] = phi0
-    prev = 0.0 + 0.0j
-    for j in range(n - 1):
-        values[j + 1] = prev + t * values[j]
-        prev = values[j]
+    # Python complex arithmetic rounds as numpy's complex128 does here: t is
+    # purely imaginary, so each component of t*phi_j has one exactly-zero term
+    prev, cur = 0.0 + 0.0j, complex(phi0)
+    values = [cur]
+    for _ in range(lattice.n_points - 1):
+        prev, cur = cur, prev + t * cur
+        values.append(cur)
     return EigenResult(lattice, x, GridFunction(lattice, values), complex(phi0),
                        "recurrence")
 
@@ -92,6 +105,23 @@ def normalization_direct(result: EigenResult) -> float:
     if norm_sq == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return 1.0 / math.sqrt(norm_sq)
+
+
+def normalization_direct_first_n(result: EigenResult, N: int) -> float:
+    """`normalization_direct` of the result's first N points only.
+
+    This is the direct sum that `normalization_formula(x, a, N)` evaluates in
+    closed form.  For a recurrence result it equals, bitwise, the direct
+    normalization of a fresh recurrence on the N-point lattice, whose values
+    are this prefix.
+    """
+    lat = result.lattice
+    if not 1 <= N <= lat.n_points:
+        raise ValueError(f"need 1 <= N <= {lat.n_points}, got N={N}")
+    head = MomentumLattice(lat.p0, lat.a, N)
+    return normalization_direct(EigenResult(head, result.x,
+                                            GridFunction(head, result.phi.values[:N]),
+                                            result.phi0, result.method))
 
 
 def normalization_formula(x: float, a: float, N: int) -> float:
@@ -132,10 +162,28 @@ def normalization_formula(x: float, a: float, N: int) -> float:
 
 
 def truncated_spectrum(lattice: MomentumLattice) -> np.ndarray:
-    """Ascending eigenvalues of the truncated X matrix (Hermitian tridiagonal),
-    by a dense eigensolver on its dense view."""
+    """Ascending eigenvalues of the truncated X matrix.
+
+    X is Hermitian tridiagonal; the values-only symmetric solver runs on the
+    real tridiagonal matrix with X's (real) diagonal and the moduli of its
+    off-diagonal, which has the same spectrum and, through LAPACK, bitwise
+    the same eigenvalues as the complex dense solve (see the module
+    docstring).  Lattices above MAX_SPECTRUM_POINTS are rejected before
+    anything is allocated.
+    """
+    n = lattice.n_points
+    if n > MAX_SPECTRUM_POINTS:
+        raise ValueError(f"spectrum of n={n} points exceeds the limit of "
+                         f"{MAX_SPECTRUM_POINTS}: the dense solve needs O(n^2) "
+                         "memory and O(n^3) time")
     X = build_operator(lattice, "X")
-    return np.linalg.eigvalsh(X.entries)
+    r = X.shift_radius
+    off = np.abs(X.bands[r + 1, :n - 1])
+    T = np.diag(X.bands[r].real)
+    i = np.arange(n - 1)
+    T[i, i + 1] = off
+    T[i + 1, i] = off
+    return np.linalg.eigvalsh(T)
 
 
 def normalized(result: EigenResult) -> EigenResult:
@@ -164,5 +212,7 @@ def unit_norm_check(result: EigenResult) -> float:
 
 
 def phase_seed(phase: float) -> complex:
-    """Unit seed phi0 = exp(i*phase)."""
+    """Unit seed phi0 = exp(i*phase); the phase must be finite."""
+    if not math.isfinite(phase):
+        raise ValueError(f"seed phase must be finite, got phase={phase}")
     return cmath.exp(1j * phase)

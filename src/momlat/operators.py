@@ -48,7 +48,7 @@ class OperatorMatrix:
     entry farther than shift_radius from the diagonal has a place, so the
     storage is the band.  The radius is carried through arithmetic: max under
     +/-, sum under products.  `entries` is the dense matrix, built on demand
-    for the eigensolver and for tests.
+    for the tests.
     """
 
     lattice: MomentumLattice

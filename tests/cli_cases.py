@@ -20,7 +20,9 @@ GOLDEN_CASES = {
     "eigvec_x0_a1_n5.csv": ("eigvec", "--x", "0", "--a", "1", "--n", "5"),
     "eigvec_x05_a1_n8.json": ("eigvec", "--x", "0.5", "--a", "1", "--n", "8",
                               "--format", "json"),
+    "eigvec_x0_a1_n5.json": ("eigvec", "--x", "0", "--a", "1", "--n", "5", "--format", "json"),
     "spectrum_n3_a1.csv": ("spectrum", "--n", "3", "--a", "1"),
+    "spectrum_n9_a05.json": ("spectrum", "--n", "9", "--a", "0.5", "--format", "json"),
     "continuum_default.csv": ("continuum",),
     "well_L1_16.csv": ("well", "--L", "1", "--levels", "16"),
 }

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from cli_cases import GOLDEN, GOLDEN_CASES, run_cli, subprocess_env
+from momlat import eigen
 
 
 class TestExitCodes:
@@ -59,6 +60,10 @@ class TestExitCodes:
         (("verify", "--tol", "nan"), "--tol nan"),
         (("verify", "--tol", "-1"), "--tol -1"),
         (("well", "--L", "1", "--tol", "nan"), "--tol nan"),
+        (("eigvec", "--x", "0.5", "--phi0-phase", "inf"), "phase=inf"),
+        (("eigvec", "--x", "0.5", "--phi0-phase", "nan"), "phase=nan"),
+        (("eigvec", "--x", "0.5", "--phi0-phase", "inf", "--format", "json"), "phase=inf"),
+        (("eigvec", "--x", "0.5", "--phi0-phase", "nan", "--format", "json"), "phase=nan"),
     ])
     def test_non_finite_input_usage_error(self, argv, bad):
         code, out, err = run_cli(*argv)
@@ -107,6 +112,15 @@ class TestExitCodes:
         code, out, _ = run_cli("check", "H^16*H^4")
         assert code == 1
         assert out.splitlines()[-1] == "NONZERO"
+
+    def test_spectrum_size_cap(self):
+        n = eigen.MAX_SPECTRUM_POINTS + 1
+        start = time.perf_counter()
+        code, out, err = run_cli("spectrum", "--n", str(n))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert f"n={n} points exceeds the limit of {eigen.MAX_SPECTRUM_POINTS}" in err
 
     def test_eigvec_band_violation(self):
         code, _, err = run_cli("eigvec", "--x", "2", "--a", "1", "--n", "5")
@@ -256,6 +270,15 @@ class TestSubprocessEntry:
             capture_output=True, text=True, timeout=120, env=subprocess_env())
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == ["0", "ZERO"]
+
+    def test_spectrum_loads_no_scipy(self):
+        code = ("import sys, momlat, momlat.cli\n"
+                "assert momlat.cli.main(['spectrum', '--n', '16']) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env=subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_module_invocation_failure_code(self):
         proc = subprocess.run(

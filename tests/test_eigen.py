@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momlat.eigen import (
+    MAX_SPECTRUM_POINTS,
     alpha,
     eigenvector_closed_form,
     eigenvector_recurrence,
     normalization_direct,
+    normalization_direct_first_n,
     normalization_formula,
     normalized,
+    phase_seed,
     result_envelope,
     truncated_spectrum,
     unit_norm_check,
@@ -70,6 +73,76 @@ class TestRecurrence:
     def test_band_validation(self):
         with pytest.raises(ValueError):
             eigenvector_recurrence(MomentumLattice(0.0, 1.0, 4), 1.5)
+
+
+def numpy_indexed_recurrence(lattice, x, phi0):
+    """Reference: the complex128-array loop `eigenvector_recurrence` replaced."""
+    n = lattice.n_points
+    t = 2.0j * lattice.a * x
+    values = np.empty(n, dtype=complex)
+    values[0] = phi0
+    prev = 0.0 + 0.0j
+    for j in range(n - 1):
+        values[j + 1] = prev + t * values[j]
+        prev = values[j]
+    return values
+
+
+def same_bits(u, v):
+    """Bitwise equality of two complex arrays, signed zeros included."""
+    u, v = np.ascontiguousarray(u), np.ascontiguousarray(v)
+    return u.shape == v.shape and np.array_equal(u.view(np.uint64), v.view(np.uint64))
+
+
+class TestRecurrenceMatchesNumpyLoop:
+    @given(st.floats(-1.0, 1.0), st.floats(0.01, 5.0), st.floats(-10.0, 10.0),
+           st.integers(1, 2000), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal(self, s, a, p0, n, re, im):
+        lat = MomentumLattice(p0, a, n)
+        x, phi0 = s / a, complex(re, im)
+        got = eigenvector_recurrence(lat, x, phi0).phi.values
+        assert same_bits(got, numpy_indexed_recurrence(lat, x, phi0))
+
+    @pytest.mark.parametrize("s,phi0", [(0.0, 1.0 + 0.0j), (-0.0, complex(-0.0, -0.0)),
+                                        (1.0, 1j), (-1.0, complex(-0.0, 1.0)),
+                                        (0.37, phase_seed(2.5)), (-0.999, 1.0)])
+    def test_bitwise_equal_ten_thousand_points(self, s, phi0):
+        lat = MomentumLattice(-3.0, 0.3, 10_000)
+        got = eigenvector_recurrence(lat, s / 0.3, phi0).phi.values
+        assert same_bits(got, numpy_indexed_recurrence(lat, s / 0.3, phi0))
+
+
+class TestNormalizationFirstN:
+    @given(st.floats(-0.99, 0.99), st.floats(0.05, 2.0), st.integers(2, 300),
+           st.floats(-math.pi, math.pi))
+    @settings(max_examples=40, deadline=None)
+    def test_first_n_normalization_equals_fresh_recurrence(self, s, a, n, phase):
+        lat = MomentumLattice(0.5, a, n)
+        phi0 = phase_seed(phase)
+        rec = eigenvector_recurrence(lat, s / a, phi0)
+        head = MomentumLattice(0.5, a, n - 1)
+        fresh = normalization_direct(eigenvector_recurrence(head, s / a, phi0))
+        assert normalization_direct_first_n(rec, n - 1) == fresh
+
+    def test_first_n_bounds(self):
+        rec = eigenvector_recurrence(MomentumLattice(0.0, 1.0, 4), 0.2)
+        assert normalization_direct_first_n(rec, 4) == normalization_direct(rec)
+        for N in (0, 5):
+            with pytest.raises(ValueError, match=f"N={N}"):
+                normalization_direct_first_n(rec, N)
+
+
+class TestPhaseSeed:
+    def test_unit_seed(self):
+        assert phase_seed(0.0) == 1.0
+        assert abs(phase_seed(1.3)) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("phase,bad", [(math.inf, "phase=inf"), (-math.inf, "phase=-inf"),
+                                           (math.nan, "phase=nan")])
+    def test_non_finite_phase_rejected(self, phase, bad):
+        with pytest.raises(ValueError, match=bad):
+            phase_seed(phase)
 
 
 class TestClosedForm:
@@ -237,6 +310,31 @@ class TestSpectrum:
         ev = truncated_spectrum(MomentumLattice(0.0, a, n))
         assert np.all(np.abs(ev) <= 1.0 / a + 1e-10)
         assert np.all(np.diff(ev) >= -1e-12)
+
+
+def complex_dense_spectrum(lattice):
+    """Reference: the complex dense solve `truncated_spectrum` replaced."""
+    return np.linalg.eigvalsh(build_operator(lattice, "X").entries)
+
+
+class TestSpectrumMatchesComplexDenseSolve:
+    @given(st.integers(1, 300), st.floats(0.01, 5.0), st.floats(-50.0, 50.0))
+    @settings(max_examples=100, deadline=None)
+    def test_bitwise_equal(self, n, a, p0):
+        lat = MomentumLattice(p0, a, n)
+        assert np.array_equal(truncated_spectrum(lat), complex_dense_spectrum(lat))
+
+    @pytest.mark.parametrize("n,a", [(64, 1.0), (65, 0.1), (128, 0.37), (129, 3.0),
+                                     (256, 0.05), (640, 0.7), (641, 0.013)])
+    def test_bitwise_equal_across_blocked_sizes(self, n, a):
+        lat = MomentumLattice(-1.5, a, n)
+        assert np.array_equal(truncated_spectrum(lat), complex_dense_spectrum(lat))
+
+    def test_cap_rejected_before_allocation(self):
+        lat = MomentumLattice(0.0, 1.0, MAX_SPECTRUM_POINTS + 1)
+        with pytest.raises(ValueError, match=f"n={MAX_SPECTRUM_POINTS + 1} points exceeds "
+                                             f"the limit of {MAX_SPECTRUM_POINTS}"):
+            truncated_spectrum(lat)
 
 
 class TestExport:

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momlat.formatting import fmt_real
 from momlat.lattice import (
+    CSV_BLOCK,
+    GRID_CSV_HEADER,
     GridFunction,
     MomentumLattice,
     a_integral,
@@ -196,7 +199,53 @@ class TestGridFunction:
             f.values[0] = 2.0
 
 
+def per_element_grid_csv(f):
+    """Reference: the row-by-row `fmt_real` loop `grid_to_csv` replaced."""
+    lines = [GRID_CSV_HEADER]
+    for j, (p, v) in enumerate(zip(f.lattice.momenta(), f.values)):
+        lines.append(f"{j},{fmt_real(p)},{fmt_real(v.real)},{fmt_real(v.imag)}")
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                  1e300, -1e300, 1.7976931348623157e308, math.inf, -math.inf, math.nan,
+                  0.1, -1 / 3, 1.53780397151178e-16, 123456789012345.67]
+
+
 class TestCsvInterchange:
+    @pytest.mark.parametrize("p0,a", [(0.0, 1.0), (-0.0, 0.1), (-1.0, 0.25), (-1e300, 1e299),
+                                      (1e-310, 5e-324)])
+    def test_matches_per_element_formatting(self, p0, a):
+        n = len(SPECIAL_FLOATS)
+        lat = MomentumLattice(p0, a, n * n)
+        re = np.repeat(SPECIAL_FLOATS, n)
+        im = np.tile(SPECIAL_FLOATS, n)
+        f = GridFunction(lat, np.array([complex(r, i) for r, i in zip(re, im)]))
+        assert grid_to_csv(f) == per_element_grid_csv(f)
+
+    @pytest.mark.parametrize("v", [complex(-0.0, -0.0), complex(-0.0, 1e300),
+                                   complex(5e-324, -0.0)])
+    def test_single_point_matches_per_element_formatting(self, v):
+        f = GridFunction(MomentumLattice(-0.0, 1.0, 1), np.array([v]))
+        assert grid_to_csv(f) == per_element_grid_csv(f) == "j,p,re,im\n" + \
+            f"0,0,{fmt_real(v.real)},{fmt_real(v.imag)}\n"
+
+    @pytest.mark.parametrize("n", [CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1, 2 * CSV_BLOCK + 7])
+    def test_matches_per_element_formatting_across_blocks(self, n):
+        rng = np.random.default_rng(n)
+        values = np.empty(n, dtype=complex)
+        values.real = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+        values.imag = rng.choice(SPECIAL_FLOATS, n)
+        f = GridFunction(MomentumLattice(-2.5, 1e-3, n), values)
+        assert grid_to_csv(f) == per_element_grid_csv(f)
+
+    @given(st.floats(-1e6, 1e6), st.floats(1e-6, 1e3),
+           st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=50))
+    def test_matches_per_element_formatting_random(self, p0, a, pairs):
+        lat = MomentumLattice(p0, a, len(pairs))
+        f = GridFunction(lat, np.array([complex(r, i) for r, i in pairs]))
+        assert grid_to_csv(f) == per_element_grid_csv(f)
+
     def test_header_and_roundtrip(self):
         lat = MomentumLattice(-1.0, 0.25, 5)
         f = GridFunction(lat, np.arange(5) * (1 + 2j))
