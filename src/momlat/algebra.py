@@ -15,13 +15,17 @@ A `SymbolicOperator` stores its normal form flat, as one map
 (k, m, e) -> (re, im) of Python ints over a single shared denominator: the
 term ((re + i*im)/den) a^e P^k A^m.  Products and sums are integer
 arithmetic followed by one gcd reduction, so the stored form is canonical.
-`GaussianRational` and `LaurentPoly` are the value types that `items()` and
-`coefficient()` build on demand for rendering and evaluation.  One
-`normal_form` call multiplies at most `MAX_PRODUCT_WORK` pairs of flat terms.
+This map is the only coefficient arithmetic: `format_normal_form` renders
+from it, and `SymbolicOperator.evaluate`, which `operators.to_matrix` reads,
+turns it into floating point at a concrete spacing.  `GaussianRational` and
+`LaurentPoly` are plain read-only value types, with no arithmetic, that
+`items()` and `coefficient()` build on demand.  One `normal_form` call
+multiplies at most `MAX_PRODUCT_WORK` pairs of flat terms.
 
 The module also owns the expression grammar and the two tables the other
 layers read.  `DEFINITIONS` writes the composite operators D, Dbar, X, Q, H
-over the primitives A, Abar, P, I, i, a; `ATOMS` is its exact fold.
+over the primitives A, Abar, P, I, i, a; `ATOMS` is its exact fold, and the
+name tables `ATOM_NAMES` and `OPERATOR_NAMES` are read off the two.
 `IDENTITIES` holds one `(name, text, margin)` row per identity: every row is
 certified here as an exact rewrite to zero, and `operators` evaluates each
 row with a margin on truncated matrices.  Adding an identity takes one row.
@@ -33,7 +37,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-ATOM_NAMES = ("A", "Abar", "P", "X", "Q", "H", "D", "Dbar", "I", "i", "a")
 MAX_EXPONENT = 16
 # Deepest nesting the parser descends into, and deepest expression tree it
 # returns; both are walked recursively, so deeper input is a usage error.
@@ -54,7 +57,7 @@ class ExpressionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# exact scalars: the value types a coefficient is read as
+# exact scalars: the read-only value types a coefficient is read as
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -64,47 +67,9 @@ class GaussianRational:
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
 
-    def __add__(self, other):
-        other = _as_gaussian(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        other = _as_gaussian(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other):
-        other = _as_gaussian(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_gaussian(other)
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
-
     @property
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
-
-
-GR_ZERO = GaussianRational()
-GR_ONE = GaussianRational(Fraction(1))
 
 
 def _as_gaussian(v) -> GaussianRational:
@@ -128,14 +93,6 @@ class LaurentPoly:
                 clean[int(exp)] = coeff
         self._terms = clean
 
-    @classmethod
-    def monomial(cls, exponent: int, coeff=1) -> "LaurentPoly":
-        return cls({exponent: _as_gaussian(coeff)})
-
-    @classmethod
-    def constant(cls, coeff) -> "LaurentPoly":
-        return cls({0: _as_gaussian(coeff)})
-
     def items(self):
         return sorted(self._terms.items(), reverse=True)
 
@@ -143,59 +100,11 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def exponents(self):
-        return sorted(self._terms)
-
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self._terms == other._terms
 
     def __hash__(self):
         return hash(tuple(self.items()))
-
-    def __add__(self, other):
-        out = dict(self._terms)
-        for exp, coeff in other._terms.items():
-            s = out.get(exp, GR_ZERO) + coeff
-            if s.is_zero:
-                out.pop(exp, None)
-            else:
-                out[exp] = s
-        return LaurentPoly(out)
-
-    def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                s = out.get(e, GR_ZERO) + c1 * c2
-                if s.is_zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return LaurentPoly(out)
-
-    def as_monomial(self):
-        """(exponent, coeff) if this is a single term, else None."""
-        if len(self._terms) != 1:
-            return None
-        [(exp, coeff)] = self._terms.items()
-        return exp, coeff
-
-    def inverse(self) -> "LaurentPoly":
-        mono = self.as_monomial()
-        if mono is None:
-            raise ValueError("only monomial coefficients are invertible")
-        exp, coeff = mono
-        return LaurentPoly({-exp: GR_ONE / coeff})
-
-    def evaluate(self, a: float) -> complex:
-        return sum((c.to_complex() * a ** e for e, c in self._terms.items()), 0j)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +131,7 @@ class SymbolicOperator:
         flat = {}
         for (k, m), poly in (terms or {}).items():
             if not isinstance(poly, LaurentPoly):
-                poly = LaurentPoly.constant(poly)
+                poly = LaurentPoly({0: poly})
             if k < 0:
                 raise ValueError("P exponent must be non-negative")
             for e, c in poly._terms.items():
@@ -244,6 +153,15 @@ class SymbolicOperator:
 
     def _gaussian(self, c) -> GaussianRational:
         return GaussianRational(Fraction(c[0], self._den), Fraction(c[1], self._den))
+
+    def evaluate(self, a: float) -> dict:
+        """{(k, m): c_{k,m}(a)} as Python complex numbers at the spacing a, each
+        summed from 0j over its terms in storage order."""
+        den = self._den
+        values: dict = {}
+        for (k, m, e), (re, im) in self._terms.items():
+            values[k, m] = values.get((k, m), 0j) + complex(re / den, im / den) * a ** e
+        return values
 
     @property
     def is_zero(self) -> bool:
@@ -608,8 +526,13 @@ def _fold(node, atoms, work: _Work) -> SymbolicOperator:
 # the definition table
 # ---------------------------------------------------------------------------
 
-# Each composite operator as an expression over the primitives A, Abar, P,
-# I, i, a and the rows above it.
+# The primitive atoms: the shifts, momentum, the identity and the scalars i
+# and a.  Each composite operator is a DEFINITIONS row over these and the
+# rows above it.
+_PRIMITIVES = {"A": _operator({(0, 1, 0): (1, 0)}, 1), "Abar": _operator({(0, -1, 0): (1, 0)}, 1),
+               "P": _operator({(1, 0, 0): (1, 0)}, 1), "I": OP_ONE,
+               "i": _operator({(0, 0, 0): (0, 1)}, 1), "a": _operator({(0, 0, 1): (1, 0)}, 1)}
+
 DEFINITIONS = (
     ("D", "(A - I)/a"),
     ("Dbar", "(I - Abar)/a"),
@@ -618,11 +541,13 @@ DEFINITIONS = (
     ("H", "X*X + P*P"),
 )
 
+# Every name the grammar reads, and the operators among them.
+ATOM_NAMES = (*_PRIMITIVES, *(name for name, _ in DEFINITIONS))
+OPERATOR_NAMES = tuple(name for name in ATOM_NAMES if name not in ("i", "a"))
+
 
 def _build_atoms() -> dict:
-    atoms = {"A": _operator({(0, 1, 0): (1, 0)}, 1), "Abar": _operator({(0, -1, 0): (1, 0)}, 1),
-             "P": _operator({(1, 0, 0): (1, 0)}, 1), "I": OP_ONE,
-             "i": _operator({(0, 0, 0): (0, 1)}, 1), "a": _operator({(0, 0, 1): (1, 0)}, 1)}
+    atoms = dict(_PRIMITIVES)
     for name, text in DEFINITIONS:
         atoms[name] = _fold(parse(text), atoms, _Work())
     return atoms
@@ -635,29 +560,32 @@ ATOMS = _build_atoms()
 # rendering
 # ---------------------------------------------------------------------------
 
-def _format_gaussian(g: GaussianRational) -> str:
-    if g.im == 0:
-        return str(g.re)
-    if g.re == 0:
-        if g.im == 1:
+def _format_gaussian(re: int, im: int, den: int) -> str:
+    """The scalar (re + i*im)/den as the grammar reads it."""
+    re, im = Fraction(re, den), Fraction(im, den)
+    if im == 0:
+        return str(re)
+    if re == 0:
+        if im == 1:
             return "i"
-        if g.im == -1:
+        if im == -1:
             return "-i"
-        return f"{str(g.im)}*i"
-    im = "i" if abs(g.im) == 1 else f"{str(abs(g.im))}*i"
-    sign = "+" if g.im > 0 else "-"
-    return f"({str(g.re)}{sign}{im})"
+        return f"{im}*i"
+    i_str = "i" if abs(im) == 1 else f"{abs(im)}*i"
+    sign = "+" if im > 0 else "-"
+    return f"({re}{sign}{i_str})"
 
 
-def _format_laurent(poly: LaurentPoly, wrap_products: bool) -> str:
-    """Render a Laurent coefficient; parenthesized if it multiplies something.
+def _format_laurent(terms: dict, den: int, wrap_products: bool) -> str:
+    """Render the coefficient {e: (re, im)} over den, highest power of a first;
+    parenthesized if it has several terms and multiplies something.
 
     Reciprocal spacing powers print as division (1/a, c/a^2, ...) so that
     every rendering is valid input for `parse`.
     """
     parts = []
-    for exp, coeff in poly.items():
-        c = _format_gaussian(coeff)
+    for exp in sorted(terms, reverse=True):
+        c = _format_gaussian(*terms[exp], den)
         if exp == 0:
             parts.append(c)
         elif exp > 0:
@@ -692,15 +620,16 @@ def format_normal_form(op: SymbolicOperator) -> str:
     """
     if op.is_zero:
         return "0"
+    # shift m -> P power k -> a-exponent e -> (re, im)
     by_shift: dict = {}
-    for (k, m), poly in op.items():
-        by_shift.setdefault(m, []).append((k, poly))
+    for (k, m, e), c in op._terms.items():
+        by_shift.setdefault(m, {}).setdefault(k, {})[e] = c
     groups = []
     for m in sorted(by_shift, reverse=True):
         terms = []
-        for k, poly in sorted(by_shift[m], reverse=True):
+        for k in sorted(by_shift[m], reverse=True):
             p_str = "" if k == 0 else ("P" if k == 1 else f"P^{k}")
-            c_str = _format_laurent(poly, wrap_products=bool(p_str) or m != 0)
+            c_str = _format_laurent(by_shift[m][k], op._den, wrap_products=bool(p_str) or m != 0)
             if not p_str:
                 terms.append(c_str)
             elif c_str == "1":

@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=run_verify)
 
     p = subs.add_parser("check", help="normal-order an expression and test for zero")
-    p.add_argument("expression", help="expression over A, Abar, P, X, Q, H, D, Dbar, I, i, a")
+    p.add_argument("expression", help=f"expression over {', '.join(algebra.ATOM_NAMES)}")
     p.set_defaults(handler=run_check)
 
     p = subs.add_parser("eigvec", help="position eigenvector on a finite lattice")

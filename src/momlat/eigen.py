@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .formatting import fmt_real
 from .lattice import GridFunction, MomentumLattice, inner_product
 from .operators import build_operator
 
@@ -158,7 +159,10 @@ def normalization_formula(x: float, a: float, N: int) -> float:
         raise ValueError("degenerate bracket: imaginary residue too large")
     if bracket <= 0.0:
         raise ValueError(f"degenerate bracket value {bracket}")
-    return math.sqrt((2.0 * al.real) ** 2 / (a * bracket))
+    value = math.sqrt((2.0 * al.real) ** 2 / (a * bracket))
+    if not math.isfinite(value):
+        raise ValueError(f"normalization formula overflows double precision at a={a}, N={N}")
+    return value
 
 
 def truncated_spectrum(lattice: MomentumLattice) -> np.ndarray:
@@ -168,7 +172,8 @@ def truncated_spectrum(lattice: MomentumLattice) -> np.ndarray:
     real tridiagonal matrix with X's (real) diagonal and the moduli of its
     off-diagonal, which has the same spectrum and, through LAPACK, bitwise
     the same eigenvalues as the complex dense solve (see the module
-    docstring).  Lattices above MAX_SPECTRUM_POINTS are rejected before
+    docstring).  Lattices above MAX_SPECTRUM_POINTS, and spacings whose
+    reciprocal overflows (X's entries are 1/(2a)), are rejected before
     anything is allocated.
     """
     n = lattice.n_points
@@ -176,6 +181,9 @@ def truncated_spectrum(lattice: MomentumLattice) -> np.ndarray:
         raise ValueError(f"spectrum of n={n} points exceeds the limit of "
                          f"{MAX_SPECTRUM_POINTS}: the dense solve needs O(n^2) "
                          "memory and O(n^3) time")
+    if not math.isfinite(1.0 / float(lattice.a)):
+        raise ValueError(f"spacing a={fmt_real(lattice.a)} of the lattice {lattice.descriptor()} "
+                         "is too small for the spectrum: 1/a overflows double precision")
     X = build_operator(lattice, "X")
     r = X.shift_radius
     off = np.abs(X.bands[r + 1, :n - 1])

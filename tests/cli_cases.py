@@ -17,6 +17,7 @@ GOLDEN_CASES = {
     "check_AP.txt": ("check", "A*P"),
     "check_XH2.txt": ("check", "[X,H^2]"),
     "check_H3.txt": ("check", "H^3"),
+    "check_mixed.txt": ("check", "(X^2 + i*P*A/3)*(2-i)/(3-2*i)/a - {Q,P}/5"),
     "eigvec_x0_a1_n5.csv": ("eigvec", "--x", "0", "--a", "1", "--n", "5"),
     "eigvec_x05_a1_n8.json": ("eigvec", "--x", "0.5", "--a", "1", "--n", "8",
                               "--format", "json"),
@@ -37,7 +38,9 @@ def run_cli(*argv):
 
 
 def subprocess_env():
-    """Environment in which `python -m momlat` imports this same momlat."""
+    """Environment in which `python -m momlat` imports this same momlat and,
+    as the in-process tests do, turns a numpy RuntimeWarning into an error."""
     src = str(Path(momlat.__file__).parent.parent)
     path = os.environ.get("PYTHONPATH")
-    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src,
+            "PYTHONWARNINGS": "error::RuntimeWarning"}

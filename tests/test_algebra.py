@@ -2,6 +2,7 @@ import ast
 import math
 import subprocess
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,8 +11,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from momlat import operators
 from momlat.algebra import (
+    ATOM_NAMES,
     ATOMS,
+    DEFINITIONS,
+    OPERATOR_NAMES,
     Atom,
     BinOp,
     Bracket,
@@ -41,8 +46,38 @@ from momlat.operators import (
 )
 
 GR = GaussianRational
-ZERO = GR()
-ONE = GR(Fraction(1))
+
+
+@dataclass(frozen=True)
+class GQ:
+    """Test-local Gaussian rational with the arithmetic the exact references
+    need; independent of the engine's flat integer arithmetic."""
+
+    re: Fraction = Fraction(0)
+    im: Fraction = Fraction(0)
+
+    def __add__(self, other):
+        return GQ(self.re + other.re, self.im + other.im)
+
+    def __neg__(self):
+        return GQ(-self.re, -self.im)
+
+    def __mul__(self, other):
+        return GQ(self.re * other.re - self.im * other.im,
+                  self.re * other.im + self.im * other.re)
+
+    def __truediv__(self, other):
+        norm = other.re * other.re + other.im * other.im
+        return GQ((self.re * other.re + self.im * other.im) / norm,
+                  (self.im * other.re - self.re * other.im) / norm)
+
+    @property
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+
+ZERO = GQ()
+ONE = GQ(Fraction(1))
 
 
 class TestParse:
@@ -124,20 +159,20 @@ class TestNormalForm:
 
     def test_shift_inverse_collapses(self):
         nf = normal_form("A*Abar")
-        assert nf.items() == [((0, 0), LaurentPoly.constant(1))]
+        assert nf.items() == [((0, 0), LaurentPoly({0: 1}))]
 
     def test_single_exchange_step(self):
         nf = normal_form("A*P")
-        assert nf.coefficient(1, 1) == LaurentPoly.constant(1)
-        assert nf.coefficient(0, 1) == LaurentPoly.monomial(1)
+        assert nf.coefficient(1, 1) == LaurentPoly({0: 1})
+        assert nf.coefficient(0, 1) == LaurentPoly({1: 1})
         assert nf.term_count == 2
 
     def test_position_squared_laurent_exponents(self):
         nf = normal_form("X^2")
         # the 1/(4a^2) factor shows up as the a-exponent -2 on every term
-        assert nf.coefficient(0, 2).exponents() == [-2]
-        assert nf.coefficient(0, 2) == LaurentPoly.monomial(-2, GR(Fraction(-1, 4)))
-        assert nf.coefficient(0, 0) == LaurentPoly.monomial(-2, GR(Fraction(1, 2)))
+        assert [e for e, _ in nf.coefficient(0, 2).items()] == [-2]
+        assert nf.coefficient(0, 2) == LaurentPoly({-2: Fraction(-1, 4)})
+        assert nf.coefficient(0, 0) == LaurentPoly({-2: Fraction(1, 2)})
 
     def test_self_commutator(self):
         assert normal_form("[P,P]").is_zero
@@ -166,7 +201,7 @@ class TestNormalForm:
 
     def test_pure_number_arithmetic(self):
         nf = normal_form("(3 - 2*i) * (3 + 2*i)")
-        assert nf.items() == [((0, 0), LaurentPoly.constant(13))]
+        assert nf.items() == [((0, 0), LaurentPoly({0: 13}))]
 
 
 class TestSymbolicSuite:
@@ -208,7 +243,7 @@ def test_algebra_does_not_import_operators():
 # Independent oracle: evaluate expressions with matrices over the Gaussian
 # rationals at an exact rational spacing, so agreement checks are exact.
 
-def exact_scalar_matrix(c: GaussianRational, n):
+def exact_scalar_matrix(c: GQ, n):
     return [[c if r == col else ZERO for col in range(n)] for r in range(n)]
 
 
@@ -229,19 +264,19 @@ def exact_matmul(M1, M2, n):
 
 
 def exact_add(M1, M2, n, sign=1):
-    s = GR(Fraction(sign))
+    s = GQ(Fraction(sign))
     return [[M1[r][c] + s * M2[r][c] for c in range(n)] for r in range(n)]
 
 
 def exact_eval(node, p0: Fraction, a: Fraction, n):
     if isinstance(node, Atom):
         if node.name == "i":
-            return exact_scalar_matrix(GR(Fraction(0), Fraction(1)), n)
+            return exact_scalar_matrix(GQ(Fraction(0), Fraction(1)), n)
         if node.name == "a":
-            return exact_scalar_matrix(GR(a), n)
+            return exact_scalar_matrix(GQ(a), n)
         return exact_eval_normal(ATOMS[node.name], p0, a, n)
     if isinstance(node, IntLit):
-        return exact_scalar_matrix(GR(Fraction(node.value)), n)
+        return exact_scalar_matrix(GQ(Fraction(node.value)), n)
     if isinstance(node, Neg):
         M = exact_eval(node.operand, p0, a, n)
         return [[-v for v in row] for row in M]
@@ -272,10 +307,10 @@ def exact_eval(node, p0: Fraction, a: Fraction, n):
     raise TypeError(node)
 
 
-def exact_laurent(poly: LaurentPoly, a: Fraction) -> GaussianRational:
+def exact_laurent(poly: LaurentPoly, a: Fraction) -> GQ:
     total = ZERO
     for exp, coeff in poly.items():
-        total = total + coeff * GR(a ** exp)
+        total = total + GQ(coeff.re, coeff.im) * GQ(a ** exp)
     return total
 
 
@@ -287,7 +322,7 @@ def exact_eval_normal(op: SymbolicOperator, p0: Fraction, a: Fraction, n):
             col = r + m
             if 0 <= col < n:
                 p = p0 + r * a
-                out[r][col] = out[r][col] + c * GR(p ** k)
+                out[r][col] = out[r][col] + c * GQ(p ** k)
     return out
 
 
@@ -369,27 +404,42 @@ class TestConfluenceAndHomomorphism:
         assert normal_form(format_normal_form(nf)) == nf
 
 
-# --- the flat integer engine against the per-term LaurentPoly product -------
+# --- the flat integer engine against a per-coefficient reference product -----
+
+def laurent_terms(poly: LaurentPoly) -> list:
+    return [(e, GQ(c.re, c.im)) for e, c in poly.items()]
+
+
+def reference_items(out: dict) -> list:
+    """{(k, m): {e: GQ}} as the sorted [((k, m), LaurentPoly)] that items() lists."""
+    polys = {key: LaurentPoly({e: GR(c.re, c.im) for e, c in terms.items()})
+             for key, terms in out.items()}
+    return sorted((key, c) for key, c in polys.items() if not c.is_zero)
+
 
 def reference_product(x: SymbolicOperator, y: SymbolicOperator) -> list:
     """(P^k1 A^m1)(P^k2 A^m2) = P^k1 (P + m1 a)^k2 A^(m1+m2), expanded one pair
-    of (k, m) coefficients at a time in LaurentPoly arithmetic."""
+    of (k, m) coefficients at a time in Gaussian-rational Laurent arithmetic."""
     out: dict = {}
     for (k1, m1), c1 in x.items():
         for (k2, m2), c2 in y.items():
-            base = c1 * c2
-            for i in range(k2 + 1):
-                coeff = base * LaurentPoly.monomial(k2 - i, math.comb(k2, i) * m1 ** (k2 - i))
-                key = (k1 + i, m1 + m2)
-                out[key] = out.get(key, LaurentPoly()) + coeff
-    return sorted((key, c) for key, c in out.items() if not c.is_zero)
+            for e1, g1 in laurent_terms(c1):
+                for e2, g2 in laurent_terms(c2):
+                    for i in range(k2 + 1):
+                        coeff = g1 * g2 * GQ(Fraction(math.comb(k2, i) * m1 ** (k2 - i)))
+                        terms = out.setdefault((k1 + i, m1 + m2), {})
+                        e = e1 + e2 + k2 - i
+                        terms[e] = terms.get(e, ZERO) + coeff
+    return reference_items(out)
 
 
 def reference_sum(x: SymbolicOperator, y: SymbolicOperator, sign: int) -> list:
-    out = dict(x.items())
+    out = {key: dict(laurent_terms(c)) for key, c in x.items()}
     for key, c in y.items():
-        out[key] = out.get(key, LaurentPoly()) + (c if sign > 0 else -c)
-    return sorted((key, c) for key, c in out.items() if not c.is_zero)
+        terms = out.setdefault(key, {})
+        for e, g in laurent_terms(c):
+            terms[e] = terms.get(e, ZERO) + (g if sign > 0 else -g)
+    return reference_items(out)
 
 
 FRACTION_ST = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 7]))
@@ -528,33 +578,53 @@ class TestMatrixEvaluation:
 
 
 class TestScalars:
+    """Gaussian-rational scalars: the engine's exact arithmetic and the plain
+    value types its read views return."""
+
     def test_gaussian_arithmetic(self):
-        x = GR(Fraction(1, 2), Fraction(3))
-        y = GR(Fraction(2), Fraction(-1))
-        assert (x * y).re == Fraction(4)
-        assert (x * y).im == Fraction(11, 2)
-        assert (x / y * y) == x
-        with pytest.raises(ZeroDivisionError):
-            x / ZERO
+        x, y = "(1/2 + 3*i)", "(2 - i)"
+        assert normal_form(f"{x}*{y}") == SymbolicOperator({(0, 0): GR(Fraction(4),
+                                                                         Fraction(11, 2))})
+        assert normal_form(f"{x}/{y}*{y}") == normal_form(x)
+        with pytest.raises(ValueError, match="division by zero"):
+            normal_form(f"{x}/(i - i)")
 
     def test_laurent_inverse(self):
-        mono = LaurentPoly.monomial(2, GR(Fraction(3)))
-        inv = mono.inverse()
-        assert mono * inv == LaurentPoly.constant(1)
-        with pytest.raises(ValueError):
-            (LaurentPoly.constant(1) + LaurentPoly.monomial(1)).inverse()
+        # dividing by a monomial c*a^e multiplies by (1/c)*a^-e
+        assert normal_form("(3*a^2)/(3*a^2)") == SymbolicOperator({(0, 0): 1})
+        assert normal_form("1/(3*a^2)").items() == [((0, 0), LaurentPoly({-2: Fraction(1, 3)}))]
+        with pytest.raises(ValueError, match="only monomial coefficients are invertible"):
+            normal_form("1/(1 + a)")
 
     def test_laurent_evaluate(self):
         poly = LaurentPoly({-2: GR(Fraction(-1, 4)), 1: GR(Fraction(0), Fraction(2))})
-        val = poly.evaluate(0.5)
-        assert val == pytest.approx(-1.0 + 1j)
+        values = SymbolicOperator({(0, 0): poly}).evaluate(0.5)
+        assert values == {(0, 0): pytest.approx(-1.0 + 1j)}
 
     @given(st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8),
            st.integers(-8, 8), st.integers(1, 5), st.integers(1, 5))
     def test_gaussian_field_axioms(self, ar, ai, br, bi, aq, bq):
-        x = GR(Fraction(ar, aq), Fraction(ai, aq))
-        y = GR(Fraction(br, bq), Fraction(bi, bq))
-        assert x + y == y + x
-        assert x * y == y * x
-        if not y.is_zero:
-            assert (x / y) * y == x
+        x = f"(({ar})/{aq} + ({ai})/{aq}*i)"
+        y = f"(({br})/{bq} + ({bi})/{bq}*i)"
+        assert normal_form(f"{x} + {y}") == normal_form(f"{y} + {x}")
+        assert normal_form(f"{x}*{y}") == normal_form(f"{y}*{x}")
+        if br or bi:
+            assert normal_form(f"({x}/{y})*{y}") == normal_form(x)
+
+    def test_value_types(self):
+        poly = LaurentPoly({1: 2, -1: Fraction(1, 3), 0: GR()})
+        assert poly.items() == [(1, GR(Fraction(2))), (-1, GR(Fraction(1, 3)))]
+        assert poly == LaurentPoly({-1: GR(Fraction(1, 3)), 1: GR(Fraction(2))})
+        assert hash(poly) == hash(LaurentPoly({-1: Fraction(1, 3), 1: 2}))
+        assert LaurentPoly({2: 0}).is_zero and LaurentPoly() == LaurentPoly({2: 0})
+        assert GR().is_zero and not GR(Fraction(0), Fraction(1)).is_zero
+        with pytest.raises(TypeError):
+            LaurentPoly({0: 0.5})
+
+
+def test_name_tables_derive_from_primitives_and_definitions():
+    defined = {name for name, _ in DEFINITIONS}
+    assert set(OPERATOR_NAMES) == set(operators._PRIMITIVES) | defined
+    assert set(operators.OPERATOR_NAMES) == set(OPERATOR_NAMES)
+    assert set(ATOM_NAMES) == set(OPERATOR_NAMES) | {"i", "a"} == set(ATOMS)
+    assert len(ATOM_NAMES) == len(set(ATOM_NAMES))

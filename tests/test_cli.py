@@ -94,6 +94,11 @@ class TestExitCodes:
          "spacing a=1e-200 of the lattice p0=0,a=1e-200,n=64 is too small for the identity "
          "suite: a^2 underflows to 0"),
         (("well", "--L", "1e300", "--levels", "8"), "a^2 underflows to 0"),
+        (("spectrum", "--n", "8", "--a", "1e-310"),
+         "spacing a=9.99999999999997e-311 of the lattice p0=0,a=9.99999999999997e-311,n=8 is "
+         "too small for the spectrum: 1/a overflows double precision"),
+        (("continuum", "--spacings", "nan,0.05,0.025"), "spacings must be finite, got nan"),
+        (("continuum", "--spacings", "0.1,0.05,nan"), "spacings must be finite, got nan"),
     ])
     def test_degenerate_input_usage_error(self, argv, message):
         code, out, err = run_cli(*argv)
@@ -166,6 +171,14 @@ class TestEigvec:
         assert doc["phi0_magnitude_formula"] is None
         assert doc["phi0_magnitude_direct_first_N"] is None
         assert float(out.splitlines()[1].split(",")[2]) == pytest.approx(1.0)
+
+    def test_overflowing_formula_reported_as_null(self):
+        code, out, _ = run_cli("eigvec", "--x", "0.5", "--a", "1e-320", "--n", "4",
+                               "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["phi0_magnitude_formula"] is None
+        assert math.isfinite(doc["phi0_magnitude_direct"])
 
     def test_seed_phase_flag(self):
         _, _, err = run_cli("eigvec", "--x", "0", "--a", "1", "--n", "5",

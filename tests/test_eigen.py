@@ -282,6 +282,12 @@ class TestNormalizationFormula:
         with pytest.raises(ValueError):
             normalization_formula(0.5, -1.0, 4)
 
+    def test_overflowing_value_rejected(self):
+        # |phi(p_0)|^2 ~ 4/(a*(2N+1)) passes the largest double below a ~ 1e-308
+        assert math.isfinite(normalization_formula(0.5, 1e-300, 3))
+        with pytest.raises(ValueError, match="overflows double precision at a=1e-320, N=3"):
+            normalization_formula(0.5, 1e-320, 3)
+
 
 class TestSpectrum:
     def test_single_point(self):
@@ -335,6 +341,16 @@ class TestSpectrumMatchesComplexDenseSolve:
         with pytest.raises(ValueError, match=f"n={MAX_SPECTRUM_POINTS + 1} points exceeds "
                                              f"the limit of {MAX_SPECTRUM_POINTS}"):
             truncated_spectrum(lat)
+
+    def test_spacing_with_overflowing_reciprocal_rejected(self):
+        # the smallest spacing whose reciprocal is finite still solves
+        a = 1.0 / float(np.finfo(float).max)
+        while not math.isfinite(1.0 / a):
+            a = float(np.nextafter(a, 1.0))
+        assert np.all(np.isfinite(truncated_spectrum(MomentumLattice(0.0, a, 64))))
+        below = float(np.nextafter(a, 0.0))
+        with pytest.raises(ValueError, match="1/a overflows double precision"):
+            truncated_spectrum(MomentumLattice(0.0, below, 8))
 
 
 class TestExport:

@@ -492,6 +492,9 @@ class TestContinuumScan:
             continuum_scan((0.05, 0.1, 0.2))
         with pytest.raises(ValueError):
             continuum_scan((0.1, -0.05, 0.025))
+        for spacings in ((math.nan, 0.05, 0.025), (0.1, 0.05, math.nan), (math.inf, 0.05, 0.025)):
+            with pytest.raises(ValueError, match="spacings must be finite"):
+                continuum_scan(spacings)
 
     def test_window_with_no_interior_row_rejected(self):
         assert window_lattice(0.025, (0.0, 0.05)).n_points == 3
