@@ -230,10 +230,20 @@ def run_well(args) -> int:
                          head)
 
 
+def _expression_first(argv: list) -> list:
+    """argv with `--` put before a `check` expression that starts with '-'
+    (such as "-A"), which argparse would otherwise read as an unknown option;
+    `-h` and the abbreviations of `--help` stay options."""
+    if len(argv) == 2 and argv[0] == "check" and argv[1].startswith("-") \
+            and argv[1] != "-h" and not "--help".startswith(argv[1]):
+        return ["check", "--", argv[1]]
+    return argv
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_expression_first(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:

@@ -9,21 +9,30 @@ the closed normalization formula for |phi(p_0)| is kept as a comparison
 target only (it corresponds to summing the first N points, see
 `normalization_formula`).
 
-The spectrum of the truncated X is solved in real arithmetic.  X is
-Hermitian tridiagonal with a real diagonal, and a diagonal phase similarity
-carries it to the real symmetric tridiagonal matrix with the same diagonal
-and off-diagonals |e|.  The eigenvalues are bitwise those of the complex
-dense solve: LAPACK's values-only Hermitian driver first reduces X to that
-same real tridiagonal form and then runs the root-free QL iteration
-(`dsterf`) that the real driver runs, which reads the off-diagonal only as
-e^2.  `cos(k*pi/(n+1))/a` is an oracle for the tests, never the result.
+The spectrum of the truncated X is solved in real arithmetic on two
+diagonals, in O(n^2) time and O(n) memory.  X is Hermitian tridiagonal with
+a real diagonal, and a diagonal phase similarity carries it to the real
+symmetric tridiagonal matrix with the same diagonal and off-diagonals |e|.
+LAPACK's values-only Hermitian driver (`zheevd`, behind numpy's dense
+`eigvalsh`) scales X into a safe range, reduces it to that same real
+tridiagonal form, runs the root-free QL iteration `dsterf` (Pal-Walker-Kahan)
+and scales back; the reduction of an already tridiagonal matrix leaves d and
+|e| exactly as they are.  So `truncated_spectrum` scales d and |e| as the
+driver does and calls `dsterf` itself, from the OpenBLAS that numpy wheels
+bundle, and the eigenvalues are bitwise those of the complex dense solve.
+Where that library or its ILP64 symbol is absent, the same d and |e| go to
+the dense real `eigvalsh`, with the same bits at O(n^3) time and O(n^2)
+memory.  `cos(k*pi/(n+1))/a` is an oracle for the tests, never the result.
 """
 
 from __future__ import annotations
 
 import cmath
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -31,9 +40,15 @@ from .formatting import fmt_real
 from .lattice import GridFunction, MomentumLattice, inner_product
 from .operators import build_operator
 
-# Largest lattice `truncated_spectrum` accepts.  The dense solve keeps an
-# n x n real matrix (128 MiB at the cap) and takes O(n^3) time.
+# Largest lattice `truncated_spectrum` accepts.  The `dsterf` path needs O(n)
+# memory; the cap is set by the dense fallback, which keeps an n x n real
+# matrix (128 MiB at the cap) and takes O(n^3) time.
 MAX_SPECTRUM_POINTS = 4096
+
+# dsyevd's safe range for the largest entry |T_ij| (its RMIN and RMAX, from
+# LAPACK's safe minimum and precision); outside it the driver scales T.
+_SMLNUM = float(np.finfo(float).tiny / np.finfo(float).eps)
+_RMIN, _RMAX = math.sqrt(_SMLNUM), math.sqrt(1.0 / _SMLNUM)
 
 
 @dataclass(frozen=True)
@@ -165,33 +180,86 @@ def normalization_formula(x: float, a: float, N: int) -> float:
     return value
 
 
+@functools.cache
+def _dsterf():
+    """LAPACK `dsterf` from the OpenBLAS bundled with numpy, or None if absent.
+
+    Looks only next to numpy's own install (`numpy.libs/` on Linux and
+    Windows wheels, `numpy/.dylibs/` on macOS) and binds only
+    `scipy_dsterf_64_`, whose name fixes its integers as 64-bit.  Returns
+    solve(d, e) -> info, which overwrites d with the ascending eigenvalues
+    of the symmetric tridiagonal matrix (d; e) and destroys e; both are
+    checked to be writable C-contiguous float64 vectors, d of n entries and
+    e of n - 1.
+    """
+    here = Path(np.__file__).parent
+    for lib in sorted([*here.parent.glob("numpy.libs/libscipy_openblas64_*"),
+                       *here.glob(".dylibs/libscipy_openblas64_*")]):
+        try:
+            routine = ctypes.CDLL(str(lib)).scipy_dsterf_64_
+        except (OSError, AttributeError):
+            continue
+        vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
+        routine.argtypes = [ctypes.POINTER(ctypes.c_int64), vector, vector,
+                            ctypes.POINTER(ctypes.c_int64)]
+        routine.restype = None
+
+        def solve(d, e):
+            if e.size != max(d.size - 1, 0):
+                raise ValueError(f"dsterf needs n - 1 off-diagonal entries, got "
+                                 f"{e.size} for n={d.size}")
+            info = ctypes.c_int64(0)
+            routine(ctypes.byref(ctypes.c_int64(d.size)), d, e, ctypes.byref(info))
+            return info.value
+        return solve
+    return None
+
+
 def truncated_spectrum(lattice: MomentumLattice) -> np.ndarray:
     """Ascending eigenvalues of the truncated X matrix.
 
-    X is Hermitian tridiagonal; the values-only symmetric solver runs on the
-    real tridiagonal matrix with X's (real) diagonal and the moduli of its
-    off-diagonal, which has the same spectrum and, through LAPACK, bitwise
-    the same eigenvalues as the complex dense solve (see the module
-    docstring).  Lattices above MAX_SPECTRUM_POINTS, and spacings whose
-    reciprocal overflows (X's entries are 1/(2a)), are rejected before
-    anything is allocated.
+    X is Hermitian tridiagonal; its real diagonal d and the moduli |e| of
+    its off-diagonal go, scaled as LAPACK's dense driver scales them, to
+    `dsterf`, which gives bitwise the eigenvalues of the complex dense solve
+    (see the module docstring).  Without `dsterf` the dense real `eigvalsh`
+    solves the same d and |e|.  Lattices above MAX_SPECTRUM_POINTS, and
+    spacings whose reciprocal overflows (X's entries are 1/(2a)), are
+    rejected before anything is allocated.
     """
     n = lattice.n_points
     if n > MAX_SPECTRUM_POINTS:
         raise ValueError(f"spectrum of n={n} points exceeds the limit of "
-                         f"{MAX_SPECTRUM_POINTS}: the dense solve needs O(n^2) "
+                         f"{MAX_SPECTRUM_POINTS}: the dense fallback needs O(n^2) "
                          "memory and O(n^3) time")
     if not math.isfinite(1.0 / float(lattice.a)):
         raise ValueError(f"spacing a={fmt_real(lattice.a)} of the lattice {lattice.descriptor()} "
                          "is too small for the spectrum: 1/a overflows double precision")
     X = build_operator(lattice, "X")
     r = X.shift_radius
-    off = np.abs(X.bands[r + 1, :n - 1])
-    T = np.diag(X.bands[r].real)
-    i = np.arange(n - 1)
-    T[i, i + 1] = off
-    T[i + 1, i] = off
-    return np.linalg.eigvalsh(T)
+    d = X.bands[r].real.copy()
+    e = np.abs(X.bands[r + 1, :n - 1])
+    solve = _dsterf()
+    if solve is None:
+        T = np.diag(d)
+        i = np.arange(n - 1)
+        T[i, i + 1] = e
+        T[i + 1, i] = e
+        return np.linalg.eigvalsh(T)
+    sigma = 1.0
+    if n > 1:  # dsyevd returns a 1 x 1 matrix before it scales
+        norm = max(np.abs(d).max(), e.max())
+        if 0.0 < norm < _RMIN:
+            sigma = _RMIN / norm
+        elif norm > _RMAX:
+            sigma = _RMAX / norm
+    if sigma != 1.0:
+        d *= sigma
+        e *= sigma
+    if solve(d, e) > 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    if sigma != 1.0:
+        d *= 1.0 / sigma
+    return d
 
 
 def normalized(result: EigenResult) -> EigenResult:

@@ -47,6 +47,26 @@ class TestExitCodes:
         assert code == 1
         assert out.splitlines() == ["(P+a)*A", "NONZERO"]
 
+    @pytest.mark.parametrize("expression,lines,exit_code", [
+        ("-A", ["-A", "NONZERO"], 1),
+        ("-{Q,P}+{Q,P}", ["0", "ZERO"], 0),
+        ("--A", ["A", "NONZERO"], 1),
+        ("-[X,P] - i", ["1/2*i*A-i+1/2*i*Abar", "NONZERO"], 1),
+    ])
+    def test_check_expression_with_leading_minus(self, expression, lines, exit_code):
+        expected = (exit_code, "\n".join(lines) + "\n", "")
+        assert run_cli("check", expression) == expected
+        assert run_cli("check", "--", expression) == expected
+
+    def test_check_help_and_missing_expression(self):
+        for flag in ("-h", "--help", "--he"):
+            code, out, err = run_cli("check", flag)
+            assert (code, err) == (0, "")
+            assert out.startswith("usage: momlat check [-h] expression")
+        code, out, err = run_cli("check")
+        assert (code, out) == (2, "")
+        assert "the following arguments are required: expression" in err
+
     def test_check_parse_error_position(self):
         code, _, err = run_cli("check", "[X,[P,")
         assert code == 2
@@ -99,6 +119,14 @@ class TestExitCodes:
          "too small for the spectrum: 1/a overflows double precision"),
         (("continuum", "--spacings", "nan,0.05,0.025"), "spacings must be finite, got nan"),
         (("continuum", "--spacings", "0.1,0.05,nan"), "spacings must be finite, got nan"),
+        (("continuum", "--spacings", "1e-300,1e-301,1e-302"),
+         "spacing 1e-300 needs 1.6e+301 points to cover the window -8.0:8.0, more than the "
+         "limit of 3000000"),
+        (("continuum", "--spacings", "0.1,0.05,4e-6"),
+         "spacing 4e-06 needs 4000001 points to cover the window -8.0:8.0, more than the "
+         "limit of 3000000"),
+        (("continuum", "--spacings", "1e-318,1e-319,1e-320"), "spacing 1e-318 needs inf points"),
+        (("continuum", "--window=-1e308:1e308"), "spacing 0.1 needs inf points"),
     ])
     def test_degenerate_input_usage_error(self, argv, message):
         code, out, err = run_cli(*argv)
@@ -292,6 +320,27 @@ class TestSubprocessEntry:
                               timeout=120, env=subprocess_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_module_invocation_expression_with_leading_minus(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "momlat", "check", "-{Q,P}+{Q,P}"],
+            capture_output=True, text=True, timeout=120, env=subprocess_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\nZERO\n", "")
+
+    def test_dsterf_bound_on_first_spectrum_only(self):
+        code = ("import momlat.cli\n"
+                "from momlat import eigen\n"
+                "bound = lambda: print('bound', eigen._dsterf.cache_info().currsize)\n"
+                "bound()\n"
+                "assert momlat.cli.main(['check', 'A*P']) == 1\n"
+                "bound()\n"
+                "assert momlat.cli.main(['spectrum', '--n', '16']) == 0\n"
+                "bound()\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env=subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        marks = [line for line in proc.stdout.splitlines() if line.startswith("bound ")]
+        assert marks == ["bound 0", "bound 0", "bound 1"]
 
     def test_module_invocation_failure_code(self):
         proc = subprocess.run(

@@ -1,10 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_cases import run_cli
+from momlat import eigen
 from momlat.eigen import (
     MAX_SPECTRUM_POINTS,
     alpha,
@@ -323,12 +326,42 @@ def complex_dense_spectrum(lattice):
     return np.linalg.eigvalsh(build_operator(lattice, "X").entries)
 
 
+def fallback_spectrum(lattice):
+    """`truncated_spectrum` with the `dsterf` binding reported absent."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eigen, "_dsterf", lambda: None)
+        return truncated_spectrum(lattice)
+
+
+def all_paths_agree(lattice):
+    """The dsterf path, the dense fallback and the complex dense reference
+    give the same eigenvalue bits, signed zeros included."""
+    got = truncated_spectrum(lattice)
+    return same_bits(got, fallback_spectrum(lattice)) and \
+        same_bits(got, complex_dense_spectrum(lattice))
+
+
 class TestSpectrumMatchesComplexDenseSolve:
     @given(st.integers(1, 300), st.floats(0.01, 5.0), st.floats(-50.0, 50.0))
     @settings(max_examples=100, deadline=None)
     def test_bitwise_equal(self, n, a, p0):
-        lat = MomentumLattice(p0, a, n)
-        assert np.array_equal(truncated_spectrum(lat), complex_dense_spectrum(lat))
+        assert all_paths_agree(MomentumLattice(p0, a, n))
+
+    @given(st.integers(1, 40), st.floats(-308.0, 308.0), st.floats(-50.0, 50.0))
+    @settings(max_examples=100, deadline=None)
+    def test_bitwise_equal_where_lapack_scales(self, n, log_a, p0):
+        # entries 1/(2a) outside 2^-485..2^485 are scaled before the QL sweep
+        assert all_paths_agree(MomentumLattice(p0, 10.0 ** log_a, n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 640, 641])
+    @pytest.mark.parametrize("a", [0.37, 1e-200, 1e200])
+    def test_bitwise_equal_on_both_paths(self, n, a):
+        assert all_paths_agree(MomentumLattice(-1.5, a, n))
+
+    def test_bitwise_equal_at_the_cap(self):
+        # the complex dense reference would take ~30 s and ~550 MB here
+        lat = MomentumLattice(-1.5, 0.37, MAX_SPECTRUM_POINTS)
+        assert same_bits(truncated_spectrum(lat), fallback_spectrum(lat))
 
     @pytest.mark.parametrize("n,a", [(64, 1.0), (65, 0.1), (128, 0.37), (129, 3.0),
                                      (256, 0.05), (640, 0.7), (641, 0.013)])
@@ -351,6 +384,48 @@ class TestSpectrumMatchesComplexDenseSolve:
         below = float(np.nextafter(a, 0.0))
         with pytest.raises(ValueError, match="1/a overflows double precision"):
             truncated_spectrum(MomentumLattice(0.0, below, 8))
+
+
+class TestDsterfBinding:
+    def test_bound_where_numpy_bundles_openblas(self):
+        here = Path(np.__file__).parent
+        bundled = [*here.parent.glob("numpy.libs/libscipy_openblas64_*"),
+                   *here.glob(".dylibs/libscipy_openblas64_*")]
+        assert (eigen._dsterf() is not None) == bool(bundled)
+
+    def test_absent_library_or_symbol_is_none(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        assert eigen._dsterf.__wrapped__() is None
+        libs = tmp_path / "numpy.libs"
+        libs.mkdir()
+        (libs / "libscipy_openblas64_-junk.so").write_bytes(b"not a shared library")
+        assert eigen._dsterf.__wrapped__() is None
+        monkeypatch.setattr(eigen.ctypes, "CDLL", lambda path: object())  # loads, no symbol
+        assert eigen._dsterf.__wrapped__() is None
+
+    def test_bound_routine_checks_its_vectors(self):
+        solve = eigen._dsterf()
+        if solve is None:
+            pytest.skip("numpy bundles no libscipy_openblas64_ here")
+        d = np.array([2.0, 0.0, 1.0])
+        assert solve(d, np.zeros(2)) == 0
+        assert d.tolist() == [0.0, 1.0, 2.0]
+        with pytest.raises(ValueError, match="needs n - 1 off-diagonal entries, got 3 for n=3"):
+            solve(np.zeros(3), np.zeros(3))
+        read_only = np.zeros(2)
+        read_only.setflags(write=False)
+        for d, e in [(np.zeros(3, dtype=np.float32), np.zeros(2)),
+                     (np.zeros(6)[::2], np.zeros(2)), (np.zeros(3), read_only)]:
+            with pytest.raises(eigen.ctypes.ArgumentError):
+                solve(d, e)
+
+    def test_no_convergence_raises_linalg_error(self, monkeypatch):
+        monkeypatch.setattr(eigen, "_dsterf", lambda: lambda d, e: 2)
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            truncated_spectrum(MomentumLattice(0.0, 1.0, 16))
+        code, out, err = run_cli("spectrum", "--n", "16")
+        assert (code, out) == (2, "")
+        assert err == "momlat: error: Eigenvalues did not converge\n"
 
 
 class TestExport:

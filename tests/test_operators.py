@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from momlat.algebra import IDENTITIES
 from momlat.lattice import GridFunction, MomentumLattice, square_well_lattice
 from momlat.operators import (
+    MAX_CONTINUUM_POINTS,
     OperatorMatrix,
     adjoint,
     apply,
@@ -508,6 +509,29 @@ class TestContinuumScan:
             window_lattice(0.1, (-math.inf, 8.0))
         with pytest.raises(ValueError, match="vanishes"):
             continuum_scan((0.1, 0.05, 0.025), window=(100.0, 110.0))
+
+    def test_point_cap_rejected_before_allocation(self):
+        # a window of MAX_CONTINUUM_POINTS unit steps needs the cap + 1 points;
+        # one step less is the cap itself, whose lattice is built, never scanned
+        cap = MAX_CONTINUUM_POINTS
+        assert window_lattice(1.0, (0.0, cap - 1.0)).n_points == cap
+        with pytest.raises(ValueError, match=f"spacing 1.0 needs {cap + 1} points to cover the "
+                                             f"window 0.0:{float(cap)}, more than the limit "
+                                             f"of {cap}"):
+            window_lattice(1.0, (0.0, float(cap)))
+        with pytest.raises(ValueError, match="spacing 1e-300 needs 1.6e[+]301 points"):
+            window_lattice(1e-300, (-8.0, 8.0))
+        with pytest.raises(ValueError, match="spacing 1e-320 needs inf points"):
+            window_lattice(1e-320, (-8.0, 8.0))
+        with pytest.raises(ValueError, match="spacing 0.1 needs inf points"):
+            window_lattice(0.1, (-1e308, 1e308))
+
+    def test_every_spacing_checked_before_the_first_scan(self):
+        sampled = []
+        spacings = (0.1, 0.05, 16.0 / MAX_CONTINUUM_POINTS)
+        with pytest.raises(ValueError, match=f"{MAX_CONTINUUM_POINTS + 1} points"):
+            continuum_scan(spacings, test_function=lambda p: sampled.append(p) or np.ones_like(p))
+        assert sampled == []
 
     def test_window_lattice_covers(self):
         lat = window_lattice(0.1, (-8.0, 8.0))
