@@ -13,10 +13,14 @@ import sys
 import numpy as np
 
 from . import algebra, eigen, operators
-from .formatting import dumps, fmt_real
+from .formatting import dumps, fmt_real, format_rows
 from .lattice import MomentumLattice, grid_to_csv, square_well_lattice
 
 SYMBOLIC_CSV_HEADER = "identity,zero,term_count"
+# Largest lattice `eigvec` accepts.  A job peaks near 300 bytes a point with
+# --format json (327 MB of max RSS at 10^6 points) and 190 with csv (403 MB
+# at 2e6), so the cap keeps one job under ~1 GB.
+MAX_EIGVEC_POINTS = 3_000_000
 
 
 def _emit(text: str, out_path):
@@ -141,6 +145,9 @@ def run_check(args) -> int:
 def run_eigvec(args) -> int:
     if args.n < 1:
         raise ValueError("n must be >= 1")
+    if args.n > MAX_EIGVEC_POINTS:
+        raise ValueError(f"eigenvector of n={args.n} points exceeds the limit of "
+                         f"{MAX_EIGVEC_POINTS}: it needs ~300 bytes a point")
     lattice = MomentumLattice(args.p0, args.a, args.n)
     phi0 = eigen.phase_seed(args.phi0_phase)
     closed = eigen.eigenvector_closed_form(lattice, args.x, phi0)
@@ -182,13 +189,10 @@ def run_spectrum(args) -> int:
     values = eigen.truncated_spectrum(lattice)
     if args.format == "json":
         doc = {"p0": lattice.p0, "a": lattice.a, "n": lattice.n_points,
-               "eigenvalues": [float(v) for v in values]}
+               "eigenvalues": values.tolist()}
         _emit(dumps(doc) + "\n", args.out)
     else:
-        lines = ["k,x"]
-        for k, v in enumerate(values, start=1):
-            lines.append(f"{k},{fmt_real(v)}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit("".join(["k,x\n", *format_rows("%d,%.15g\n", (values,), start=1)]), args.out)
     return 0
 
 

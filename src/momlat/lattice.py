@@ -16,13 +16,11 @@ from typing import Callable
 
 import numpy as np
 
-from .formatting import fmt_real
+from .formatting import ROW_BLOCK, fmt_real, format_rows
 
 GRID_CSV_HEADER = "j,p,re,im"
-# `grid_to_csv` formats this many rows per block, so the Python floats of
-# its three columns never all exist at once (at 10^6 points that keeps the
-# peak near that of formatting row by row).
-CSV_BLOCK = 4096
+# Rows `grid_to_csv` formats with one `%` call (the block of `format_rows`).
+CSV_BLOCK = ROW_BLOCK
 
 
 @dataclass(frozen=True)
@@ -108,17 +106,13 @@ def grid_to_csv(f: GridFunction) -> str:
     """CSV interchange form: header `j,p,re,im`, one row per grid point.
 
     Numbers print as `fmt_real` prints them, 15 significant digits with -0.0
-    as 0, but columns are converted a block of CSV_BLOCK points at a time:
-    adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is,
-    and `tolist` hands the row f-strings plain Python floats.
+    as 0.  The rows come from `format_rows`, one `%` call per CSV_BLOCK
+    points, so the Python floats of the three columns never all exist at
+    once.
     """
-    columns = [col + 0.0 for col in (f.lattice.momenta(), f.values.real, f.values.imag)]
-    lines = [GRID_CSV_HEADER]
-    for start in range(0, f.lattice.n_points, CSV_BLOCK):
-        p, re, im = (col[start:start + CSV_BLOCK].tolist() for col in columns)
-        lines += [f"{j},{pj:.15g},{rj:.15g},{ij:.15g}"
-                  for j, pj, rj, ij in zip(range(start, start + CSV_BLOCK), p, re, im)]
-    return "\n".join(lines) + "\n"
+    columns = (f.lattice.momenta(), f.values.real, f.values.imag)
+    return "".join([GRID_CSV_HEADER + "\n",
+                    *format_rows("%d,%.15g,%.15g,%.15g\n", columns, start=0)])
 
 
 def grid_from_csv(text: str) -> GridFunction:

@@ -35,6 +35,10 @@ CONVERGENCE_CSV_HEADER = "a,r,log_a,log_r"
 # near 320 bytes a point (312 under tracemalloc, 316-333 in max RSS at
 # 1.6e6-8e6 points), so the cap keeps one spacing near 1 GB and ~3 s.
 MAX_CONTINUUM_POINTS = 3_000_000
+# Largest lattice `verify_identity_suite` accepts (`verify --n`, `well
+# --levels`).  The suite peaks near 870-950 bytes a point (869 MB of max RSS
+# at 10^6 points, 511 MB at 5e5), so the cap keeps one suite under ~1 GB.
+MAX_SUITE_POINTS = 1_000_000
 
 
 def _rows(m: int, n: int) -> slice:
@@ -362,10 +366,15 @@ def verify_identity_suite(lattice: MomentumLattice) -> list:
     that is not finite means the entries overflowed double precision; it is
     rejected with a ValueError naming the identity and the lattice.  So is a
     spacing whose square underflows to 0, since H_shift_form divides by a^2.
+    A lattice of more than MAX_SUITE_POINTS is rejected before anything is
+    allocated.
     """
     n = lattice.n_points
     if n < 8:
         raise ValueError(f"identity suite needs n >= 8, got {n}")
+    if n > MAX_SUITE_POINTS:
+        raise ValueError(f"identity suite on n={n} points exceeds the limit of "
+                         f"{MAX_SUITE_POINTS}: it needs ~900 bytes a point")
     desc = lattice.descriptor()
     if lattice.a * lattice.a == 0.0:
         raise ValueError(f"spacing a={fmt_real(lattice.a)} of the lattice {desc} is too small "

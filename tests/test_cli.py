@@ -3,6 +3,8 @@ import math
 import subprocess
 import sys
 import time
+import tracemalloc
+from importlib import import_module
 
 import pytest
 
@@ -154,6 +156,44 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert f"n={n} points exceeds the limit of {eigen.MAX_SPECTRUM_POINTS}" in err
+
+    @pytest.mark.parametrize("argv,limit,message", [
+        (("verify", "--n"), "operators.MAX_SUITE_POINTS", "identity suite on n={n} points"),
+        (("well", "--L", "1", "--levels"), "operators.MAX_SUITE_POINTS",
+         "identity suite on n={n} points"),
+        (("eigvec", "--x", "0.5", "--n"), "cli.MAX_EIGVEC_POINTS", "eigenvector of n={n} points"),
+    ])
+    @pytest.mark.parametrize("huge", [False, True])
+    def test_size_caps_refuse_before_allocating(self, argv, limit, message, huge):
+        module, name = limit.split(".")
+        cap = getattr(import_module(f"momlat.{module}"), name)
+        n = 10 ** 12 if huge else cap + 1
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(*argv, str(n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert f"momlat: error: {message.format(n=n)} exceeds the limit of {cap}" in err
+        assert "Traceback" not in err
+        # one complex array of the capped size would take 16 MB
+        assert peak < 4 * 2 ** 20
+
+    @pytest.mark.parametrize("argv,limit", [
+        (("verify", "--n"), "operators.MAX_SUITE_POINTS"),
+        (("well", "--L", "1", "--levels"), "operators.MAX_SUITE_POINTS"),
+        (("eigvec", "--x", "0.5", "--n"), "cli.MAX_EIGVEC_POINTS"),
+    ])
+    def test_size_cap_itself_is_accepted(self, argv, limit, monkeypatch):
+        # the real caps take seconds and ~1 GB, so a small cap stands in
+        module, name = limit.split(".")
+        monkeypatch.setattr(import_module(f"momlat.{module}"), name, 24)
+        assert run_cli(*argv, "24")[0] in (0, 1)
+        code, out, err = run_cli(*argv, "25")
+        assert (code, out) == (2, "")
+        assert "n=25 points exceeds the limit of 24" in err
 
     def test_eigvec_band_violation(self):
         code, _, err = run_cli("eigvec", "--x", "2", "--a", "1", "--n", "5")

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_cases import run_cli
+from momlat.eigen import truncated_spectrum
 from momlat.formatting import fmt_real
 from momlat.lattice import (
     CSV_BLOCK,
@@ -207,6 +209,14 @@ def per_element_grid_csv(f):
     return "\n".join(lines) + "\n"
 
 
+def per_element_spectrum_csv(lattice):
+    """Reference: the row-by-row `fmt_real` loop `spectrum`'s CSV rows replaced."""
+    lines = ["k,x"]
+    for k, v in enumerate(truncated_spectrum(lattice), start=1):
+        lines.append(f"{k},{fmt_real(v)}")
+    return "\n".join(lines) + "\n"
+
+
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
                   1e300, -1e300, 1.7976931348623157e308, math.inf, -math.inf, math.nan,
                   0.1, -1 / 3, 1.53780397151178e-16, 123456789012345.67]
@@ -259,3 +269,12 @@ class TestCsvInterchange:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             grid_from_csv("x,y\n1,2\n")
+
+
+class TestSpectrumCsv:
+    @pytest.mark.parametrize("n", [1, 2, 640, 4096])
+    @pytest.mark.parametrize("p0,a", [(0.0, 1.0), (-3.7, 0.37), (12.5, 1e-150)])
+    def test_matches_per_element_formatting(self, n, p0, a):
+        code, out, err = run_cli("spectrum", "--p0", repr(p0), "--a", repr(a), "--n", str(n))
+        assert (code, err) == (0, "")
+        assert out == per_element_spectrum_csv(MomentumLattice(p0, a, n))

@@ -1,5 +1,7 @@
 """Smoke runs of the study scripts: each exits 0 and prints its verdict."""
 
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +24,33 @@ def test_script_runs_to_its_verdict(script, verdict, tmp_path):
                           text=True, timeout=120, env=subprocess_env(), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == verdict
+
+
+def run_byte_diff(parent, change, seeds, tmp_path):
+    return subprocess.run([sys.executable, str(SCRIPTS / "byte_diff.py"), str(parent),
+                           str(change), "--seeds", seeds], capture_output=True, text=True,
+                          timeout=300, env=subprocess_env(), cwd=tmp_path)
+
+
+def test_byte_diff_of_a_tree_against_itself(tmp_path):
+    src = SCRIPTS.parent / "src"
+    proc = run_byte_diff(src, src, "1", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(r"0 of \d+ calls differ in stdout, stderr or exit code",
+                        proc.stdout.splitlines()[-1])
+    assert len(proc.stdout.splitlines()) == 1
+
+
+def test_byte_diff_names_the_calls_that_differ(tmp_path):
+    # with no seed, only the warm-up probes and the golden argvs are replayed
+    change = tmp_path / "change"
+    shutil.copytree(SCRIPTS.parent / "src" / "momlat", change / "momlat",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = change / "momlat" / "cli.py"
+    cli.write_text(cli.read_text().replace('else "NONZERO"', 'else "NONZERO "'))
+    proc = run_byte_diff(SCRIPTS.parent / "src", change, "1-0", tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "differs in stdout: momlat check A*P" in lines
+    assert "differs in stdout: momlat check H^3" in lines
+    assert lines[-1] == "4 of 19 calls differ in stdout, stderr or exit code"
