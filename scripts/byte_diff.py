@@ -7,7 +7,7 @@ PARENT_SRC and CHANGE_SRC are directories that hold a `momlat` package (the
 `src/` of two checkouts).  The script imports each tree's momlat in turn and
 replays, in process, the same calls on both: every job of every workload in
 `bench/workloads.py` (its warm-up probes and each seed's job list), then the
-argv of every golden file in `tests/cli_cases.py`.  It compares stdout,
+argv of every golden file and every usage-error case in `tests/cli_cases.py`.  It compares stdout,
 stderr and exit code call by call, names each call that differs, and ends
 with a verdict line; it exits 1 when any call differs.  It only reads
 `bench/` and `tests/`.
@@ -28,15 +28,21 @@ sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402  (bench/ is not a package)
 
 
-def golden_argvs() -> list:
-    """The argv of every golden file, read from tests/cli_cases.py without
-    importing it (it imports momlat)."""
-    tree = ast.parse((ROOT / "tests" / "cli_cases.py").read_text(encoding="utf-8"))
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "GOLDEN_CASES" for t in node.targets):
-            return list(ast.literal_eval(node.value).values())
-    raise SystemExit("byte_diff: no GOLDEN_CASES in tests/cli_cases.py")
+def case_argvs() -> list:
+    """The argv of every golden file and of every usage-error case, read from
+    tests/cli_cases.py without importing it (it imports momlat): each table's
+    expression is evaluated alone, with no builtins."""
+    path = ROOT / "tests" / "cli_cases.py"
+    tables = {target.id: node.value for node in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(node, ast.Assign) for target in node.targets
+              if isinstance(target, ast.Name)}
+
+    def table(name):
+        if name not in tables:
+            raise SystemExit(f"byte_diff: no {name} in tests/cli_cases.py")
+        return eval(compile(ast.Expression(tables[name]), str(path), "eval"),
+                    {"__builtins__": {}})
+    return [*table("GOLDEN_CASES").values(), *(argv for argv, _ in table("USAGE_ERROR_CASES"))]
 
 
 def calls(seeds) -> list:
@@ -44,7 +50,7 @@ def calls(seeds) -> list:
     for name in workloads.WORKLOADS:
         for seed in seeds:
             argvs += [job.argv for job in workloads.build(name, seed)]
-    return argvs + golden_argvs()
+    return argvs + case_argvs()
 
 
 def import_cli(src: Path):

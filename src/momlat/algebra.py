@@ -698,11 +698,3 @@ def verify_symbolic_suite() -> list:
         results.append(SymbolicCheck(name, nf.is_zero, nf.term_count))
     return results
 
-
-def check_to_dict(check: SymbolicCheck) -> dict:
-    return {
-        "identity": check.identity,
-        "zero": check.zero,
-        "normal_form_term_count": check.normal_form_term_count,
-    }
-

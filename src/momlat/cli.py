@@ -112,8 +112,8 @@ def _suite_report(args, lattice: MomentumLattice, lattice_doc: dict, csv_head: s
         doc = {
             "lattice": lattice_doc,
             "tolerance": args.tol,
-            "symbolic": [algebra.check_to_dict(c) for c in symbolic],
-            "numeric": [operators.report_to_dict(r) for r in numeric],
+            "symbolic": [vars(c) for c in symbolic],
+            "numeric": [vars(r) for r in numeric],
             "passed": passed,
         }
         _emit(dumps(doc) + "\n", args.out)
@@ -173,7 +173,7 @@ def run_eigvec(args) -> int:
         summary["phi0_magnitude_direct_first_N"] = None
 
     if args.format == "json":
-        summary["values"] = unit.phi.values.tolist()
+        summary["values"] = unit.phi.values
         _emit(dumps(summary) + "\n", args.out)
     else:
         _emit(grid_to_csv(unit.phi), args.out)
@@ -189,7 +189,7 @@ def run_spectrum(args) -> int:
     values = eigen.truncated_spectrum(lattice)
     if args.format == "json":
         doc = {"p0": lattice.p0, "a": lattice.a, "n": lattice.n_points,
-               "eigenvalues": values.tolist()}
+               "eigenvalues": values}
         _emit(dumps(doc) + "\n", args.out)
     else:
         _emit("".join(["k,x\n", *format_rows("%d,%.15g\n", (values,), start=1)]), args.out)

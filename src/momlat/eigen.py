@@ -86,6 +86,9 @@ def eigenvector_recurrence(lattice: MomentumLattice, x: float,
     """Step the recurrence phi_{j+1} = phi_{j-1} + 2iax phi_j from phi_{-1} = 0."""
     alpha(x, lattice.a)  # band validation
     t = 2.0j * lattice.a * x
+    if lattice.n_points > 1 and not cmath.isfinite(t):
+        raise ValueError(f"the recurrence step 2*i*a*x is not finite at a={fmt_real(lattice.a)}: "
+                         "2*a overflows double precision")
     # Python complex arithmetic rounds as numpy's complex128 does here: t is
     # purely imaginary, so each component of t*phi_j has one exactly-zero term
     prev, cur = 0.0 + 0.0j, complex(phi0)
@@ -120,6 +123,9 @@ def normalization_direct(result: EigenResult) -> float:
     norm_sq = result.lattice.a * float(np.sum(np.abs(result.phi.values) ** 2))
     if norm_sq == 0.0:
         raise ValueError("cannot normalize the zero vector")
+    if not math.isfinite(norm_sq):
+        raise ValueError(f"cannot normalize at a={fmt_real(result.lattice.a)}: the squared "
+                         "norm a*sum|phi|^2 overflows double precision")
     return 1.0 / math.sqrt(norm_sq)
 
 
@@ -174,7 +180,11 @@ def normalization_formula(x: float, a: float, N: int) -> float:
         raise ValueError("degenerate bracket: imaginary residue too large")
     if bracket <= 0.0:
         raise ValueError(f"degenerate bracket value {bracket}")
-    value = math.sqrt((2.0 * al.real) ** 2 / (a * bracket))
+    scale = a * bracket
+    if not math.isfinite(scale):
+        raise ValueError(f"normalization formula's a*bracket overflows double precision at "
+                         f"a={a}, N={N}")
+    value = math.sqrt((2.0 * al.real) ** 2 / scale)
     if not math.isfinite(value):
         raise ValueError(f"normalization formula overflows double precision at a={a}, N={N}")
     return value

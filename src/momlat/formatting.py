@@ -5,29 +5,25 @@ decimal separator so that identical inputs always produce byte-identical
 files.
 
 Single values go through `fmt_real`.  Every bulk numeric output (the
-`eigvec` grid CSV, the `spectrum` CSV rows, and JSON lists of floats or of
-complex numbers) goes through one block formatter, `format_rows`, which
-prints ROW_BLOCK rows with a single `%` call.  Its bytes are `fmt_real`'s:
-`'%.15g' % x` and `format(x, '.15g')` both print through CPython's
-`PyOS_double_to_string(x, 'g', 15, ...)`, and adding 0.0 to every value
-first turns -0.0 into 0.0, which prints as `0`, as `fmt_real` prints it.
-At 15 digits every value pays the correctly rounded conversion (~0.65 us),
-so what the block saves is the per-row Python work around it.
+`eigvec` grid CSV, the `spectrum` CSV rows, and JSON arrays of floats or of
+complex numbers) is a numpy array, and goes through one block formatter,
+`format_rows`, which prints ROW_BLOCK rows with a single `%` call.  Its bytes
+are `fmt_real`'s: `'%.15g' % x` and `format(x, '.15g')` both print through
+CPython's `PyOS_double_to_string(x, 'g', 15, ...)`, and adding 0.0 to every
+value first turns -0.0 into 0.0, which prints as `0`, as `fmt_real` prints
+it.  At 15 digits every value pays the correctly rounded conversion
+(~0.65 us), so what the block saves is the per-row Python work around it.
 """
 
 from __future__ import annotations
 
 import json
-from operator import attrgetter
 
 import numpy as np
 
 # Rows `format_rows` prints with one `%` call.  The Python floats of one
 # block exist at a time, so at 10^6 points the peak stays near the text's.
 ROW_BLOCK = 4096
-
-_plus_zero = (0.0).__add__
-_real, _imag = attrgetter("real"), attrgetter("imag")
 
 
 def fmt_real(x: float) -> str:
@@ -42,11 +38,13 @@ def format_rows(template: str, columns, start: int | None = None):
 
     `columns` are equal-length sequences of reals: numpy float arrays, or
     lists or tuples of floats.  Row i is (start + i, columns[0][i], ...) when
-    `start` is given and (columns[0][i], ...) when it is None.  Every real
-    gets 0.0 added, which turns -0.0 into 0.0 and leaves every other value,
-    inf and nan included, as it is, so a `%.15g` field prints what
-    `fmt_real` prints.  A block's values go by slice assignment into one
-    flat list, formatted by one `(template * rows) % tuple(flat)` call.
+    `start` is given and (columns[0][i], ...) when it is None.  Each block of
+    a column becomes a float array with `np.asarray(chunk, dtype=float)`,
+    and every real gets 0.0 added, which turns -0.0 into 0.0 and leaves
+    every other value, inf and nan included, as it is, so a `%.15g` field
+    prints what `fmt_real` prints.  A block's values go by slice assignment
+    into one flat list, formatted by one `(template * rows) % tuple(flat)`
+    call.
     """
     n = len(columns[0])
     width = len(columns) + (start is not None)
@@ -57,35 +55,19 @@ def format_rows(template: str, columns, start: int | None = None):
         if start is not None:
             flat[0::width] = range(start + lo, start + hi)
         for c, column in enumerate(columns, first):
-            chunk = column[lo:hi]
-            flat[c::width] = ((chunk + 0.0).tolist() if isinstance(chunk, np.ndarray)
-                              else list(map(_plus_zero, chunk)))
+            flat[c::width] = (np.asarray(column[lo:hi], dtype=float) + 0.0).tolist()
         yield (template * (hi - lo)) % tuple(flat)
 
 
-def _number_parts(items) -> list | None:
-    """dumps' text of each item when all are `float` or all `complex`, else None."""
-    kinds = set(map(type, items))
-    if kinds == {float}:
-        text = "".join(format_rows("%.15g\n", (items,)))
-    elif kinds == {complex}:
-        text = "".join(format_rows("[%.15g, %.15g]\n",
-                                   (list(map(_real, items)), list(map(_imag, items)))))
-    else:
-        return None
-    parts = text.split("\n")
-    parts.pop()
-    return parts
-
-
 def dumps(obj, indent: int = 0) -> str:
-    """Serialize dicts/lists/scalars to JSON with fmt_real for floats.
+    """Serialize dicts/lists/arrays/scalars to JSON with fmt_real for floats.
 
-    Complex numbers are emitted as two-element [re, im] arrays.  A list
-    whose items are all `float` or all `complex` is printed by
-    `format_rows` in blocks, with the bytes of one `dumps` per item.  A
-    list whose parts hold no newline and have fewer than 70 characters in
-    all fits on one line; any other list takes one line per item.
+    Complex numbers are emitted as two-element [re, im] arrays.  A 1-d
+    float or complex numpy array is printed by `format_rows` in blocks, with
+    the bytes of one `dumps` per item; any other array is rejected.  Lists
+    and tuples take one `dumps` per item.  A list whose parts hold no
+    newline and have fewer than 70 characters in all fits on one line; any
+    other list takes one line per item.
     """
     pad = " " * indent
     inner = " " * (indent + 2)
@@ -111,13 +93,21 @@ def dumps(obj, indent: int = 0) -> str:
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        parts = _number_parts(obj)
-        if parts is None:
-            parts = [dumps(v, indent + 2) for v in obj]
-        if sum(map(len, parts)) < 70 and not any("\n" in p for p in parts):
-            return "[" + ", ".join(parts) + "]"
-        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if isinstance(obj, np.ndarray):
+        if obj.ndim != 1 or obj.dtype.kind not in "fc":
+            raise TypeError(f"cannot serialize a {obj.ndim}-d {obj.dtype} array")
+        if obj.dtype.kind == "f":
+            rows = format_rows("%.15g\n", (obj,))
+        else:
+            rows = format_rows("[%.15g, %.15g]\n", (obj.real, obj.imag))
+        parts = "".join(rows).split("\n")
+        parts.pop()
+    elif isinstance(obj, (list, tuple)):
+        parts = [dumps(v, indent + 2) for v in obj]
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if len(obj) == 0:
+        return "[]"
+    if sum(map(len, parts)) < 70 and not any("\n" in p for p in parts):
+        return "[" + ", ".join(parts) + "]"
+    return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"

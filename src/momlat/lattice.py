@@ -16,11 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .formatting import ROW_BLOCK, fmt_real, format_rows
+from .formatting import fmt_real, format_rows
 
 GRID_CSV_HEADER = "j,p,re,im"
-# Rows `grid_to_csv` formats with one `%` call (the block of `format_rows`).
-CSV_BLOCK = ROW_BLOCK
 
 
 @dataclass(frozen=True)
@@ -46,7 +44,12 @@ class MomentumLattice:
         return self.p0 + j * self.a
 
     def momenta(self) -> np.ndarray:
-        """All grid momenta as a float array of length n_points."""
+        """All grid momenta as a float array of length n_points.  A lattice
+        whose last momentum p0 + a*(n-1) overflows is rejected before the
+        array is allocated."""
+        if not math.isfinite(self.p0 + self.a * (self.n_points - 1)):
+            raise ValueError(f"the last momentum p0+a*(n-1) of the lattice {self.descriptor()} "
+                             "overflows double precision")
         return self.p0 + self.a * np.arange(self.n_points, dtype=float)
 
     def descriptor(self) -> str:
@@ -106,7 +109,7 @@ def grid_to_csv(f: GridFunction) -> str:
     """CSV interchange form: header `j,p,re,im`, one row per grid point.
 
     Numbers print as `fmt_real` prints them, 15 significant digits with -0.0
-    as 0.  The rows come from `format_rows`, one `%` call per CSV_BLOCK
+    as 0.  The rows come from `format_rows`, one `%` call per ROW_BLOCK
     points, so the Python floats of the three columns never all exist at
     once.
     """

@@ -9,10 +9,11 @@ O(n * band) time and memory.  Truncation zeroes everything beyond the window
 (Dirichlet convention), so operator identities that hold on the unbounded grid
 hold here on interior rows only; `interior_residual` measures exactly that.
 
-The algebra is not restated here: A, Abar, P and I are built directly, every
-other operator folds its `algebra.DEFINITIONS` row, and `verify_identity_suite`
-folds the `algebra.IDENTITIES` rows that have a margin.  In the fold, scalar
-subtrees stay Python numbers standing for c*I, so a*A scales A.
+The algebra is not restated here: A, Abar, P and I are their exact
+`algebra.ATOMS` normal forms evaluated by `to_matrix`, every other operator
+folds its `algebra.DEFINITIONS` row, and `verify_identity_suite` folds the
+`algebra.IDENTITIES` rows that have a margin.  In the fold, scalar subtrees
+stay Python numbers standing for c*I, so a*A scales A.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (DEFINITIONS, IDENTITIES, OPERATOR_NAMES, Atom, BinOp, Bracket, IntLit,
-                      Neg, Power, SymbolicOperator, parse)
+from .algebra import (ATOMS, DEFINITIONS, IDENTITIES, OPERATOR_NAMES, Atom, BinOp, Bracket,
+                      IntLit, Neg, Power, SymbolicOperator, parse)
 from .formatting import fmt_real
 from .lattice import GridFunction, MomentumLattice, inner_product
 
@@ -170,19 +171,6 @@ class ConvergenceTable:
     slope: float
 
 
-def _shift(lattice: MomentumLattice, m: int) -> OperatorMatrix:
-    """The radius-1 operator with ones on diagonal m (A for m = 1, Abar for -1)."""
-    bands = np.zeros((3, lattice.n_points), dtype=complex)
-    bands[1 + m, _rows(m, lattice.n_points)] = 1
-    return OperatorMatrix(lattice, bands, 1)
-
-
-_PRIMITIVES = {
-    "I": lambda lat: OperatorMatrix(lat, np.ones((1, lat.n_points)), 0),
-    "A": lambda lat: _shift(lat, 1),
-    "Abar": lambda lat: _shift(lat, -1),
-    "P": lambda lat: OperatorMatrix(lat, lat.momenta()[None, :], 0),
-}
 _DEFINITION_TREES = {name: parse(text) for name, text in DEFINITIONS}
 _NUMERIC_IDENTITIES = tuple((name, parse(text), margin)
                             for name, text, margin in IDENTITIES if margin is not None)
@@ -191,9 +179,9 @@ _NUMERIC_IDENTITIES = tuple((name, parse(text), margin)
 class _LatticeAtoms(dict):
     """The grammar's atoms on one lattice, each built on first lookup and kept.
 
-    i and a are Python numbers.  A definition row is folded in a scope that
-    starts from the atoms built so far and is dropped when the row is done,
-    so the operators built only for that row are released with it.
+    i and a are Python numbers.  A definition row is folded in place, so the
+    operators it reads are kept too; every other operator is its exact
+    `algebra.ATOMS` normal form evaluated by `to_matrix`.
     """
 
     def __init__(self, lattice: MomentumLattice):
@@ -201,12 +189,8 @@ class _LatticeAtoms(dict):
         self.lattice = lattice
 
     def __missing__(self, name):
-        if name in _PRIMITIVES:
-            value = _PRIMITIVES[name](self.lattice)
-        else:
-            scope = _LatticeAtoms(self.lattice)
-            scope.update(self)
-            value = _fold(_DEFINITION_TREES[name], scope)
+        tree = _DEFINITION_TREES.get(name)
+        value = to_matrix(ATOMS[name], self.lattice) if tree is None else _fold(tree, self)
         self[name] = value
         return value
 
@@ -215,9 +199,10 @@ def build_operator(lattice: MomentumLattice, name: str) -> OperatorMatrix:
     """Truncated matrix of one named operator.
 
     A shifts samples down-index (row j picks up sample j+1) and has a zero
-    last row; Abar is its mirror; P = diag(p_j); I is the identity.  The
-    others fold their `algebra.DEFINITIONS` row: D = (A-I)/a,
-    Dbar = (I-Abar)/a, X = (D+Dbar)/(2i), Q = Dbar-D, H = X*X + P*P.
+    last row; Abar is its mirror; P = diag(p_j); I is the identity.  These
+    four are `to_matrix` of their `algebra.ATOMS` normal forms.  The others
+    fold their `algebra.DEFINITIONS` row: D = (A-I)/a, Dbar = (I-Abar)/a,
+    X = (D+Dbar)/(2i), Q = Dbar-D, H = X*X + P*P.
     """
     if name not in OPERATOR_NAMES:
         raise ValueError(f"unknown operator name {name!r}; expected one of {OPERATOR_NAMES}")
@@ -277,15 +262,17 @@ def interior_residual(M: OperatorMatrix, margin: int) -> float:
 
 def to_matrix(op: SymbolicOperator, lattice: MomentumLattice) -> OperatorMatrix:
     """Evaluate a normal form on a lattice: diagonal m is sum_k c_{k,m}(a) p^k,
-    accumulated in ascending (k, m)."""
+    accumulated in ascending (k, m).  The momenta are read only when some
+    term has a power of P, so A, Abar, I and the operators folded from them
+    alone never compute p_j."""
     n = lattice.n_points
     coefficients = op.evaluate(lattice.a)
-    momenta = lattice.momenta().astype(complex)
+    momenta = lattice.momenta().astype(complex) if any(k for k, _ in coefficients) else None
     radius = op.shift_radius
     bands = np.zeros((2 * radius + 1, n), dtype=complex)
     for k, m in sorted(coefficients):
-        rows = _rows(m, n)
-        bands[radius + m, rows] += coefficients[k, m] * momenta[rows] ** k
+        rows, c = _rows(m, n), coefficients[k, m]
+        bands[radius + m, rows] += c * momenta[rows] ** k if k else c
     return OperatorMatrix(lattice, bands, radius)
 
 
@@ -483,15 +470,6 @@ def reports_to_csv(reports) -> str:
     for r in reports:
         lines.append(f"{r.identity_name},{r.margin_rows},{fmt_real(r.max_interior_residual)}")
     return "\n".join(lines) + "\n"
-
-
-def report_to_dict(r: ResidualReport) -> dict:
-    return {
-        "identity_name": r.identity_name,
-        "max_interior_residual": r.max_interior_residual,
-        "margin_rows": r.margin_rows,
-        "lattice": r.lattice,
-    }
 
 
 def convergence_to_csv(table: ConvergenceTable) -> str:

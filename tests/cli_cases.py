@@ -1,4 +1,5 @@
-"""Shared CLI invocation helper and the golden-file case table."""
+"""Shared CLI invocation helpers, the golden-file case table and the table of
+inputs that must end in a usage error."""
 
 import contextlib
 import io
@@ -27,6 +28,44 @@ GOLDEN_CASES = {
     "continuum_default.csv": ("continuum",),
     "well_L1_16.csv": ("well", "--L", "1", "--levels", "16"),
 }
+
+
+# (argv, message): each call exits 2 with the message on stderr, no stdout
+# and no warning or traceback.  Plain expressions over literals, so that
+# `scripts/byte_diff.py` can read the argvs without importing this module.
+USAGE_ERROR_CASES = [
+    (("continuum", "--window=0:0.05", "--spacings", "0.1,0.05,0.025"),
+     "spacing 0.1 leaves 1 point(s) in the window 0.0:0.05"),
+    (("continuum", "--window=-inf:8"), "window must be finite"),
+    (("continuum", "--window=100:110"), "test function vanishes"),
+    (("check", "(" * 3000 + "P" + ")" * 3000), "nesting deeper than the limit"),
+    (("check", "+".join(["P"] * 3000)), "tree deeper than the limit"),
+    (("verify", "--a", "1e-200"),
+     "spacing a=1e-200 of the lattice p0=0,a=1e-200,n=64 is too small for the identity "
+     "suite: a^2 underflows to 0"),
+    (("well", "--L", "1e300", "--levels", "8"), "a^2 underflows to 0"),
+    (("spectrum", "--n", "8", "--a", "1e-310"),
+     "spacing a=9.99999999999997e-311 of the lattice p0=0,a=9.99999999999997e-311,n=8 is "
+     "too small for the spectrum: 1/a overflows double precision"),
+    (("continuum", "--spacings", "nan,0.05,0.025"), "spacings must be finite, got nan"),
+    (("continuum", "--spacings", "0.1,0.05,nan"), "spacings must be finite, got nan"),
+    (("continuum", "--spacings", "1e-300,1e-301,1e-302"),
+     "spacing 1e-300 needs 1.6e+301 points to cover the window -8.0:8.0, more than the "
+     "limit of 3000000"),
+    (("continuum", "--spacings", "0.1,0.05,4e-6"),
+     "spacing 4e-06 needs 4000001 points to cover the window -8.0:8.0, more than the "
+     "limit of 3000000"),
+    (("continuum", "--spacings", "1e-318,1e-319,1e-320"), "spacing 1e-318 needs inf points"),
+    (("continuum", "--window=-1e308:1e308"), "spacing 0.1 needs inf points"),
+    (("eigvec", "--x", "0", "--a", "1e308", "--n", "2", "--format", "json"),
+     "the recurrence step 2*i*a*x is not finite at a=1e+308: 2*a overflows double precision"),
+    (("eigvec", "--x", "0", "--a", "7e307", "--n", "6", "--format", "json"),
+     "cannot normalize at a=7e+307: the squared norm a*sum|phi|^2 overflows double precision"),
+    (("eigvec", "--x", "0", "--a", "7e307", "--n", "4"),
+     "the last momentum p0+a*(n-1) of the lattice p0=0,a=7e+307,n=4 overflows double precision"),
+    (("verify", "--a", "1e308", "--n", "8"),
+     "the last momentum p0+a*(n-1) of the lattice p0=0,a=1e+308,n=8 overflows double precision"),
+]
 
 
 def run_cli(*argv):

@@ -8,7 +8,7 @@ from importlib import import_module
 
 import pytest
 
-from cli_cases import GOLDEN, GOLDEN_CASES, run_cli, subprocess_env
+from cli_cases import GOLDEN, GOLDEN_CASES, USAGE_ERROR_CASES, run_cli, subprocess_env
 from momlat import eigen
 
 
@@ -105,31 +105,7 @@ class TestExitCodes:
         assert "overflowed" in err and lattice in err and identity in err
         assert "RuntimeWarning" not in err
 
-    @pytest.mark.parametrize("argv,message", [
-        (("continuum", "--window=0:0.05", "--spacings", "0.1,0.05,0.025"),
-         "spacing 0.1 leaves 1 point(s) in the window 0.0:0.05"),
-        (("continuum", "--window=-inf:8"), "window must be finite"),
-        (("continuum", "--window=100:110"), "test function vanishes"),
-        (("check", "(" * 3000 + "P" + ")" * 3000), "nesting deeper than the limit"),
-        (("check", "+".join(["P"] * 3000)), "tree deeper than the limit"),
-        (("verify", "--a", "1e-200"),
-         "spacing a=1e-200 of the lattice p0=0,a=1e-200,n=64 is too small for the identity "
-         "suite: a^2 underflows to 0"),
-        (("well", "--L", "1e300", "--levels", "8"), "a^2 underflows to 0"),
-        (("spectrum", "--n", "8", "--a", "1e-310"),
-         "spacing a=9.99999999999997e-311 of the lattice p0=0,a=9.99999999999997e-311,n=8 is "
-         "too small for the spectrum: 1/a overflows double precision"),
-        (("continuum", "--spacings", "nan,0.05,0.025"), "spacings must be finite, got nan"),
-        (("continuum", "--spacings", "0.1,0.05,nan"), "spacings must be finite, got nan"),
-        (("continuum", "--spacings", "1e-300,1e-301,1e-302"),
-         "spacing 1e-300 needs 1.6e+301 points to cover the window -8.0:8.0, more than the "
-         "limit of 3000000"),
-        (("continuum", "--spacings", "0.1,0.05,4e-6"),
-         "spacing 4e-06 needs 4000001 points to cover the window -8.0:8.0, more than the "
-         "limit of 3000000"),
-        (("continuum", "--spacings", "1e-318,1e-319,1e-320"), "spacing 1e-318 needs inf points"),
-        (("continuum", "--window=-1e308:1e308"), "spacing 0.1 needs inf points"),
-    ])
+    @pytest.mark.parametrize("argv,message", USAGE_ERROR_CASES)
     def test_degenerate_input_usage_error(self, argv, message):
         code, out, err = run_cli(*argv)
         assert code == 2
@@ -247,6 +223,23 @@ class TestEigvec:
         doc = json.loads(out)
         assert doc["phi0_magnitude_formula"] is None
         assert math.isfinite(doc["phi0_magnitude_direct"])
+
+    def test_overflowing_bracket_reported_as_null(self):
+        code, out, err = run_cli("eigvec", "--x", "0", "--a", "7e307", "--n", "2",
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["phi0_magnitude_formula"] is None
+        assert doc["phi0_magnitude_direct"] == doc["phi0_magnitude_direct_first_N"] > 0
+
+    def test_single_point_at_the_top_of_the_range(self):
+        # one point takes no recurrence step, so 2*a overflowing does not matter
+        code, out, err = run_cli("eigvec", "--x", "0", "--a", "1e308", "--n", "1",
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["values"] == [[1e-154, 0]]
+        assert doc["max_dev_recurrence_vs_closed"] == 0
 
     def test_seed_phase_flag(self):
         _, _, err = run_cli("eigvec", "--x", "0", "--a", "1", "--n", "5",

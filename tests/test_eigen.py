@@ -77,6 +77,17 @@ class TestRecurrence:
         with pytest.raises(ValueError):
             eigenvector_recurrence(MomentumLattice(0.0, 1.0, 4), 1.5)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_non_finite_step_rejected(self, n):
+        # 2*a overflows above a ~ 9e307, and t = 2ia*x would carry inf or nan
+        with pytest.raises(ValueError, match=r"step 2\*i\*a\*x is not finite at a=1e\+308"):
+            eigenvector_recurrence(MomentumLattice(0.0, 1e308, n), 0.0)
+        assert eigenvector_recurrence(MomentumLattice(0.0, 8.9e307, n), 0.0).phi.values[0] == 1
+
+    def test_single_point_takes_no_step(self):
+        res = eigenvector_recurrence(MomentumLattice(0.0, 1e308, 1), 0.0, 1j)
+        assert res.phi.values.tolist() == [1j]
+
 
 def numpy_indexed_recurrence(lattice, x, phi0):
     """Reference: the complex128-array loop `eigenvector_recurrence` replaced."""
@@ -241,6 +252,14 @@ class TestNormalization:
         with pytest.raises(ValueError):
             normalization_direct(zero)
 
+    def test_overflowing_squared_norm_rejected(self):
+        # phi = 1, 0, -1, 0, 1, 0 sums to 3, and 3a overflows at a = 7e307
+        res = eigenvector_closed_form(MomentumLattice(0.0, 7e307, 6), 0.0)
+        with pytest.raises(ValueError, match=r"a\*sum\|phi\|\^2 overflows double precision"):
+            normalization_direct(res)
+        head = eigenvector_closed_form(MomentumLattice(0.0, 7e307, 2), 0.0)
+        assert normalization_direct(head) == 1 / math.sqrt(7e307)
+
     @given(st.floats(-0.9, 0.9), st.floats(0.05, 2.0), st.integers(2, 200))
     @settings(max_examples=40, deadline=None)
     def test_normalized_result_has_unit_norm(self, s, a, n):
@@ -290,6 +309,13 @@ class TestNormalizationFormula:
         assert math.isfinite(normalization_formula(0.5, 1e-300, 3))
         with pytest.raises(ValueError, match="overflows double precision at a=1e-320, N=3"):
             normalization_formula(0.5, 1e-320, 3)
+
+    def test_overflowing_bracket_rejected(self):
+        # at x = 0, N = 1 the bracket is 4, so a*bracket overflows at a = 7e307
+        assert normalization_formula(0.0, 4e307, 1) == math.sqrt(4 / (4e307 * 4))
+        with pytest.raises(ValueError, match=r"a\*bracket overflows double precision at "
+                                             r"a=7e\+307, N=1"):
+            normalization_formula(0.0, 7e307, 1)
 
 
 class TestSpectrum:

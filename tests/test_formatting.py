@@ -52,16 +52,22 @@ class TestBulkDumps:
     def test_float_lists_match_per_element(self, values, indent):
         assert dumps(values, indent) == per_element_dumps(values, indent)
         assert dumps(tuple(values), indent) == per_element_dumps(values, indent)
+        assert dumps(np.array(values), indent) == per_element_dumps(values, indent)
 
     @given(st.lists(complexes, max_size=80), st.integers(0, 6))
     def test_complex_lists_match_per_element(self, values, indent):
         assert dumps(values, indent) == per_element_dumps(values, indent)
+        assert dumps(np.array(values), indent) == per_element_dumps(values, indent)
 
     @given(st.lists(complexes, max_size=40), st.lists(reals, max_size=40))
     def test_lists_inside_a_document_match_per_element(self, values, eigenvalues):
         doc = {"n": len(values), "values": values, "eigenvalues": eigenvalues,
                "nested": [eigenvalues, {"deep": values}]}
         assert dumps(doc) == per_element_dumps(doc)
+        arrays = {"n": len(values), "values": np.array(values),
+                  "eigenvalues": np.array(eigenvalues),
+                  "nested": [np.array(eigenvalues), {"deep": np.array(values)}]}
+        assert dumps(arrays) == per_element_dumps(doc)
 
     @pytest.mark.parametrize("width", [69, 70, 71])
     @pytest.mark.parametrize("kind", [float, complex])
@@ -97,6 +103,18 @@ class TestBulkDumps:
         values = [complex(x, y) for x, y in zip(reals_, reversed(reals_))]
         assert dumps(reals_) == per_element_dumps(reals_)
         assert dumps({"values": values}) == per_element_dumps({"values": values})
+        assert dumps(np.array(reals_)) == per_element_dumps(reals_)
+        assert dumps({"values": np.array(values)}) == per_element_dumps({"values": values})
+
+    @pytest.mark.parametrize("array", [
+        np.zeros((2, 2)), np.zeros((0, 3), dtype=complex), np.array(1.5),
+        np.arange(3), np.array([True, False]), np.array(["x"]), np.array([0.5, None]),
+    ], ids=["2-d", "empty-2-d", "0-d", "int", "bool", "str", "object"])
+    def test_other_arrays_rejected(self, array):
+        with pytest.raises(TypeError, match="cannot serialize a"):
+            dumps(array)
+        with pytest.raises(TypeError, match="cannot serialize a"):
+            dumps({"values": [array]})
 
 
 class TestFormatRows:

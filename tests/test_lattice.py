@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,9 +8,8 @@ from hypothesis import strategies as st
 
 from cli_cases import run_cli
 from momlat.eigen import truncated_spectrum
-from momlat.formatting import fmt_real
+from momlat.formatting import ROW_BLOCK, fmt_real
 from momlat.lattice import (
-    CSV_BLOCK,
     GRID_CSV_HEADER,
     GridFunction,
     MomentumLattice,
@@ -55,6 +55,15 @@ class TestMomentumLattice:
     def test_non_finite_parameters_named(self, p0, a, bad):
         with pytest.raises(ValueError, match=bad):
             MomentumLattice(p0, a, 4)
+
+    @pytest.mark.parametrize("p0,a,n", [(0.0, 7e307, 4), (0.0, 1e308, 3), (1e308, 1e308, 2),
+                                        (-1e308, 1e308, 3)])
+    def test_overflowing_last_momentum_rejected(self, p0, a, n):
+        lat = MomentumLattice(p0, a, n)
+        with pytest.raises(ValueError, match=r"last momentum p0\+a\*\(n-1\) of the lattice "
+                                             f"{re.escape(lat.descriptor())} overflows"):
+            lat.momenta()
+        assert np.isfinite(MomentumLattice(p0, a, n - 1).momenta()).all()
 
     @given(st.floats(-5, 5), st.floats(0.01, 3), st.integers(2, 40))
     def test_momenta_strictly_increasing_constant_gap(self, p0, a, n):
@@ -240,7 +249,7 @@ class TestCsvInterchange:
         assert grid_to_csv(f) == per_element_grid_csv(f) == "j,p,re,im\n" + \
             f"0,0,{fmt_real(v.real)},{fmt_real(v.imag)}\n"
 
-    @pytest.mark.parametrize("n", [CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1, 2 * CSV_BLOCK + 7])
+    @pytest.mark.parametrize("n", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 7])
     def test_matches_per_element_formatting_across_blocks(self, n):
         rng = np.random.default_rng(n)
         values = np.empty(n, dtype=complex)

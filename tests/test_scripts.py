@@ -42,7 +42,8 @@ def test_byte_diff_of_a_tree_against_itself(tmp_path):
 
 
 def test_byte_diff_names_the_calls_that_differ(tmp_path):
-    # with no seed, only the warm-up probes and the golden argvs are replayed
+    # with no seed, only the warm-up probes, the golden argvs and the
+    # usage-error argvs are replayed
     change = tmp_path / "change"
     shutil.copytree(SCRIPTS.parent / "src" / "momlat", change / "momlat",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -53,4 +54,4 @@ def test_byte_diff_names_the_calls_that_differ(tmp_path):
     lines = proc.stdout.splitlines()
     assert "differs in stdout: momlat check A*P" in lines
     assert "differs in stdout: momlat check H^3" in lines
-    assert lines[-1] == "4 of 19 calls differ in stdout, stderr or exit code"
+    assert lines[-1] == "4 of 37 calls differ in stdout, stderr or exit code"
