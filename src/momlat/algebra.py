@@ -22,10 +22,14 @@ turns it into floating point at a concrete spacing.  `GaussianRational` and
 `items()` and `coefficient()` build on demand.  One `normal_form` call
 multiplies at most `MAX_PRODUCT_WORK` pairs of flat terms.
 
-The module also owns the expression grammar and the two tables the other
-layers read.  `DEFINITIONS` writes the composite operators D, Dbar, X, Q, H
-over the primitives A, Abar, P, I, i, a; `ATOMS` is its exact fold, and the
-name tables `ATOM_NAMES` and `OPERATOR_NAMES` are read off the two.
+The module also owns the expression grammar, its one tree walker and the
+two tables the other layers read.  `fold(node, domain)` visits each node of
+a parsed expression once and leaves the arithmetic to a domain: the exact
+domain here multiplies normal forms and counts their term pairs, and
+`operators` supplies the lattice domain of banded matrices.  `DEFINITIONS`
+writes the composite operators D, Dbar, X, Q, H over the primitives A,
+Abar, P, I, i, a; `ATOMS` is its exact fold, and the name tables
+`ATOM_NAMES` and `OPERATOR_NAMES` are read off the two.
 `IDENTITIES` holds one `(name, text, margin)` row per identity: every row is
 certified here as an exact rewrite to zero, and `operators` evaluates each
 row with a margin on truncated matrices.  Adding an identity takes one row.
@@ -43,7 +47,7 @@ MAX_EXPONENT = 16
 MAX_DEPTH = 200
 # Most flat term pairs the products of one normal_form call may multiply
 # (|left| * |right| summed over its products, powers included).  H^16*H^8
-# takes ~1.4e6 and about a second; H^16*H^16 would take ~1e7.
+# takes 1,412,780 and 1.1-1.7 s; H^16*H^16 would take 9,788,756 (~9 s).
 MAX_PRODUCT_WORK = 2_000_000
 
 
@@ -461,56 +465,73 @@ def normal_form(expr) -> SymbolicOperator:
     """
     if isinstance(expr, str):
         expr = parse(expr)
-    return _fold(expr, ATOMS, _Work())
+    return fold(expr, _Exact(ATOMS))
 
 
-class _Work:
-    """Flat term pairs multiplied so far in one fold."""
+def fold(node, domain):
+    """Value of an expression tree in a domain.
 
-    __slots__ = ("pairs",)
+    A domain maps each atom name to its value and supplies `literal(int)`,
+    `times(x, y)`, `plus(op, x, y)` with op "+" or "-", and `divide(x, y)`;
+    a value also negates with unary minus.  Operands are folded left to
+    right, and a power multiplies its base in one at a time, base first:
+    squaring was measured slower on H.
+    """
+    if isinstance(node, Atom):
+        return domain[node.name]
+    if isinstance(node, IntLit):
+        return domain.literal(node.value)
+    if isinstance(node, Neg):
+        return -fold(node.operand, domain)
+    if isinstance(node, Power):
+        base = fold(node.base, domain)
+        if not node.exponent:
+            return domain.literal(1)
+        result = base
+        for _ in range(node.exponent - 1):
+            result = domain.times(result, base)
+        return result
+    if not isinstance(node, (Bracket, BinOp)):
+        raise TypeError(f"not an expression node: {node!r}")
+    left = fold(node.left, domain)
+    right = fold(node.right, domain)
+    if isinstance(node, Bracket):
+        op = "-" if node.kind == "commutator" else "+"
+        return domain.plus(op, domain.times(left, right), domain.times(right, left))
+    if node.op == "*":
+        return domain.times(left, right)
+    if node.op == "/":
+        return domain.divide(left, right)
+    return domain.plus(node.op, left, right)
 
-    def __init__(self):
+
+class _Exact(dict):
+    """The exact domain: normal forms of the atoms, and the flat term pairs
+    the products of one fold have multiplied so far."""
+
+    def __init__(self, atoms: dict):
+        super().__init__(atoms)
         self.pairs = 0
 
-    def product(self, left: SymbolicOperator, right: SymbolicOperator) -> SymbolicOperator:
+    @staticmethod
+    def literal(value: int) -> SymbolicOperator:
+        return _operator({(0, 0, 0): (value, 0)}, 1) if value else OP_ZERO
+
+    def times(self, left: SymbolicOperator, right: SymbolicOperator) -> SymbolicOperator:
         self.pairs += len(left._terms) * len(right._terms)
         if self.pairs > MAX_PRODUCT_WORK:
             raise ExpressionError(f"normal form needs more than the work limit of "
                                   f"{MAX_PRODUCT_WORK} term pairs in products")
         return left * right
 
+    @staticmethod
+    def plus(op: str, left: SymbolicOperator, right: SymbolicOperator) -> SymbolicOperator:
+        return left + right if op == "+" else left - right
 
-def _fold(node, atoms, work: _Work) -> SymbolicOperator:
-    if isinstance(node, Atom):
-        return atoms[node.name]
-    if isinstance(node, IntLit):
-        return _operator({(0, 0, 0): (node.value, 0)}, 1) if node.value else OP_ZERO
-    if isinstance(node, Neg):
-        return -_fold(node.operand, atoms, work)
-    if isinstance(node, Power):
-        # repeated multiplication by the base: squaring was measured slower on H
-        base = _fold(node.base, atoms, work)
-        result = OP_ONE
-        for _ in range(node.exponent):
-            result = work.product(result, base)
-        return result
-    if isinstance(node, Bracket):
-        left = _fold(node.left, atoms, work)
-        right = _fold(node.right, atoms, work)
-        if node.kind == "commutator":
-            return work.product(left, right) - work.product(right, left)
-        return work.product(left, right) + work.product(right, left)
-    if isinstance(node, BinOp):
-        left = _fold(node.left, atoms, work)
-        right = _fold(node.right, atoms, work)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return work.product(left, right)
-        # division: the divisor must normal-form to an invertible scalar,
-        # one term (re + i*im)/den a^e, whose inverse is den (re - i*im)/norm a^-e
+    @staticmethod
+    def divide(left: SymbolicOperator, right: SymbolicOperator) -> SymbolicOperator:
+        # the divisor must normal-form to an invertible scalar, one term
+        # (re + i*im)/den a^e, whose inverse is den (re - i*im)/norm a^-e
         if right.is_zero:
             raise ValueError("division by zero")
         if any(k or m for k, m, _ in right._terms):
@@ -519,7 +540,6 @@ def _fold(node, atoms, work: _Work) -> SymbolicOperator:
             raise ValueError("only monomial coefficients are invertible")
         [((_, _, e), (re, im))] = right._terms.items()
         return left.scaled(right._den * re, -right._den * im, re * re + im * im, -e)
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -547,10 +567,10 @@ OPERATOR_NAMES = tuple(name for name in ATOM_NAMES if name not in ("i", "a"))
 
 
 def _build_atoms() -> dict:
-    atoms = dict(_PRIMITIVES)
+    atoms = _Exact(_PRIMITIVES)
     for name, text in DEFINITIONS:
-        atoms[name] = _fold(parse(text), atoms, _Work())
-    return atoms
+        atoms[name] = fold(parse(text), atoms)
+    return dict(atoms)
 
 
 ATOMS = _build_atoms()

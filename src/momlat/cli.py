@@ -156,11 +156,10 @@ def run_eigvec(args) -> int:
     max_dev = float(np.max(np.abs(closed.phi.values - rec.phi.values)) / scale)
     unit = eigen.normalized(closed)
 
-    summary = eigen.result_envelope(unit, is_normalized=True)
-    summary["max_dev_recurrence_vs_closed"] = max_dev
-    summary["phi0_magnitude_direct"] = abs(unit.phi0)
     formula_n = args.n - 1
-    summary["formula_N"] = formula_n
+    summary = {"x": unit.x, "a": lattice.a, "n": lattice.n_points, "method": unit.method,
+               "phi0": unit.phi0, "normalized": True, "max_dev_recurrence_vs_closed": max_dev,
+               "phi0_magnitude_direct": abs(unit.phi0), "formula_N": formula_n}
     try:
         summary["phi0_magnitude_formula"] = eigen.normalization_formula(
             args.x, args.a, formula_n)

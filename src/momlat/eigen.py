@@ -280,18 +280,6 @@ def normalized(result: EigenResult) -> EigenResult:
                        s * result.phi0, result.method)
 
 
-def result_envelope(result: EigenResult, is_normalized: bool) -> dict:
-    """JSON envelope fields for an eigenvector export."""
-    return {
-        "x": result.x,
-        "a": result.lattice.a,
-        "n": result.lattice.n_points,
-        "method": result.method,
-        "phi0": result.phi0,
-        "normalized": is_normalized,
-    }
-
-
 def unit_norm_check(result: EigenResult) -> float:
     """|<phi|phi> - 1| for a supposedly normalized result."""
     return abs(inner_product(result.phi, result.phi) - 1.0)

@@ -76,7 +76,8 @@ class GridFunction:
 def square_well_lattice(L: float, n_levels: int, hbar: float = 1.0) -> MomentumLattice:
     """Momentum grid of the 1-d infinite square well of width L.
 
-    The allowed momenta are hbar*pi/L * (1, 2, 3, ...), so p0 = a = hbar*pi/L.
+    The allowed momenta are hbar*pi/L * (1, 2, 3, ...), so p0 = a = hbar*pi/L;
+    a step that overflows or underflows is rejected.
     """
     if not L > 0:
         raise ValueError(f"well width must be positive, got L={L}")
@@ -85,6 +86,10 @@ def square_well_lattice(L: float, n_levels: int, hbar: float = 1.0) -> MomentumL
     if n_levels < 1:
         raise ValueError(f"need at least one level, got {n_levels}")
     step = hbar * math.pi / L
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError(f"the momentum step hbar*pi/L of the well with L={fmt_real(L)}, "
+                         f"hbar={fmt_real(hbar)} is {fmt_real(step)}; it must be finite and "
+                         "positive")
     return MomentumLattice(p0=step, a=step, n_points=n_levels)
 
 
@@ -111,9 +116,15 @@ def grid_to_csv(f: GridFunction) -> str:
     Numbers print as `fmt_real` prints them, 15 significant digits with -0.0
     as 0.  The rows come from `format_rows`, one `%` call per ROW_BLOCK
     points, so the Python floats of the three columns never all exist at
-    once.
+    once.  A lattice whose spacing is lost in rounding, so that two
+    consecutive momenta are equal, is rejected: `grid_from_csv` could not
+    read its p column back.
     """
-    columns = (f.lattice.momenta(), f.values.real, f.values.imag)
+    momenta = f.lattice.momenta()
+    if np.any(momenta[1:] == momenta[:-1]):
+        raise ValueError(f"consecutive momenta of the lattice {f.lattice.descriptor()} are "
+                         "equal in double precision, so its CSV p column cannot be read back")
+    columns = (momenta, f.values.real, f.values.imag)
     return "".join([GRID_CSV_HEADER + "\n",
                     *format_rows("%d,%.15g,%.15g,%.15g\n", columns, start=0)])
 

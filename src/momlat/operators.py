@@ -12,8 +12,9 @@ hold here on interior rows only; `interior_residual` measures exactly that.
 The algebra is not restated here: A, Abar, P and I are their exact
 `algebra.ATOMS` normal forms evaluated by `to_matrix`, every other operator
 folds its `algebra.DEFINITIONS` row, and `verify_identity_suite` folds the
-`algebra.IDENTITIES` rows that have a margin.  In the fold, scalar subtrees
-stay Python numbers standing for c*I, so a*A scales A.
+`algebra.IDENTITIES` rows that have a margin.  The tree walker is
+`algebra.fold`; this module supplies only its lattice domain, in which
+scalar subtrees stay Python numbers standing for c*I, so a*A scales A.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (ATOMS, DEFINITIONS, IDENTITIES, OPERATOR_NAMES, Atom, BinOp, Bracket,
-                      IntLit, Neg, Power, SymbolicOperator, parse)
+from .algebra import ATOMS, DEFINITIONS, IDENTITIES, OPERATOR_NAMES, SymbolicOperator, fold, parse
 from .formatting import fmt_real
 from .lattice import GridFunction, MomentumLattice, inner_product
 
@@ -177,9 +177,12 @@ _NUMERIC_IDENTITIES = tuple((name, parse(text), margin)
 
 
 class _LatticeAtoms(dict):
-    """The grammar's atoms on one lattice, each built on first lookup and kept.
+    """The lattice domain of `algebra.fold`: the grammar's atoms on one
+    lattice, each built on first lookup and kept.
 
-    i and a are Python numbers.  A definition row is folded in place, so the
+    i and a are Python numbers, and so is every scalar subtree: a number c
+    stands for c*I, so a*A scales A and c*I is built only where a number
+    meets a matrix in a sum.  A definition row is folded in place, so the
     operators it reads are kept too; every other operator is its exact
     `algebra.ATOMS` normal form evaluated by `to_matrix`.
     """
@@ -190,9 +193,35 @@ class _LatticeAtoms(dict):
 
     def __missing__(self, name):
         tree = _DEFINITION_TREES.get(name)
-        value = to_matrix(ATOMS[name], self.lattice) if tree is None else _fold(tree, self)
+        value = to_matrix(ATOMS[name], self.lattice) if tree is None else fold(tree, self)
         self[name] = value
         return value
+
+    def matrix(self, value) -> "OperatorMatrix":
+        """A fold result as a matrix: a Python number c stands for c*I."""
+        return value if isinstance(value, OperatorMatrix) else self["I"].scaled(value)
+
+    @staticmethod
+    def literal(value: int) -> int:
+        return value
+
+    @staticmethod
+    def times(x, y):
+        if isinstance(x, OperatorMatrix):
+            return x @ y if isinstance(y, OperatorMatrix) else x.scaled(y)
+        return y.scaled(x) if isinstance(y, OperatorMatrix) else x * y
+
+    def plus(self, op: str, x, y):
+        if isinstance(x, OperatorMatrix) or isinstance(y, OperatorMatrix):
+            x, y = self.matrix(x), self.matrix(y)
+        return x + y if op == "+" else x - y
+
+    @staticmethod
+    def divide(x, y):
+        c = _scalar_of(y) if isinstance(y, OperatorMatrix) else y
+        if c is None or c == 0:
+            raise ValueError("division is only defined by nonzero scalars")
+        return x.scaled(1.0 / c) if isinstance(x, OperatorMatrix) else x / c
 
 
 def build_operator(lattice: MomentumLattice, name: str) -> OperatorMatrix:
@@ -281,14 +310,7 @@ def expression_matrix(expr, lattice: MomentumLattice) -> OperatorMatrix:
     if isinstance(expr, str):
         expr = parse(expr)
     atoms = _LatticeAtoms(lattice)
-    return _as_matrix(_fold(expr, atoms), atoms)
-
-
-def _as_matrix(value, atoms) -> OperatorMatrix:
-    """A fold result as a matrix: a Python number c stands for c*I."""
-    if isinstance(value, OperatorMatrix):
-        return value
-    return atoms["I"].scaled(value)
+    return atoms.matrix(fold(expr, atoms))
 
 
 def _scalar_of(M: OperatorMatrix):
@@ -297,49 +319,6 @@ def _scalar_of(M: OperatorMatrix):
     scalar = np.zeros_like(M.bands)
     scalar[r] = M.bands[r, 0]
     return M.bands[r, 0] if np.array_equal(M.bands, scalar) else None
-
-
-def _times(x, y):
-    if isinstance(x, OperatorMatrix):
-        return x @ y if isinstance(y, OperatorMatrix) else x.scaled(y)
-    return y.scaled(x) if isinstance(y, OperatorMatrix) else x * y
-
-
-def _plus(op: str, x, y, atoms):
-    if isinstance(x, OperatorMatrix) or isinstance(y, OperatorMatrix):
-        x, y = _as_matrix(x, atoms), _as_matrix(y, atoms)
-    return x + y if op == "+" else x - y
-
-
-def _fold(node, atoms):
-    """Value of an expression tree: an OperatorMatrix or a Python number."""
-    if isinstance(node, Atom):
-        return atoms[node.name]
-    if isinstance(node, IntLit):
-        return node.value
-    if isinstance(node, Neg):
-        return -_fold(node.operand, atoms)
-    if isinstance(node, Power):
-        base = _fold(node.base, atoms)
-        result = base if node.exponent else 1
-        for _ in range(node.exponent - 1):
-            result = _times(result, base)
-        return result
-    if not isinstance(node, (Bracket, BinOp)):
-        raise TypeError(f"not an expression node: {node!r}")
-    left = _fold(node.left, atoms)
-    right = _fold(node.right, atoms)
-    if isinstance(node, Bracket):
-        op = "-" if node.kind == "commutator" else "+"
-        return _plus(op, _times(left, right), _times(right, left), atoms)
-    if node.op == "*":
-        return _times(left, right)
-    if node.op == "/":
-        c = _scalar_of(right) if isinstance(right, OperatorMatrix) else right
-        if c is None or c == 0:
-            raise ValueError("division is only defined by nonzero scalars")
-        return left.scaled(1.0 / c) if isinstance(left, OperatorMatrix) else left / c
-    return _plus(node.op, left, right, atoms)
 
 
 def verify_identity_suite(lattice: MomentumLattice) -> list:
@@ -369,7 +348,7 @@ def verify_identity_suite(lattice: MomentumLattice) -> list:
     with np.errstate(over="ignore", invalid="ignore"):
         atoms = _LatticeAtoms(lattice)
         reports = [
-            ResidualReport(name, interior_residual(_as_matrix(_fold(tree, atoms), atoms), margin),
+            ResidualReport(name, interior_residual(atoms.matrix(fold(tree, atoms)), margin),
                            margin, desc)
             for name, tree, margin in _NUMERIC_IDENTITIES
         ]

@@ -65,6 +65,14 @@ USAGE_ERROR_CASES = [
      "the last momentum p0+a*(n-1) of the lattice p0=0,a=7e+307,n=4 overflows double precision"),
     (("verify", "--a", "1e308", "--n", "8"),
      "the last momentum p0+a*(n-1) of the lattice p0=0,a=1e+308,n=8 overflows double precision"),
+    (("eigvec", "--x", "0.5", "--a", "1", "--n", "4", "--p0", "1e308"),
+     "consecutive momenta of the lattice p0=1e+308,a=1,n=4 are equal in double precision"),
+    (("well", "--L", "1e-308", "--levels", "8"),
+     "the momentum step hbar*pi/L of the well with L=1e-308, hbar=1 is inf"),
+    (("well", "--L", "inf", "--levels", "8"),
+     "the momentum step hbar*pi/L of the well with L=inf, hbar=1 is 0"),
+    (("well", "--L", "1", "--hbar", "inf", "--levels", "8"),
+     "the momentum step hbar*pi/L of the well with L=1, hbar=inf is inf"),
 ]
 
 

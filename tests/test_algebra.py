@@ -28,6 +28,7 @@ from momlat.algebra import (
     MAX_PRODUCT_WORK,
     Neg,
     IDENTITIES,
+    OP_ONE,
     Power,
     SymbolicOperator,
     format_normal_form,
@@ -514,10 +515,10 @@ class TestFlatEngine:
 
 class TestWorkBudget:
     def test_counts_flat_term_pairs_over_one_call(self, monkeypatch):
-        # H^2 multiplies 1 * |H| and then |H| * |H| flat term pairs, and the
-        # product with P adds |H^2| * 1 more
+        # H^2 multiplies |H| * |H| flat term pairs, its base into itself, and
+        # the product with P adds |H^2| * 1 more
         h, h2 = len(ATOMS["H"]._terms), len(normal_form("H^2")._terms)
-        pairs = h + h * h + h2
+        pairs = h * h + h2
         monkeypatch.setattr("momlat.algebra.MAX_PRODUCT_WORK", pairs)
         assert not normal_form("H^2*P").is_zero
         monkeypatch.setattr("momlat.algebra.MAX_PRODUCT_WORK", pairs - 1)
@@ -527,6 +528,13 @@ class TestWorkBudget:
         monkeypatch.setattr("momlat.algebra.MAX_PRODUCT_WORK", pairs)
         normal_form("H^2*P")
         normal_form("H^2*P")
+
+    @pytest.mark.parametrize("text,value", [("H^0", OP_ONE), ("H^1", ATOMS["H"])])
+    def test_zeroth_and_first_power_multiply_no_pairs(self, monkeypatch, text, value):
+        monkeypatch.setattr("momlat.algebra.MAX_PRODUCT_WORK", 0)
+        assert normal_form(text) == value
+        with pytest.raises(ExpressionError, match="work limit of 0 term pairs"):
+            normal_form("H^2")
 
     def test_suite_and_large_products_fit(self):
         assert MAX_PRODUCT_WORK >= 1_500_000
@@ -575,6 +583,20 @@ class TestMatrixEvaluation:
         lat = MomentumLattice(0.0, 0.5, 8)
         with pytest.raises(ValueError):
             expression_matrix("P / A", lat)
+
+    def test_first_power_is_its_base(self):
+        lat = MomentumLattice(-0.5, 0.25, 10)
+        power, P = expression_matrix("P^1", lat), build_operator(lat, "P")
+        assert power.shift_radius == P.shift_radius
+        assert np.array_equal(power.bands, P.bands)
+
+    @pytest.mark.parametrize("node", [object(), "P", BinOp("*", Atom("P"), 2)])
+    def test_non_node_rejected_in_both_domains(self, node):
+        tree = Neg(Power(node, 2))
+        with pytest.raises(TypeError, match="not an expression node"):
+            normal_form(tree)
+        with pytest.raises(TypeError, match="not an expression node"):
+            expression_matrix(tree, MomentumLattice(0.0, 0.5, 8))
 
 
 class TestScalars:

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -18,10 +19,10 @@ from momlat.eigen import (
     normalization_formula,
     normalized,
     phase_seed,
-    result_envelope,
     truncated_spectrum,
     unit_norm_check,
 )
+from momlat.formatting import dumps
 from momlat.lattice import GridFunction, MomentumLattice, grid_to_csv, inner_product
 from momlat.operators import apply, build_operator
 
@@ -456,11 +457,15 @@ class TestDsterfBinding:
 
 class TestExport:
     def test_envelope_fields(self):
-        lat = MomentumLattice(0.0, 0.5, 4)
-        res = eigenvector_closed_form(lat, 0.3, 1.0)
-        env = result_envelope(res, is_normalized=False)
-        assert env == {"x": 0.3, "a": 0.5, "n": 4, "method": "closed_form",
-                       "phi0": 1.0 + 0j, "normalized": False}
+        code, out, _ = run_cli("eigvec", "--x", "0.3", "--a", "0.5", "--n", "4",
+                               "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        unit = normalized(eigenvector_closed_form(MomentumLattice(0.0, 0.5, 4), 0.3, 1.0))
+        assert list(doc)[:6] == ["x", "a", "n", "method", "phi0", "normalized"]
+        assert {key: doc[key] for key in ("x", "a", "n", "method", "normalized")} == \
+            {"x": 0.3, "a": 0.5, "n": 4, "method": "closed_form", "normalized": True}
+        assert doc["phi0"] == json.loads(dumps(unit.phi0))
 
     def test_csv_export_via_grid_format(self):
         lat = MomentumLattice(0.0, 1.0, 5)

@@ -106,6 +106,12 @@ class TestSquareWell:
             square_well_lattice(1.0, 3, hbar=0.0)
         with pytest.raises(ValueError):
             square_well_lattice(1.0, 0)
+        # the step hbar*pi/L overflows, or underflows to 0
+        for L, hbar in ((1e-308, 1.0), (math.inf, 1.0), (1.0, math.inf), (1e300, 1e-30)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"momentum step hbar*pi/L of the well with L={fmt_real(L)}, "
+                    f"hbar={fmt_real(hbar)} is")):
+                square_well_lattice(L, 8, hbar)
 
 
 class TestAIntegral:
@@ -274,6 +280,15 @@ class TestCsvInterchange:
         assert back.lattice.p0 == pytest.approx(lat.p0)
         assert back.lattice.a == pytest.approx(lat.a)
         assert np.allclose(back.values, f.values, atol=1e-12)
+
+    @pytest.mark.parametrize("p0,a", [(1e16, 1.0), (-1e17, 3.0)])
+    def test_collapsed_momenta_rejected(self, p0, a):
+        # a spacing below the rounding step of p0 repeats a momentum, and
+        # grid_from_csv could not read such a p column back
+        f = GridFunction(MomentumLattice(p0, a, 4), np.ones(4))
+        with pytest.raises(ValueError, match=re.escape(
+                f"consecutive momenta of the lattice {f.lattice.descriptor()} are equal")):
+            grid_to_csv(f)
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
