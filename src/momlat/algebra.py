@@ -33,6 +33,10 @@ Abar, P, I, i, a; `ATOMS` is its exact fold, and the name tables
 `IDENTITIES` holds one `(name, text, margin)` row per identity: every row is
 certified here as an exact rewrite to zero, and `operators` evaluates each
 row with a margin on truncated matrices.  Adding an identity takes one row.
+Each table text is parsed once, at import: `DEFINITION_TREES` and
+`IDENTITY_TREES` hold the parsed rows next to the text tables, and every
+consumer (`_build_atoms`, `verify_symbolic_suite` and `operators`) folds
+those trees, so no run parses a table text again.
 """
 
 from __future__ import annotations
@@ -566,10 +570,14 @@ ATOM_NAMES = (*_PRIMITIVES, *(name for name, _ in DEFINITIONS))
 OPERATOR_NAMES = tuple(name for name in ATOM_NAMES if name not in ("i", "a"))
 
 
+# The DEFINITIONS rows parsed, name -> tree, in table order.
+DEFINITION_TREES = {name: parse(text) for name, text in DEFINITIONS}
+
+
 def _build_atoms() -> dict:
     atoms = _Exact(_PRIMITIVES)
-    for name, text in DEFINITIONS:
-        atoms[name] = fold(parse(text), atoms)
+    for name, tree in DEFINITION_TREES.items():
+        atoms[name] = fold(tree, atoms)
     return dict(atoms)
 
 
@@ -686,12 +694,15 @@ class SymbolicCheck:
     normal_form_term_count: int
 
 
-# Rows are (name, text, margin).  The margin counts the boundary rows that
-# truncation corrupts; it is data, not the band radius (A*Abar - I has radius
-# 2, but only its last row is wrong).  None marks the two consistency lemmas
-# (the bracket expansions agree; D and Dbar commute), checked only
-# symbolically.  A text's grouping sets the float operation order of its
-# matrix evaluation.
+# Rows are (name, text, margin).  The margin is the number of boundary rows
+# at each end that the numeric check skips: an upper bound on the rows that
+# truncation corrupts, not their count.  It is data, not the band radius
+# (A*Abar - I has radius 2, but only its last row is wrong), and on exact
+# dyadic lattices only three rows (A_Abar_is_identity, Abar_A_is_identity,
+# commutator_P_H_expanded) have a nonzero boundary row at all.  None marks
+# the two consistency lemmas (the bracket expansions agree; D and Dbar
+# commute), checked only symbolically.  A text's grouping sets the float
+# operation order of its matrix evaluation.
 IDENTITIES = (
     ("A_Abar_is_identity", "A*Abar - I", 1),
     ("Abar_A_is_identity", "Abar*A - I", 1),
@@ -708,13 +719,15 @@ IDENTITIES = (
     ("QP_brace_expansion", "(i*a/2)*{Q,P} - i*a*P*Q - a^2*X", None),
     ("D_Dbar_commute_lemma", "[D,Dbar]", None),
 )
+# The IDENTITIES rows with each text parsed: (name, tree, margin).
+IDENTITY_TREES = tuple((name, parse(text), margin) for name, text, margin in IDENTITIES)
 
 
 def verify_symbolic_suite() -> list:
     """Normal-form every identity and report whether it is exactly zero."""
     results = []
-    for name, text, _ in IDENTITIES:
-        nf = normal_form(text)
+    for name, tree, _ in IDENTITY_TREES:
+        nf = normal_form(tree)
         results.append(SymbolicCheck(name, nf.is_zero, nf.term_count))
     return results
 

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .formatting import fmt_real
-from .lattice import GridFunction, MomentumLattice, inner_product
+from .lattice import GridFunction, MomentumLattice
 from .operators import build_operator
 
 # Largest lattice `truncated_spectrum` accepts.  The `dsterf` path needs O(n)
@@ -278,11 +278,6 @@ def normalized(result: EigenResult) -> EigenResult:
     return EigenResult(result.lattice, result.x,
                        GridFunction(result.lattice, s * result.phi.values),
                        s * result.phi0, result.method)
-
-
-def unit_norm_check(result: EigenResult) -> float:
-    """|<phi|phi> - 1| for a supposedly normalized result."""
-    return abs(inner_product(result.phi, result.phi) - 1.0)
 
 
 def phase_seed(phase: float) -> complex:

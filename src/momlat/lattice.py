@@ -76,8 +76,11 @@ class GridFunction:
 def square_well_lattice(L: float, n_levels: int, hbar: float = 1.0) -> MomentumLattice:
     """Momentum grid of the 1-d infinite square well of width L.
 
-    The allowed momenta are hbar*pi/L * (1, 2, 3, ...), so p0 = a = hbar*pi/L;
-    a step that overflows or underflows is rejected.
+    The allowed momenta are hbar*pi/L * (1, 2, 3, ...), so p0 = a = hbar*pi/L.
+    The step is computed on the mantissas of hbar and L and scaled by their
+    exponents last, so it is finite wherever hbar*pi/L is, even when hbar*pi
+    overflows; while no intermediate leaves the normal range it is bitwise
+    hbar*math.pi/L.  A step that overflows or underflows is rejected.
     """
     if not L > 0:
         raise ValueError(f"well width must be positive, got L={L}")
@@ -85,7 +88,11 @@ def square_well_lattice(L: float, n_levels: int, hbar: float = 1.0) -> MomentumL
         raise ValueError(f"hbar must be positive, got {hbar}")
     if n_levels < 1:
         raise ValueError(f"need at least one level, got {n_levels}")
-    step = hbar * math.pi / L
+    (mh, eh), (mL, eL) = math.frexp(hbar), math.frexp(L)
+    try:
+        step = math.ldexp(mh * math.pi / mL, eh - eL)
+    except OverflowError:
+        step = math.inf
     if not (step > 0 and math.isfinite(step)):
         raise ValueError(f"the momentum step hbar*pi/L of the well with L={fmt_real(L)}, "
                          f"hbar={fmt_real(hbar)} is {fmt_real(step)}; it must be finite and "

@@ -12,9 +12,16 @@ hold here on interior rows only; `interior_residual` measures exactly that.
 The algebra is not restated here: A, Abar, P and I are their exact
 `algebra.ATOMS` normal forms evaluated by `to_matrix`, every other operator
 folds its `algebra.DEFINITIONS` row, and `verify_identity_suite` folds the
-`algebra.IDENTITIES` rows that have a margin.  The tree walker is
-`algebra.fold`; this module supplies only its lattice domain, in which
-scalar subtrees stay Python numbers standing for c*I, so a*A scales A.
+`algebra.IDENTITIES` rows that have a margin.  Both tables are read as the
+trees `algebra` parsed once at import, so building an operator or running
+the suite parses nothing.  The tree walker is `algebra.fold`; this module
+supplies only its lattice domain, in which scalar subtrees stay Python
+numbers standing for c*I, so a*A scales A.
+
+Every operator that this module's own arithmetic makes (sums, products,
+scalings, adjoints, `to_matrix`) takes over the bands it has just allocated
+instead of copying them; the public `OperatorMatrix` constructor copies, so
+a caller's array is never aliased or made read-only.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ATOMS, DEFINITIONS, IDENTITIES, OPERATOR_NAMES, SymbolicOperator, fold, parse
+from .algebra import (ATOMS, DEFINITION_TREES, IDENTITY_TREES, OPERATOR_NAMES, SymbolicOperator,
+                      fold, parse)
 from .formatting import fmt_real
 from .lattice import GridFunction, MomentumLattice, inner_product
 
@@ -57,7 +65,8 @@ class OperatorMatrix:
     entry farther than shift_radius from the diagonal has a place, so the
     storage is the band.  The radius is carried through arithmetic: max under
     +/-, sum under products.  `entries` is the dense matrix, built on demand
-    for the tests.
+    for the tests.  The constructor stores a read-only complex copy of
+    `bands`; only `_result` hands over an array without the copy.
     """
 
     lattice: MomentumLattice
@@ -67,7 +76,8 @@ class OperatorMatrix:
     def __post_init__(self):
         if self.shift_radius < 0:
             raise ValueError("shift_radius must be non-negative")
-        bands = np.array(self.bands, dtype=complex)
+        bands = self.bands
+        bands = bands.array if type(bands) is _Fresh else np.array(bands, dtype=complex)
         shape = (2 * self.shift_radius + 1, self.lattice.n_points)
         if bands.shape != shape:
             raise ValueError(f"expected bands of shape {shape}, got {bands.shape}")
@@ -87,7 +97,7 @@ class OperatorMatrix:
         # every nonzero of the dense matrix must have landed in a diagonal
         if np.count_nonzero(bands) != np.count_nonzero(dense):
             raise ValueError("nonzero entry outside the declared band")
-        return cls(lattice, bands, shift_radius)
+        return _result(lattice, bands, shift_radius)
 
     @property
     def entries(self) -> np.ndarray:
@@ -117,15 +127,15 @@ class OperatorMatrix:
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._same_lattice(other)
         r = max(self.shift_radius, other.shift_radius)
-        return OperatorMatrix(self.lattice, self._widened(r) + other._widened(r), r)
+        return _result(self.lattice, self._widened(r) + other._widened(r), r)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._same_lattice(other)
         r = max(self.shift_radius, other.shift_radius)
-        return OperatorMatrix(self.lattice, self._widened(r) - other._widened(r), r)
+        return _result(self.lattice, self._widened(r) - other._widened(r), r)
 
     def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.lattice, -self.bands, self.shift_radius)
+        return _result(self.lattice, -self.bands, self.shift_radius)
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """Truncated convolution of diagonals.
@@ -146,10 +156,26 @@ class OperatorMatrix:
             left = self.bands[r1 + m1, None, rows]
             right = other.bands[:, rows.start + m1:rows.stop + m1]
             out[r + m1 - r2:r + m1 + r2 + 1, rows] += left * right
-        return OperatorMatrix(self.lattice, out, r)
+        return _result(self.lattice, out, r)
 
     def scaled(self, c: complex) -> "OperatorMatrix":
-        return OperatorMatrix(self.lattice, c * self.bands, self.shift_radius)
+        return _result(self.lattice, c * self.bands, self.shift_radius)
+
+
+class _Fresh:
+    """Complex bands that this module has just allocated and nothing else
+    holds, passed to `OperatorMatrix` to be taken over without a copy."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+def _result(lattice: MomentumLattice, bands: np.ndarray, radius: int) -> OperatorMatrix:
+    """The operator with freshly allocated complex `bands`, which it takes
+    over: the shape is checked and the array set read-only, not copied."""
+    return OperatorMatrix(lattice, _Fresh(bands), radius)
 
 
 @dataclass(frozen=True)
@@ -171,9 +197,7 @@ class ConvergenceTable:
     slope: float
 
 
-_DEFINITION_TREES = {name: parse(text) for name, text in DEFINITIONS}
-_NUMERIC_IDENTITIES = tuple((name, parse(text), margin)
-                            for name, text, margin in IDENTITIES if margin is not None)
+_NUMERIC_IDENTITIES = tuple(row for row in IDENTITY_TREES if row[2] is not None)
 
 
 class _LatticeAtoms(dict):
@@ -192,7 +216,7 @@ class _LatticeAtoms(dict):
         self.lattice = lattice
 
     def __missing__(self, name):
-        tree = _DEFINITION_TREES.get(name)
+        tree = DEFINITION_TREES.get(name)
         value = to_matrix(ATOMS[name], self.lattice) if tree is None else fold(tree, self)
         self[name] = value
         return value
@@ -246,7 +270,7 @@ def adjoint(M: OperatorMatrix) -> OperatorMatrix:
     for m in range(-r, r + 1):
         rows = _rows(m, n)
         bands[r + m, rows] = M.bands[r - m, rows.start + m:rows.stop + m].conj()
-    return OperatorMatrix(M.lattice, bands, r)
+    return _result(M.lattice, bands, r)
 
 
 def bracket(kind: str, M1: OperatorMatrix, M2: OperatorMatrix) -> OperatorMatrix:
@@ -302,7 +326,7 @@ def to_matrix(op: SymbolicOperator, lattice: MomentumLattice) -> OperatorMatrix:
     for k, m in sorted(coefficients):
         rows, c = _rows(m, n), coefficients[k, m]
         bands[radius + m, rows] += c * momenta[rows] ** k if k else c
-    return OperatorMatrix(lattice, bands, radius)
+    return _result(lattice, bands, radius)
 
 
 def expression_matrix(expr, lattice: MomentumLattice) -> OperatorMatrix:
@@ -332,8 +356,10 @@ def verify_identity_suite(lattice: MomentumLattice) -> list:
     that is not finite means the entries overflowed double precision; it is
     rejected with a ValueError naming the identity and the lattice.  So is a
     spacing whose square underflows to 0, since H_shift_form divides by a^2.
-    A lattice of more than MAX_SUITE_POINTS is rejected before anything is
-    allocated.
+    A lattice with two equal consecutive momenta, its spacing lost in
+    rounding, is rejected after the overflow check, naming the lattice: its
+    residuals measure the collapse, not the identities.  A lattice of more
+    than MAX_SUITE_POINTS is rejected before anything is allocated.
     """
     n = lattice.n_points
     if n < 8:
@@ -376,6 +402,11 @@ def verify_identity_suite(lattice: MomentumLattice) -> list:
         if not math.isfinite(r.max_interior_residual):
             raise ValueError(f"identity {r.identity_name} on the lattice {desc} has no finite "
                              "residual: its matrix entries overflowed double precision")
+    momenta = lattice.momenta()
+    if np.any(momenta[1:] == momenta[:-1]):
+        raise ValueError(f"consecutive momenta of the lattice {desc} are equal in double "
+                         "precision, so its residuals would measure the lost spacing, not "
+                         "the identities")
     return reports
 
 

@@ -27,6 +27,7 @@ GOLDEN_CASES = {
     "spectrum_n9_a05.json": ("spectrum", "--n", "9", "--a", "0.5", "--format", "json"),
     "continuum_default.csv": ("continuum",),
     "well_L1_16.csv": ("well", "--L", "1", "--levels", "16"),
+    "well_L1e308_hbar1e308_8.csv": ("well", "--L", "1e308", "--hbar", "1e308", "--levels", "8"),
 }
 
 
@@ -73,6 +74,8 @@ USAGE_ERROR_CASES = [
      "the momentum step hbar*pi/L of the well with L=inf, hbar=1 is 0"),
     (("well", "--L", "1", "--hbar", "inf", "--levels", "8"),
      "the momentum step hbar*pi/L of the well with L=1, hbar=inf is inf"),
+    (("verify", "--p0", "1e17", "--a", "1", "--n", "8"),
+     "consecutive momenta of the lattice p0=1e+17,a=1,n=8 are equal in double precision"),
 ]
 
 

@@ -17,12 +17,12 @@ from momlat.eigen import (
     normalization_direct,
     normalization_formula,
     normalized,
-    unit_norm_check,
 )
 from momlat.lattice import MomentumLattice, square_well_lattice
 from momlat.operators import apply, build_operator, continuum_scan, verify_identity_suite
 
 from cli_cases import GOLDEN, GOLDEN_CASES, run_cli
+from test_eigen import unit_norm_check
 
 EQUIVALENCE_GRID = [
     (x_frac / a, a, n)

@@ -213,6 +213,12 @@ class TestSymbolicSuite:
             assert check.zero, check.identity
             assert check.normal_form_term_count == 0
 
+    def test_parsed_tables_are_the_text_tables_parsed(self):
+        assert list(algebra.IDENTITY_TREES) == [(name, parse(text), margin)
+                                                for name, text, margin in IDENTITIES]
+        assert list(algebra.DEFINITION_TREES.items()) == [(name, parse(text))
+                                                          for name, text in DEFINITIONS]
+
     def test_cross_module_numeric_agreement(self):
         # every symbolically certified identity also holds numerically
         symbolic_names = {name for name, _, _ in IDENTITIES}

@@ -20,11 +20,15 @@ from momlat.eigen import (
     normalized,
     phase_seed,
     truncated_spectrum,
-    unit_norm_check,
 )
 from momlat.formatting import dumps
 from momlat.lattice import GridFunction, MomentumLattice, grid_to_csv, inner_product
 from momlat.operators import apply, build_operator
+
+
+def unit_norm_check(result) -> float:
+    """|<phi|phi> - 1| for a supposedly normalized result."""
+    return abs(inner_product(result.phi, result.phi) - 1.0)
 
 
 class TestAlpha:

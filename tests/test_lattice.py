@@ -97,6 +97,14 @@ class TestSquareWell:
         assert lat.p0 == pytest.approx(2 * math.pi)
         assert lat.a == pytest.approx(2 * math.pi)
 
+    def test_step_finite_where_hbar_times_pi_overflows(self):
+        assert square_well_lattice(1e308, 8, hbar=1e308) == square_well_lattice(1.0, 8)
+        assert square_well_lattice(1e308, 8, hbar=1e300).a == pytest.approx(math.pi * 1e-8)
+
+    @given(st.floats(1e-100, 1e100), st.floats(1e-100, 1e100))
+    def test_step_bitwise_hbar_pi_over_L_in_the_normal_range(self, L, hbar):
+        assert square_well_lattice(L, 1, hbar).a == hbar * math.pi / L
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             square_well_lattice(0.0, 3)

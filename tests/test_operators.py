@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momlat.algebra import IDENTITIES
+import momlat.algebra
+import momlat.operators
+from momlat.algebra import ATOMS, IDENTITIES, IDENTITY_TREES, OPERATOR_NAMES, verify_symbolic_suite
 from momlat.lattice import GridFunction, MomentumLattice, square_well_lattice
 from momlat.operators import (
     MAX_CONTINUUM_POINTS,
@@ -18,8 +20,10 @@ from momlat.operators import (
     build_operator,
     continuum_scan,
     convergence_to_csv,
+    expression_matrix,
     interior_residual,
     reports_to_csv,
+    to_matrix,
     unit_gaussian,
     verify_identity_suite,
     window_lattice,
@@ -361,6 +365,42 @@ class TestTableDrivenSuite:
         assert [r.identity_name for r in reports[len(table):]] == [
             "P_hermitian", "X_hermitian", "Abar_is_A_adjoint", "A_adjoint_inner_product"]
 
+    def test_table_margins_bound_the_rows_truncation_corrupts(self):
+        # On dyadic lattices every float operation of a row is exact, so a
+        # nonzero entry is truncation, not rounding.  The derived margin is the
+        # smallest one whose interior rows are all exactly zero; the table's
+        # margin may exceed it, never fall short of it.
+        lattices = [MomentumLattice(p0, a, 16) for p0, a in ((0.0, 1.0), (0.25, 0.5),
+                                                             (-3.0, 0.25), (1.5, 2.0))]
+        derived = {}
+        for name, tree, margin in IDENTITY_TREES:
+            if margin is None:
+                continue
+            derived[name] = 0
+            for lat in lattices:
+                bands = expression_matrix(tree, lat).bands
+                m = 0
+                while np.any(bands[:, m:lat.n_points - m]):
+                    m += 1
+                derived[name] = max(derived[name], m)
+            assert derived[name] <= margin, (name, derived[name], margin)
+        # only three rows have a nonzero boundary row at all, one each
+        assert {name: m for name, m in derived.items() if m} == {
+            "A_Abar_is_identity": 1, "Abar_A_is_identity": 1, "commutator_P_H_expanded": 1}
+
+
+class TestParsedOnce:
+    def test_run_path_parses_nothing(self, monkeypatch):
+        def no_parse(text):
+            raise AssertionError(f"parsed {text!r} on the run path")
+        monkeypatch.setattr(momlat.algebra, "parse", no_parse)
+        monkeypatch.setattr(momlat.operators, "parse", no_parse)
+        assert all(check.zero for check in verify_symbolic_suite())
+        lat = MomentumLattice(-1.0, 0.25, 16)
+        assert len(verify_identity_suite(lat)) == 16
+        for name in OPERATOR_NAMES:
+            build_operator(lat, name)
+
 
 class TestLeibnizRules:
     @given(st.integers(0, 2 ** 31 - 1), st.floats(0.05, 2.0))
@@ -437,6 +477,26 @@ class TestBandedStorage:
         assert not X.bands.flags.writeable
         assert not X.entries.flags.writeable
 
+    def test_constructor_copies_the_callers_array(self):
+        lat = MomentumLattice(0.0, 1.0, 4)
+        for bands in (np.ones((3, 4), dtype=complex), np.ones((3, 4))):
+            M = OperatorMatrix(lat, bands, 1)
+            assert bands.flags.writeable
+            assert not np.shares_memory(bands, M.bands)
+            bands[1, 2] = 7.0
+            assert np.array_equal(M.bands, np.ones((3, 4)))
+            assert M.bands.dtype == complex and not M.bands.flags.writeable
+
+    def test_results_hold_read_only_bands_of_their_own(self):
+        lat = MomentumLattice(-1.0, 0.5, 6)
+        A, X = build_operator(lat, "A"), build_operator(lat, "X")
+        results = [A + X, A - X, -A, A @ X, A.scaled(2.0), adjoint(X), to_matrix(ATOMS["H"], lat),
+                   OperatorMatrix.from_dense(lat, X.entries, 1)]
+        for M in results:
+            assert M.bands.dtype == complex and not M.bands.flags.writeable
+            assert not np.shares_memory(M.bands, A.bands)
+            assert not np.shares_memory(M.bands, X.bands)
+
     def test_radius_wider_than_lattice(self):
         lat = MomentumLattice(0.0, 1.0, 2)
         M = random_banded(lat, 1, np.random.default_rng(3))
@@ -488,6 +548,15 @@ class TestSuiteAtScale:
                              ids=lambda lat: lat.descriptor())
     def test_overflow_rejected(self, lat):
         with pytest.raises(ValueError, match="overflowed") as err:
+            verify_identity_suite(lat)
+        assert lat.descriptor() in str(err.value)
+
+    @pytest.mark.parametrize("lat", [MomentumLattice(1e17, 1.0, 8), MomentumLattice(1e16, 1.0, 8),
+                                     MomentumLattice(-1e17, 4.0, 16)],
+                             ids=lambda lat: lat.descriptor())
+    def test_collapsed_momenta_rejected(self, lat):
+        # the spacing is below the ulp of p0, so some p0 + j*a repeat a value
+        with pytest.raises(ValueError, match="consecutive momenta") as err:
             verify_identity_suite(lat)
         assert lat.descriptor() in str(err.value)
 

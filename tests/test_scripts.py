@@ -54,4 +54,4 @@ def test_byte_diff_names_the_calls_that_differ(tmp_path):
     lines = proc.stdout.splitlines()
     assert "differs in stdout: momlat check A*P" in lines
     assert "differs in stdout: momlat check H^3" in lines
-    assert lines[-1] == "4 of 41 calls differ in stdout, stderr or exit code"
+    assert lines[-1] == "4 of 43 calls differ in stdout, stderr or exit code"
