@@ -244,9 +244,8 @@ def _expression_first(argv: list) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_expression_first(sys.argv[1:] if argv is None else list(argv)))
+        args = _PARSER.parse_args(_expression_first(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
@@ -254,6 +253,13 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"momlat: error: {exc}", file=sys.stderr)
         return 2
+
+
+# The grammar is a constant of the program, built once at import: parse_args
+# leaves the parser unchanged, help text is formatted when it is printed (so
+# it follows the COLUMNS of that moment), and the handlers it holds look up
+# everything else through module globals at call time.
+_PARSER = build_parser()
 
 
 def entry():

@@ -48,6 +48,10 @@ MAX_CONTINUUM_POINTS = 3_000_000
 # --levels`).  The suite peaks near 870-950 bytes a point (869 MB of max RSS
 # at 10^6 points, 511 MB at 5e5), so the cap keeps one suite under ~1 GB.
 MAX_SUITE_POINTS = 1_000_000
+# Largest relative spacing error max_j |p_{j+1} - p_j - a| / a of a lattice
+# the identity suite accepts: past 2^-26, half of a's significand is lost to
+# the rounding of p0 + j*a.
+MAX_SPACING_ERROR = 2.0 ** -26
 
 
 def _rows(m: int, n: int) -> slice:
@@ -358,7 +362,9 @@ def verify_identity_suite(lattice: MomentumLattice) -> list:
     spacing whose square underflows to 0, since H_shift_form divides by a^2.
     A lattice with two equal consecutive momenta, its spacing lost in
     rounding, is rejected after the overflow check, naming the lattice: its
-    residuals measure the collapse, not the identities.  A lattice of more
+    residuals measure the collapse, not the identities.  After that, a
+    lattice whose relative spacing error exceeds MAX_SPACING_ERROR is
+    rejected too, naming the lattice and the error.  A lattice of more
     than MAX_SUITE_POINTS is rejected before anything is allocated.
     """
     n = lattice.n_points
@@ -407,6 +413,12 @@ def verify_identity_suite(lattice: MomentumLattice) -> list:
         raise ValueError(f"consecutive momenta of the lattice {desc} are equal in double "
                          "precision, so its residuals would measure the lost spacing, not "
                          "the identities")
+    spacing_error = float(np.max(np.abs(np.diff(momenta) - lattice.a))) / lattice.a
+    if spacing_error > MAX_SPACING_ERROR:
+        raise ValueError(f"the momenta of the lattice {desc} are unevenly spaced in double "
+                         f"precision: their relative spacing error {spacing_error:.2g} "
+                         "exceeds 2^-26, so its residuals would measure the rounded "
+                         "momenta, not the identities")
     return reports
 
 

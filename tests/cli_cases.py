@@ -1,5 +1,6 @@
-"""Shared CLI invocation helpers, the golden-file case table and the table of
-inputs that must end in a usage error."""
+"""Shared CLI invocation helpers, the golden-file case table, the table of
+inputs that must end in a usage error and the table of inputs that argparse
+itself ends."""
 
 import contextlib
 import io
@@ -76,6 +77,24 @@ USAGE_ERROR_CASES = [
      "the momentum step hbar*pi/L of the well with L=1, hbar=inf is inf"),
     (("verify", "--p0", "1e17", "--a", "1", "--n", "8"),
      "consecutive momenta of the lattice p0=1e+17,a=1,n=8 are equal in double precision"),
+    (("verify", "--p0", "1e14", "--a", "0.1", "--n", "64"),
+     "the momenta of the lattice p0=100000000000000,a=0.1,n=64 are unevenly spaced in double "
+     "precision: their relative spacing error 0.094 exceeds 2^-26"),
+]
+
+
+# (argv, exit code, text): calls that argparse ends before any handler runs.
+# Help exits 0 with the text on stdout; an error exits 2 with the usage and
+# the text on stderr.  Plain literals, as above.
+PARSER_CASES = [
+    ((), 2, "momlat: error: the following arguments are required: command"),
+    (("--help",), 0, "usage: momlat [-h] {verify,check,eigvec,spectrum,continuum,well} ..."),
+    (("verify", "-h"), 0, "usage: momlat verify [-h]"),
+    (("bogus",), 2, "momlat: error: argument command: invalid choice: 'bogus'"),
+    (("verify", "--bogus"), 2, "momlat: error: unrecognized arguments: --bogus"),
+    (("eigvec",), 2, "momlat eigvec: error: the following arguments are required: --x"),
+    (("spectrum", "--n", "abc"), 2,
+     "momlat spectrum: error: argument --n: invalid int value: 'abc'"),
 ]
 
 

@@ -8,8 +8,9 @@ from importlib import import_module
 
 import pytest
 
-from cli_cases import GOLDEN, GOLDEN_CASES, USAGE_ERROR_CASES, run_cli, subprocess_env
-from momlat import eigen
+from cli_cases import (GOLDEN, GOLDEN_CASES, PARSER_CASES, USAGE_ERROR_CASES, run_cli,
+                       subprocess_env)
+from momlat import cli, eigen
 
 
 class TestExitCodes:
@@ -112,6 +113,16 @@ class TestExitCodes:
         assert out == ""
         assert message in err
         assert "Warning" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,exit_code,text", PARSER_CASES)
+    def test_parser_ends_call(self, argv, exit_code, text):
+        code, out, err = run_cli(*argv)
+        assert code == exit_code
+        shown, silent = (out, err) if exit_code == 0 else (err, out)
+        assert silent == ""
+        assert shown.startswith("usage: momlat")
+        assert text in shown
+        assert "Traceback" not in err
 
     def test_check_work_budget(self):
         start = time.perf_counter()
@@ -317,6 +328,38 @@ class TestGoldenFiles:
         _, first, _ = run_cli(*GOLDEN_CASES[fname])
         _, second, _ = run_cli(*GOLDEN_CASES[fname])
         assert first == second
+
+
+class TestParserReuse:
+    """main() parses with one parser built at import; no call may leave state
+    in it that changes a later call."""
+
+    def test_replay_is_byte_identical(self):
+        argvs = [*GOLDEN_CASES.values(), *(argv for argv, _ in USAGE_ERROR_CASES)]
+        enders = [argv for argv, _, _ in PARSER_CASES]
+        outcomes = {}
+        # the second pass runs backwards, so each call follows other ones
+        for order in (argvs, argvs[::-1]):
+            for k, argv in enumerate(order):
+                for call in (argv, enders[k % len(enders)]):
+                    outcomes.setdefault(call, []).append(run_cli(*call))
+        for call, seen in outcomes.items():
+            assert seen == seen[:1] * len(seen), call
+        for fname, argv in GOLDEN_CASES.items():
+            assert outcomes[argv][0][1] == (GOLDEN / fname).read_text(), fname
+        for argv, message in USAGE_ERROR_CASES:
+            code, out, err = outcomes[argv][0]
+            assert (code, out) == (2, "") and message in err, argv
+
+    def test_no_parser_built_per_call(self, monkeypatch):
+        def refuse():
+            raise AssertionError("main() built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert {argv[0] for argv in GOLDEN_CASES.values()} == \
+            {"verify", "check", "eigvec", "spectrum", "continuum", "well"}
+        for fname, argv in GOLDEN_CASES.items():
+            assert run_cli(*argv)[1] == (GOLDEN / fname).read_text(), fname
 
 
 class TestOutputFile:

@@ -560,6 +560,25 @@ class TestSuiteAtScale:
             verify_identity_suite(lat)
         assert lat.descriptor() in str(err.value)
 
+    @pytest.mark.parametrize("lat,error", [(MomentumLattice(1e14, 0.1, 64), "0.094"),
+                                           (MomentumLattice(3.2e12, 0.1, 64), "0.0039"),
+                                           (MomentumLattice(1e8, 0.1, 64), "8.9e-08")],
+                             ids=lambda x: x.descriptor() if isinstance(x, MomentumLattice) else x)
+    def test_unevenly_spaced_momenta_rejected(self, lat, error):
+        # p0 + j*a rounds to distinct but uneven steps: the ulp of p0 eats a's bits
+        with pytest.raises(ValueError, match="unevenly spaced") as err:
+            verify_identity_suite(lat)
+        assert lat.descriptor() in str(err.value)
+        assert f"relative spacing error {error} exceeds 2^-26" in str(err.value)
+
+    @pytest.mark.parametrize("lat", [MomentumLattice(1e6, 0.1, 64),
+                                     MomentumLattice(-10.0, 20.0 / 1023, 1024),
+                                     MomentumLattice(0.0, 0.1, 224)],
+                             ids=lambda lat: lat.descriptor())
+    def test_rounded_but_even_spacing_accepted(self, lat):
+        # spacing errors 9.3e-10, 1.8e-13 and 2.1e-14, below 2^-26 = 1.5e-8
+        assert len(verify_identity_suite(lat)) == 16
+
 
 class TestContinuumScan:
     def test_gaussian_second_order(self):

@@ -42,16 +42,18 @@ def test_byte_diff_of_a_tree_against_itself(tmp_path):
 
 
 def test_byte_diff_names_the_calls_that_differ(tmp_path):
-    # with no seed, only the warm-up probes, the golden argvs and the
-    # usage-error argvs are replayed
+    # with no seed, only the warm-up probes and the argvs of the golden,
+    # usage-error and parser cases are replayed
     change = tmp_path / "change"
     shutil.copytree(SCRIPTS.parent / "src" / "momlat", change / "momlat",
                     ignore=shutil.ignore_patterns("__pycache__"))
     cli = change / "momlat" / "cli.py"
-    cli.write_text(cli.read_text().replace('else "NONZERO"', 'else "NONZERO "'))
+    text = cli.read_text().replace('else "NONZERO"', 'else "NONZERO "')
+    cli.write_text(text.replace("identity suites\"", "identity suite\""))
     proc = run_byte_diff(SCRIPTS.parent / "src", change, "1-0", tmp_path)
     assert proc.returncode == 1, proc.stderr
     lines = proc.stdout.splitlines()
     assert "differs in stdout: momlat check A*P" in lines
     assert "differs in stdout: momlat check H^3" in lines
-    assert lines[-1] == "4 of 43 calls differ in stdout, stderr or exit code"
+    assert "differs in stdout: momlat --help" in lines
+    assert lines[-1] == "5 of 51 calls differ in stdout, stderr or exit code"
