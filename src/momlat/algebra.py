@@ -42,6 +42,7 @@ those trees, so no run parses a table text again.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -213,14 +214,20 @@ class SymbolicOperator:
     def __mul__(self, other):
         # (P^k1 A^m1)(P^k2 A^m2) = P^k1 (P + m1 a)^k2 A^(m1+m2), the closed form
         # of the exchange rules: the right operand is moved past A^m1 once per
-        # distinct m1, then every pair of terms multiplies in integers.
+        # distinct m1, then every pair of terms multiplies in integers.  A
+        # right operand with no P moves past every shift unchanged, so it is
+        # used as it is.  Either way the terms accumulate in one order: shift
+        # group by shift group of the left operand, in order of first
+        # appearance, and right term by right term within a group.
         by_shift: dict = {}
         for (k1, m1, e1), (re, im) in self._terms.items():
             by_shift.setdefault(m1, []).append((k1, e1, re, im))
+        terms = other._terms
+        has_p = any(k for k, _, _ in terms)
         acc: dict = {}
         get = acc.get
         for m1, left in by_shift.items():
-            right = _shifted(other._terms, m1) if m1 else other._terms
+            right = _shifted(terms, m1) if m1 and has_p else terms
             for (k2, m2, e2), (c, d) in right.items():
                 m = m1 + m2
                 for k1, e1, a, b in left:
@@ -248,14 +255,22 @@ def _operator(terms: dict, den: int) -> SymbolicOperator:
 
 def _reduced(acc: dict, den: int):
     """(terms, den) with the zero entries of acc dropped and the common
-    factor of den and every numerator divided out."""
-    terms = {key: c for key, c in acc.items() if c[0] or c[1]}
+    factor of den and every numerator divided out.  The gcd walk skips the
+    zero entries and stops at the first common factor of 1; a C-level scan
+    then finds any zero entry.  acc is the caller's fresh accumulator: it is
+    returned as it is when nothing cancelled and the factor is 1, and
+    copied otherwise."""
     g = den
-    for re, im in terms.values():
-        g = math.gcd(g, re, im)
-        if g == 1:
-            return terms, den
-    return {key: (re // g, im // g) for key, (re, im) in terms.items()}, den // g
+    for re, im in acc.values():
+        if re or im:
+            g = math.gcd(g, re, im)
+            if g == 1:
+                break
+    if g != 1:
+        return {key: (re // g, im // g) for key, (re, im) in acc.items() if re or im}, den // g
+    if (0, 0) in acc.values():
+        return {key: c for key, c in acc.items() if c[0] or c[1]}, den
+    return acc, den
 
 
 def _shifted(terms: dict, s: int) -> dict:
@@ -315,37 +330,43 @@ class Bracket:
     right: object
 
 
+# The whitespace before a token, then the token: an operator character, an
+# ASCII name, an ASCII integer or any other character, which is an error.
+# `\s` is Unicode whitespace, as `str.isspace` is.  One `findall` scans the
+# whole text; the offsets are summed from the lengths it returns.
+_TOKEN = re.compile(r"(\s*)(?:([-+*/^()\[\]{},])|([A-Za-z_][A-Za-z0-9_]*)|([0-9]+)|(\S))")
+
+
 def _tokenize(text: str):
     tokens = []
     pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
+    for space, op, name, integer, bad in _TOKEN.findall(text):
+        if space:
+            pos += len(space)
+        if op:
+            tokens.append((op, op, pos))
             pos += 1
-            continue
-        if ch.isdigit():
-            start = pos
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            tokens.append(("INT", text[start:pos], start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = pos
-            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            tokens.append(("NAME", text[start:pos], start))
-            continue
-        if ch in "+-*/^()[]{},":
-            tokens.append((ch, ch, pos))
-            pos += 1
-            continue
-        raise ExpressionError(f"unexpected character {ch!r}", pos)
-    tokens.append(("END", "", n))
+        elif name:
+            tokens.append(("NAME", name, pos))
+            pos += len(name)
+        elif integer:
+            tokens.append(("INT", integer, pos))
+            pos += len(integer)
+        else:
+            raise ExpressionError(f"unexpected character {bad!r}", pos)
+    tokens.append(("END", "", len(text)))
     return tokens
 
 
+# opening token -> (closing token, Bracket kind)
+_BRACKETS = {"[": ("]", "commutator"), "{": ("}", "anticommutator")}
+
+
 class _Parser:
+    """Recursive descent over the tokens.  Each parse_* method returns
+    (node, height): the node and the levels of its tree, so the height
+    limit needs no second walk."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.index = 0
@@ -367,18 +388,20 @@ class _Parser:
         return self.advance()
 
     def parse_expr(self):
-        node = self.parse_term()
+        node, height = self.parse_term()
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
-            node = BinOp(op, node, self.parse_term())
-        return node
+            right, right_height = self.parse_term()
+            node, height = BinOp(op, node, right), max(height, right_height) + 1
+        return node, height
 
     def parse_term(self):
-        node = self.parse_factor()
+        node, height = self.parse_factor()
         while self.peek()[0] in ("*", "/"):
             op = self.advance()[0]
-            node = BinOp(op, node, self.parse_factor())
-        return node
+            right, right_height = self.parse_factor()
+            node, height = BinOp(op, node, right), max(height, right_height) + 1
+        return node, height
 
     def parse_factor(self):
         self.depth += 1
@@ -386,9 +409,10 @@ class _Parser:
             raise ExpressionError(f"nesting deeper than the limit {MAX_DEPTH}", self.peek()[2])
         if self.peek()[0] == "-":
             self.advance()
-            node = Neg(self.parse_factor())
+            operand, height = self.parse_factor()
+            node, height = Neg(operand), height + 1
         else:
-            node = self.parse_primary()
+            node, height = self.parse_primary()
             if self.peek()[0] == "^":
                 self.advance()
                 tok = self.expect("INT")
@@ -396,9 +420,9 @@ class _Parser:
                 if exponent > MAX_EXPONENT:
                     raise ExpressionError(
                         f"exponent {exponent} exceeds the limit {MAX_EXPONENT}", tok[2])
-                node = Power(node, exponent)
+                node, height = Power(node, exponent), height + 1
         self.depth -= 1
-        return node
+        return node, height
 
     def parse_primary(self):
         kind, value, pos = self.peek()
@@ -406,29 +430,23 @@ class _Parser:
             self.advance()
             if value not in ATOM_NAMES:
                 raise ExpressionError(f"unknown identifier {value!r}", pos)
-            return Atom(value)
+            return Atom(value), 1
         if kind == "INT":
             self.advance()
-            return IntLit(int(value))
+            return IntLit(int(value)), 1
         if kind == "(":
             self.advance()
-            node = self.parse_expr()
+            result = self.parse_expr()
             self.expect(")")
-            return node
-        if kind == "[":
+            return result
+        if kind in _BRACKETS:
+            close, bracket = _BRACKETS[kind]
             self.advance()
-            left = self.parse_expr()
+            left, left_height = self.parse_expr()
             self.expect(",")
-            right = self.parse_expr()
-            self.expect("]")
-            return Bracket("commutator", left, right)
-        if kind == "{":
-            self.advance()
-            left = self.parse_expr()
-            self.expect(",")
-            right = self.parse_expr()
-            self.expect("}")
-            return Bracket("anticommutator", left, right)
+            right, right_height = self.parse_expr()
+            self.expect(close)
+            return Bracket(bracket, left, right), max(left_height, right_height) + 1
         found = "end of input" if kind == "END" else repr(value)
         raise ExpressionError(f"expected an operand, found {found}", pos)
 
@@ -436,28 +454,13 @@ class _Parser:
 def parse(text: str):
     """Parse an expression over the operator atoms into an AST."""
     parser = _Parser(text)
-    node = parser.parse_expr()
+    node, height = parser.parse_expr()
     tok = parser.peek()
     if tok[0] != "END":
         raise ExpressionError(f"unexpected trailing input {tok[1]!r}", tok[2])
-    if _height(node) > MAX_DEPTH:
+    if height > MAX_DEPTH:
         raise ExpressionError(f"expression tree deeper than the limit {MAX_DEPTH}", 0)
     return node
-
-
-def _height(node) -> int:
-    """Levels of an expression tree, counted without recursion."""
-    height, stack = 0, [(node, 1)]
-    while stack:
-        node, level = stack.pop()
-        height = max(height, level)
-        if isinstance(node, (BinOp, Bracket)):
-            stack += [(node.left, level + 1), (node.right, level + 1)]
-        elif isinstance(node, Neg):
-            stack.append((node.operand, level + 1))
-        elif isinstance(node, Power):
-            stack.append((node.base, level + 1))
-    return height
 
 
 def normal_form(expr) -> SymbolicOperator:

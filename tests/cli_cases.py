@@ -20,6 +20,7 @@ GOLDEN_CASES = {
     "check_XH2.txt": ("check", "[X,H^2]"),
     "check_H3.txt": ("check", "H^3"),
     "check_mixed.txt": ("check", "(X^2 + i*P*A/3)*(2-i)/(3-2*i)/a - {Q,P}/5"),
+    "check_Xpow_P.txt": ("check", "X^5*P^2*A - A*P^2*X^5 + i*X^3*Q"),
     "eigvec_x0_a1_n5.csv": ("eigvec", "--x", "0", "--a", "1", "--n", "5"),
     "eigvec_x05_a1_n8.json": ("eigvec", "--x", "0.5", "--a", "1", "--n", "8",
                               "--format", "json"),
@@ -80,6 +81,8 @@ USAGE_ERROR_CASES = [
     (("verify", "--p0", "1e14", "--a", "0.1", "--n", "64"),
      "the momenta of the lattice p0=100000000000000,a=0.1,n=64 are unevenly spaced in double "
      "precision: their relative spacing error 0.094 exceeds 2^-26"),
+    (("check", "P^²"), "unexpected character '²' at offset 2"),
+    (("check", "٣"), "unexpected character '٣' at offset 0"),
 ]
 
 

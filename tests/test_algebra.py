@@ -110,9 +110,32 @@ class TestParse:
             parse("A ? P")
         assert err.value.position == 2
 
+    @pytest.mark.parametrize("text,offset", [
+        ("P^²", 2),         # superscript two: a Unicode digit, not [0-9]
+        ("٣", 0),           # Arabic-Indic three
+        ("P^٣", 2),
+        ("Ａ", 0),           # fullwidth A: a Unicode letter, not [A-Za-z]
+        ("P²", 1),          # a name stops at the first non-ASCII character
+        ("A + xé", 5),
+    ])
+    def test_only_ascii_digits_and_letters(self, text, offset):
+        with pytest.raises(ExpressionError) as err:
+            parse(text)
+        assert err.value.position == offset
+        assert str(err.value) == f"unexpected character {text[offset]!r} at offset {offset}"
+
+    def test_unicode_whitespace_separates(self):
+        assert parse("A\u00a0*\u2003P\n") == parse("A*P")
+
     def test_trailing_input(self):
         with pytest.raises(ExpressionError):
             parse("A P")
+
+    def test_trailing_input_reported_before_tree_height(self):
+        text = "+".join(["P"] * (MAX_DEPTH + 1))
+        with pytest.raises(ExpressionError, match="unexpected trailing input '\\)'") as err:
+            parse(text + ")")
+        assert err.value.position == len(text)
 
     def test_exponent_limit(self):
         parse("A^16")
@@ -350,6 +373,33 @@ def tracked_radius(node) -> int:
     raise TypeError(node)
 
 
+def render_tree(node) -> str:
+    """Text that parses back to the tree: every operand in parentheses, which
+    add no level to the tree."""
+    if isinstance(node, Atom):
+        return node.name
+    if isinstance(node, IntLit):
+        return str(node.value)
+    if isinstance(node, Neg):
+        return f"-({render_tree(node.operand)})"
+    if isinstance(node, Power):
+        return f"({render_tree(node.base)})^{node.exponent}"
+    if isinstance(node, Bracket):
+        left, right = render_tree(node.left), render_tree(node.right)
+        return f"[{left},{right}]" if node.kind == "commutator" else f"{{{left},{right}}}"
+    return f"({render_tree(node.left)}){node.op}({render_tree(node.right)})"
+
+
+def tree_height(node) -> int:
+    if isinstance(node, (Atom, IntLit)):
+        return 1
+    if isinstance(node, Neg):
+        return 1 + tree_height(node.operand)
+    if isinstance(node, Power):
+        return 1 + tree_height(node.base)
+    return 1 + max(tree_height(node.left), tree_height(node.right))
+
+
 ATOM_ST = st.sampled_from(["A", "Abar", "P", "X", "Q", "D", "Dbar", "I", "i", "a"])
 LEAF_ST = st.one_of(ATOM_ST.map(Atom), st.integers(0, 3).map(IntLit))
 EXPR_ST = st.recursive(
@@ -410,6 +460,15 @@ class TestConfluenceAndHomomorphism:
         assume(all(k <= 16 and abs(m) <= 16 for (k, m), _ in nf.items()))
         assert normal_form(format_normal_form(nf)) == nf
 
+    @given(EXPR_ST)
+    @settings(max_examples=100, deadline=None)
+    def test_parser_counts_tree_height(self, e):
+        # the height the parser counts while it builds the tree is the
+        # height a walk of the finished tree counts
+        text = render_tree(e)
+        assert parse(text) == e
+        assert algebra._Parser(text).parse_expr() == (e, tree_height(e))
+
 
 # --- the flat integer engine against a per-coefficient reference product -----
 
@@ -457,6 +516,50 @@ OPERATOR_ST = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(-3, 3)), 
 DIVISOR_ST = st.sampled_from(["3", "5", "7", "i", "(-i)", "a", "(2*i*a^2)", "(3-2*i)"])
 
 
+def ordered_reference_product(x: SymbolicOperator, y: SymbolicOperator) -> dict:
+    """x*y as {(k, m, e): GQ}, expanded one pair of flat terms at a time with
+    math.comb over Fractions, its entries in the order the product stores
+    them: the left operand's shift groups in order of first appearance, then
+    the right terms, the P powers of (P + m1 a)^k2 and the group's left terms.
+    An entry keeps the place where it first arose, even if it cancels there."""
+    groups: dict = {}
+    for (k1, m1, e1), (re, im) in x._terms.items():
+        groups.setdefault(m1, []).append((k1, e1, GQ(Fraction(re, x._den), Fraction(im, x._den))))
+    out: dict = {}
+    for m1, left in groups.items():
+        for (k2, m2, e2), (re, im) in y._terms.items():
+            g2 = GQ(Fraction(re, y._den), Fraction(im, y._den))
+            # with no shift, (P + 0 a)^k2 is P^k2 alone
+            for i in range(k2 + 1) if m1 else (k2,):
+                f = GQ(Fraction(math.comb(k2, i) * m1 ** (k2 - i)))
+                for k1, e1, g1 in left:
+                    key = (k1 + i, m1 + m2, e1 + e2 + k2 - i)
+                    out[key] = out.get(key, ZERO) + g1 * g2 * f
+    return {key: c for key, c in out.items() if not c.is_zero}
+
+
+GAUSSIAN_ST = st.one_of(
+    st.builds(GR, FRACTION_ST),                              # real
+    st.builds(lambda im: GR(Fraction(0), im), FRACTION_ST),  # imaginary
+    st.builds(GR, FRACTION_ST, FRACTION_ST),                 # mixed
+)
+
+
+def operand_st(max_k: int):
+    """Operators with P powers up to max_k and shifts -3..3."""
+    coefficient = st.dictionaries(st.integers(-3, 3), GAUSSIAN_ST, max_size=3).map(LaurentPoly)
+    return st.dictionaries(st.tuples(st.integers(0, max_k), st.integers(-3, 3)), coefficient,
+                           max_size=5).map(SymbolicOperator)
+
+
+ORDERED_OPERAND_ST = st.one_of(
+    operand_st(0),                                           # no P: the unshifted route
+    operand_st(3),
+    st.builds(lambda e, c: SymbolicOperator({(0, 0): LaurentPoly({e: c})}),
+              st.integers(-3, 3), GAUSSIAN_ST),              # one scalar term
+)
+
+
 def assert_reduced(op: SymbolicOperator):
     assert op._den > 0
     assert all(c != (0, 0) for c in op._terms.values())
@@ -468,6 +571,19 @@ class TestFlatEngine:
     @settings(max_examples=150, deadline=None)
     def test_product_matches_reference(self, x, y):
         assert (x * y).items() == reference_product(x, y)
+
+    @given(ORDERED_OPERAND_ST, ORDERED_OPERAND_ST)
+    @settings(max_examples=300, deadline=None)
+    def test_product_matches_ordered_reference(self, x, y):
+        # evaluate sums each (k, m) in storage order, and a product's order
+        # within a (k, m) follows the whole order of its operands, so the
+        # whole order is pinned, not only the order within each (k, m)
+        product = x * y
+        expected = ordered_reference_product(x, y)
+        got = {key: GQ(Fraction(re, product._den), Fraction(im, product._den))
+               for key, (re, im) in product._terms.items()}
+        assert got == expected
+        assert list(got) == list(expected)
 
     @given(OPERATOR_ST, OPERATOR_ST)
     @settings(max_examples=100, deadline=None)
@@ -519,6 +635,28 @@ class TestFlatEngine:
             normal_form("P / (1 + a)")
 
 
+# Flat term pairs of one normal_form call of each IDENTITIES row.
+IDENTITY_PAIRS = {
+    "A_Abar_is_identity": 1, "Abar_A_is_identity": 1, "commutator_A_P": 3,
+    "commutator_Abar_P": 3, "commutator_D_P": 4, "commutator_Dbar_P": 4, "commutator_X_P": 8,
+    "H_shift_form": 10, "commutator_X_H_braced": 30, "commutator_X_H_expanded": 28,
+    "commutator_P_H_braced": 28, "commutator_P_H_expanded": 22, "QP_brace_expansion": 20,
+    "D_Dbar_commute_lemma": 8,
+}
+# One ZERO expression of each symbolic_check group of the benchmark, in the
+# order of its group table, and its pairs.
+BENCH_GROUP_PAIRS = [
+    ("(-7/a)*[Dbar,P]*P^3-((-7/a)*(((I-Abar)/a)*P-P*((I-Abar)/a))*P^2*P)", 18),
+    ("(1*i)*Abar^5-((1*i)*(I-a*Dbar)^3*Abar^2)", 14),
+    ("(3)*[X,P]*X^3-((3)*(((D+Dbar)/(2*i))*P-P*((A-Abar)/(2*i*a)))*(-(i/2)*(D+Dbar))^2*X)",
+     53),
+    ("(3)*[X,H]*H^2-((3)*(-2*i*P+(i*a/2)*{Q,P})*(P^2-(1/(4*a^2))*(A-Abar)^2)*H)", 196),
+    ("(-1*i)*X^10-((-1*i)*(-(i/2)*(D+Dbar))^5*X^5)", 221),
+    ("(3*a)*[P,H]*H^3-((3*a)*(P*H-H*P)*(X^2+P^2)^2*H)", 319),
+    ("(1/a)*H^6-((1/a)*(X*X+P*P)^3*H^3)", 2422),
+]
+
+
 class TestWorkBudget:
     def test_counts_flat_term_pairs_over_one_call(self, monkeypatch):
         # H^2 multiplies |H| * |H| flat term pairs, its base into itself, and
@@ -541,6 +679,19 @@ class TestWorkBudget:
         assert normal_form(text) == value
         with pytest.raises(ExpressionError, match="work limit of 0 term pairs"):
             normal_form("H^2")
+
+    @pytest.mark.parametrize("text,pairs", [
+        *((text, IDENTITY_PAIRS[name]) for name, text, _ in IDENTITIES),
+        ("X^10", 108),
+        ("H^6", 960),
+        *BENCH_GROUP_PAIRS,
+    ])
+    def test_pinned_pair_counts(self, text, pairs):
+        # the work limit counts |left| * |right| per product; these counts
+        # pin what it charges, whatever route a product takes inside
+        domain = algebra._Exact(ATOMS)
+        algebra.fold(parse(text), domain)
+        assert domain.pairs == pairs
 
     def test_suite_and_large_products_fit(self):
         assert MAX_PRODUCT_WORK >= 1_500_000

@@ -56,4 +56,4 @@ def test_byte_diff_names_the_calls_that_differ(tmp_path):
     assert "differs in stdout: momlat check A*P" in lines
     assert "differs in stdout: momlat check H^3" in lines
     assert "differs in stdout: momlat --help" in lines
-    assert lines[-1] == "5 of 51 calls differ in stdout, stderr or exit code"
+    assert lines[-1] == "6 of 54 calls differ in stdout, stderr or exit code"
