@@ -7,8 +7,10 @@ PARENT_SRC and CHANGE_SRC are directories that hold a `momlat` package (the
 `src/` of two checkouts).  The script imports each tree's momlat in turn and
 replays, in process, the same calls on both: every job of every workload in
 `bench/workloads.py` (its warm-up probes and each seed's job list), then the
-argv of every golden file, every usage-error case and every case that
-argparse itself ends (help and usage text) in `tests/cli_cases.py`.  It
+argv of every golden file, every usage-error case, every case that argparse
+itself ends (help and usage text) and every north-star-sized call
+(`SCALE_CASES`: verify up to n = 10^5, spectrum n = 2000, the fine
+continuum ladder, check H^12) in `tests/cli_cases.py`.  It
 compares stdout, stderr and exit code call by call, names each call that
 differs, and ends with a verdict line; it exits 1 when any call differs.  It
 only reads `bench/` and `tests/`.
@@ -30,7 +32,7 @@ import workloads  # noqa: E402  (bench/ is not a package)
 
 
 def case_argvs() -> list:
-    """The argv of every golden file, usage-error case and parser case, read from
+    """The argv of every golden file, usage-error, parser and scale case, read from
     tests/cli_cases.py without importing it (it imports momlat): each table's
     expression is evaluated alone, with no builtins."""
     path = ROOT / "tests" / "cli_cases.py"
@@ -44,7 +46,7 @@ def case_argvs() -> list:
         return eval(compile(ast.Expression(tables[name]), str(path), "eval"),
                     {"__builtins__": {}})
     return [*table("GOLDEN_CASES").values(), *(argv for argv, _ in table("USAGE_ERROR_CASES")),
-            *(argv for argv, _, _ in table("PARSER_CASES"))]
+            *(argv for argv, _, _ in table("PARSER_CASES")), *table("SCALE_CASES")]
 
 
 def calls(seeds) -> list:

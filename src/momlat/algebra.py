@@ -37,16 +37,28 @@ Each table text is parsed once, at import: `DEFINITION_TREES` and
 `IDENTITY_TREES` hold the parsed rows next to the text tables, and every
 consumer (`_build_atoms`, `verify_symbolic_suite` and `operators`) folds
 those trees, so no run parses a table text again.
+
+The identity rows form one DAG: their trees are interned at import, so
+equal subtrees of different rows are one node object, and `shared_visits`
+counts, once, how often one fold of the rows visits each shared node.  A
+suite call folds all its rows with one domain and one `FoldMemo` built from
+those counts: a shared node is folded on its first visit, its value is
+returned on later visits and dropped after the last one, so the memo ends
+empty and holds each value only until its last use.  Expressions given by
+a user are folded without a memo.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 MAX_EXPONENT = 16
+# Most digits, leading zeros aside, of an integer literal: the longest that
+# Python's default int conversion limit lets `int()` read or `str()` print.
+MAX_LITERAL_DIGITS = 4300
 # Deepest nesting the parser descends into, and deepest expression tree it
 # returns; both are walked recursively, so deeper input is a usage error.
 MAX_DEPTH = 200
@@ -416,10 +428,12 @@ class _Parser:
             if self.peek()[0] == "^":
                 self.advance()
                 tok = self.expect("INT")
-                exponent = int(tok[1])
-                if exponent > MAX_EXPONENT:
+                digits = tok[1].lstrip("0") or "0"
+                # judged by its length first: int() refuses very long digit strings
+                if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                     raise ExpressionError(
-                        f"exponent {exponent} exceeds the limit {MAX_EXPONENT}", tok[2])
+                        f"exponent {digits} exceeds the limit {MAX_EXPONENT}", tok[2])
+                exponent = int(digits)
                 node, height = Power(node, exponent), height + 1
         self.depth -= 1
         return node, height
@@ -433,6 +447,11 @@ class _Parser:
             return Atom(value), 1
         if kind == "INT":
             self.advance()
+            if len(value) > MAX_LITERAL_DIGITS:
+                value = value.lstrip("0") or "0"
+                if len(value) > MAX_LITERAL_DIGITS:
+                    raise ExpressionError(f"integer literal of {len(value)} digits exceeds the "
+                                          f"limit of {MAX_LITERAL_DIGITS} digits", pos)
             return IntLit(int(value)), 1
         if kind == "(":
             self.advance()
@@ -475,7 +494,7 @@ def normal_form(expr) -> SymbolicOperator:
     return fold(expr, _Exact(ATOMS))
 
 
-def fold(node, domain):
+def fold(node, domain, memo=None):
     """Value of an expression tree in a domain.
 
     A domain maps each atom name to its value and supplies `literal(int)`,
@@ -483,15 +502,20 @@ def fold(node, domain):
     a value also negates with unary minus.  Operands are folded left to
     right, and a power multiplies its base in one at a time, base first:
     squaring was measured slower on H.
+
+    With a `FoldMemo`, a node the memo lists is folded on its first visit
+    only: later visits return that value, and the last one drops it.
     """
+    if memo is not None and id(node) in memo:
+        return memo.visit(node, domain)
     if isinstance(node, Atom):
         return domain[node.name]
     if isinstance(node, IntLit):
         return domain.literal(node.value)
     if isinstance(node, Neg):
-        return -fold(node.operand, domain)
+        return -fold(node.operand, domain, memo)
     if isinstance(node, Power):
-        base = fold(node.base, domain)
+        base = fold(node.base, domain, memo)
         if not node.exponent:
             return domain.literal(1)
         result = base
@@ -500,8 +524,8 @@ def fold(node, domain):
         return result
     if not isinstance(node, (Bracket, BinOp)):
         raise TypeError(f"not an expression node: {node!r}")
-    left = fold(node.left, domain)
-    right = fold(node.right, domain)
+    left = fold(node.left, domain, memo)
+    right = fold(node.right, domain, memo)
     if isinstance(node, Bracket):
         op = "-" if node.kind == "commutator" else "+"
         return domain.plus(op, domain.times(left, right), domain.times(right, left))
@@ -510,6 +534,72 @@ def fold(node, domain):
     if node.op == "/":
         return domain.divide(left, right)
     return domain.plus(node.op, left, right)
+
+
+# The fields of each inner node class that hold subtrees, in fold's order.
+_OPERAND_FIELDS = {Neg: ("operand",), Power: ("base",),
+                   BinOp: ("left", "right"), Bracket: ("left", "right")}
+
+
+def _interned(trees) -> list:
+    """The trees rebuilt so that equal subtrees, in one tree or across
+    several, are one node object."""
+    nodes: dict = {}
+
+    def intern(node):
+        known = nodes.get(node)
+        if known is not None:
+            return known
+        fields = _OPERAND_FIELDS.get(type(node), ())
+        if fields:
+            node = replace(node, **{f: intern(getattr(node, f)) for f in fields})
+        nodes[node] = node
+        return node
+    return [intern(tree) for tree in trees]
+
+
+def shared_visits(trees) -> dict:
+    """{id(node): visits} of each inner node that one fold of all `trees`
+    with a `FoldMemo` visits more than once.  Such a fold folds each
+    distinct node once, so it visits a node once per tree it roots and once
+    per operand field, of each distinct node, that holds it."""
+    visits: dict = {}
+    stack = list(trees)
+    while stack:
+        node = stack.pop()
+        fields = _OPERAND_FIELDS.get(type(node))
+        if fields is None:
+            continue
+        key = id(node)
+        visits[key] = visits.get(key, 0) + 1
+        if visits[key] == 1:
+            stack.extend(getattr(node, f) for f in fields)
+    return {key: n for key, n in visits.items() if n > 1}
+
+
+class FoldMemo(dict):
+    """The shared nodes of one fold of several trees: id(node) -> the visits
+    left, as `shared_visits` counts them, and in `values` the value of each
+    node folded and not yet visited for the last time.  Keys are node
+    identities, so the trees must outlive the memo; a memo serves one fold
+    of its trees and ends empty."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, visits: dict):
+        super().__init__(visits)
+        self.values = {}
+
+    def visit(self, node, domain):
+        key = id(node)
+        left = self.pop(key) - 1
+        values = self.values
+        # with its key popped, the node folds as an unshared one
+        value = values.pop(key) if key in values else fold(node, domain, self)
+        if left:
+            self[key] = left
+            values[key] = value
+        return value
 
 
 class _Exact(dict):
@@ -722,15 +812,25 @@ IDENTITIES = (
     ("QP_brace_expansion", "(i*a/2)*{Q,P} - i*a*P*Q - a^2*X", None),
     ("D_Dbar_commute_lemma", "[D,Dbar]", None),
 )
-# The IDENTITIES rows with each text parsed: (name, tree, margin).
-IDENTITY_TREES = tuple((name, parse(text), margin) for name, text, margin in IDENTITIES)
+# The IDENTITIES rows with each text parsed: (name, tree, margin).  The
+# trees are interned in one table, so equal subtrees of different rows, such
+# as the [X,H] + 2*i*P that both X_H rows begin with, are one node object.
+IDENTITY_TREES = tuple(
+    (name, tree, margin) for (name, _, margin), tree
+    in zip(IDENTITIES, _interned(parse(text) for _, text, _ in IDENTITIES)))
+# The shared nodes of one fold of every row, for the memo of that fold.
+_IDENTITY_VISITS = shared_visits(tree for _, tree, _ in IDENTITY_TREES)
 
 
 def verify_symbolic_suite() -> list:
-    """Normal-form every identity and report whether it is exactly zero."""
+    """Normal-form every identity and report whether it is exactly zero.
+
+    The rows are folded as one DAG: one exact domain and one `FoldMemo`, so
+    a subtree that several rows share is normal-formed once."""
+    domain, memo = _Exact(ATOMS), FoldMemo(_IDENTITY_VISITS)
     results = []
     for name, tree, _ in IDENTITY_TREES:
-        nf = normal_form(tree)
+        nf = fold(tree, domain, memo)
         results.append(SymbolicCheck(name, nf.is_zero, nf.term_count))
     return results
 

@@ -16,12 +16,17 @@ folds its `algebra.DEFINITIONS` row, and `verify_identity_suite` folds the
 trees `algebra` parsed once at import, so building an operator or running
 the suite parses nothing.  The tree walker is `algebra.fold`; this module
 supplies only its lattice domain, in which scalar subtrees stay Python
-numbers standing for c*I, so a*A scales A.
+numbers standing for c*I, so a*A scales A.  The suite folds its rows as
+the one DAG `algebra` interned, with one `algebra.FoldMemo`: a banded
+matrix that several rows share, such as [X,H] + 2*i*P, is built once per
+call and dropped after its last use.
 
 Every operator that this module's own arithmetic makes (sums, products,
 scalings, adjoints, `to_matrix`) takes over the bands it has just allocated
-instead of copying them; the public `OperatorMatrix` constructor copies, so
-a caller's array is never aliased or made read-only.
+instead of copying them, and skips the constructor: `_result` sets the
+fields and runs only `__post_init__`, which checks the shape and sets the
+bands read-only.  The public `OperatorMatrix` constructor copies, so a
+caller's array is never aliased or made read-only.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (ATOMS, DEFINITION_TREES, IDENTITY_TREES, OPERATOR_NAMES, SymbolicOperator,
-                      fold, parse)
+from .algebra import (ATOMS, DEFINITION_TREES, IDENTITY_TREES, OPERATOR_NAMES, FoldMemo,
+                      SymbolicOperator, fold, parse, shared_visits)
 from .formatting import fmt_real
 from .lattice import GridFunction, MomentumLattice, inner_product
 
@@ -45,8 +50,9 @@ CONVERGENCE_CSV_HEADER = "a,r,log_a,log_r"
 # 1.6e6-8e6 points), so the cap keeps one spacing near 1 GB and ~3 s.
 MAX_CONTINUUM_POINTS = 3_000_000
 # Largest lattice `verify_identity_suite` accepts (`verify --n`, `well
-# --levels`).  The suite peaks near 870-950 bytes a point (869 MB of max RSS
-# at 10^6 points, 511 MB at 5e5), so the cap keeps one suite under ~1 GB.
+# --levels`).  The suite peaks near 784 bytes a point under tracemalloc (at
+# 2e4 and 1e5 points) and 810-830 bytes a point of max RSS above the import
+# (at 1e5 and 2e5), so the cap keeps one suite under ~1 GB.
 MAX_SUITE_POINTS = 1_000_000
 # Largest relative spacing error max_j |p_{j+1} - p_j - a| / a of a lattice
 # the identity suite accepts: past 2^-26, half of a's significand is lost to
@@ -60,7 +66,7 @@ def _rows(m: int, n: int) -> slice:
     return slice(min(n, max(0, -m)), max(0, n - max(0, m)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class OperatorMatrix:
     """Truncated operator on a lattice, stored as its diagonals.
 
@@ -70,23 +76,27 @@ class OperatorMatrix:
     storage is the band.  The radius is carried through arithmetic: max under
     +/-, sum under products.  `entries` is the dense matrix, built on demand
     for the tests.  The constructor stores a read-only complex copy of
-    `bands`; only `_result` hands over an array without the copy.
+    `bands`; only `_result` hands over an array without the copy.  Either
+    way `__post_init__` checks the shape and sets the bands read-only.
     """
 
     lattice: MomentumLattice
     bands: np.ndarray
     shift_radius: int
 
+    def __init__(self, lattice: MomentumLattice, bands, shift_radius: int):
+        vars(self).update(lattice=lattice, bands=np.array(bands, dtype=complex),
+                          shift_radius=shift_radius)
+        self.__post_init__()
+
     def __post_init__(self):
         if self.shift_radius < 0:
             raise ValueError("shift_radius must be non-negative")
         bands = self.bands
-        bands = bands.array if type(bands) is _Fresh else np.array(bands, dtype=complex)
         shape = (2 * self.shift_radius + 1, self.lattice.n_points)
         if bands.shape != shape:
             raise ValueError(f"expected bands of shape {shape}, got {bands.shape}")
         bands.setflags(write=False)
-        object.__setattr__(self, "bands", bands)
 
     @classmethod
     def from_dense(cls, lattice: MomentumLattice, dense, shift_radius: int) -> "OperatorMatrix":
@@ -116,7 +126,7 @@ class OperatorMatrix:
         return dense
 
     def _same_lattice(self, other: "OperatorMatrix"):
-        if self.lattice != other.lattice:
+        if self.lattice is not other.lattice and self.lattice != other.lattice:
             raise ValueError("operators live on different lattices")
 
     def _widened(self, radius: int) -> np.ndarray:
@@ -166,20 +176,15 @@ class OperatorMatrix:
         return _result(self.lattice, c * self.bands, self.shift_radius)
 
 
-class _Fresh:
-    """Complex bands that this module has just allocated and nothing else
-    holds, passed to `OperatorMatrix` to be taken over without a copy."""
-
-    __slots__ = ("array",)
-
-    def __init__(self, array: np.ndarray):
-        self.array = array
-
-
 def _result(lattice: MomentumLattice, bands: np.ndarray, radius: int) -> OperatorMatrix:
     """The operator with freshly allocated complex `bands`, which it takes
-    over: the shape is checked and the array set read-only, not copied."""
-    return OperatorMatrix(lattice, _Fresh(bands), radius)
+    over: the constructor is skipped, and `__post_init__` checks the shape
+    and sets the array read-only without copying it."""
+    op = object.__new__(OperatorMatrix)
+    fields = op.__dict__  # written directly: a frozen dataclass refuses setattr
+    fields["lattice"], fields["bands"], fields["shift_radius"] = lattice, bands, radius
+    op.__post_init__()
+    return op
 
 
 @dataclass(frozen=True)
@@ -202,6 +207,8 @@ class ConvergenceTable:
 
 
 _NUMERIC_IDENTITIES = tuple(row for row in IDENTITY_TREES if row[2] is not None)
+# The shared nodes of one fold of those rows, for the memo of that fold.
+_NUMERIC_VISITS = shared_visits(tree for _, tree, _ in _NUMERIC_IDENTITIES)
 
 
 class _LatticeAtoms(dict):
@@ -378,9 +385,9 @@ def verify_identity_suite(lattice: MomentumLattice) -> list:
         raise ValueError(f"spacing a={fmt_real(lattice.a)} of the lattice {desc} is too small "
                          "for the identity suite: a^2 underflows to 0 in double precision")
     with np.errstate(over="ignore", invalid="ignore"):
-        atoms = _LatticeAtoms(lattice)
+        atoms, memo = _LatticeAtoms(lattice), FoldMemo(_NUMERIC_VISITS)
         reports = [
-            ResidualReport(name, interior_residual(atoms.matrix(fold(tree, atoms)), margin),
+            ResidualReport(name, interior_residual(atoms.matrix(fold(tree, atoms, memo)), margin),
                            margin, desc)
             for name, tree, margin in _NUMERIC_IDENTITIES
         ]

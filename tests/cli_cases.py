@@ -1,6 +1,6 @@
 """Shared CLI invocation helpers, the golden-file case table, the table of
-inputs that must end in a usage error and the table of inputs that argparse
-itself ends."""
+inputs that must end in a usage error, the table of inputs that argparse
+itself ends and the table of north-star-sized calls."""
 
 import contextlib
 import io
@@ -83,6 +83,9 @@ USAGE_ERROR_CASES = [
      "precision: their relative spacing error 0.094 exceeds 2^-26"),
     (("check", "P^²"), "unexpected character '²' at offset 2"),
     (("check", "٣"), "unexpected character '٣' at offset 0"),
+    (("check", "1" + "0" * 5000),
+     "integer literal of 5001 digits exceeds the limit of 4300 digits at offset 0"),
+    (("check", "P^" + "9" * 5000), "9 exceeds the limit 16 at offset 2"),
 ]
 
 
@@ -98,6 +101,20 @@ PARSER_CASES = [
     (("eigvec",), 2, "momlat eigvec: error: the following arguments are required: --x"),
     (("spectrum", "--n", "abc"), 2,
      "momlat spectrum: error: argument --n: invalid int value: 'abc'"),
+]
+
+
+# The end-to-end calls of the ROADMAP's north star, at its sizes, for
+# `scripts/byte_diff.py` to replay beyond the benchmark's n <= 640.  The
+# one-shot `eigvec --n 10^6` (~4 s) is left out.  Plain literals, as above.
+SCALE_CASES = [
+    ("verify", "--n", "1024"),
+    ("verify", "--n", "2048"),
+    ("verify", "--n", "100000"),
+    ("well", "--L", "1"),
+    ("continuum", "--spacings", "0.01,0.001,0.0001"),
+    ("spectrum", "--n", "2000"),
+    ("check", "H^12"),
 ]
 
 

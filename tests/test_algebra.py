@@ -139,8 +139,26 @@ class TestParse:
 
     def test_exponent_limit(self):
         parse("A^16")
+        assert parse("A^" + "0" * 5000 + "16") == parse("A^16")
         with pytest.raises(ExpressionError):
             parse("A^17")
+
+    @pytest.mark.parametrize("exponent,shown", [("0017", "17"), ("9" * 5000, "9" * 5000),
+                                                ("0" * 5000 + "17", "17")])
+    def test_exponent_judged_by_its_digits(self, exponent, shown):
+        # longer than int() reads by default, yet rejected with the limit's message
+        with pytest.raises(ExpressionError) as err:
+            parse("A^" + exponent)
+        assert str(err.value) == f"exponent {shown} exceeds the limit 16 at offset 2"
+
+    def test_integer_literal_limit(self):
+        longest = "9" * algebra.MAX_LITERAL_DIGITS
+        assert parse(longest) == IntLit(int(longest))
+        assert parse("0" * 5000 + "7") == IntLit(7)
+        with pytest.raises(ExpressionError) as err:
+            parse("P*" + "0" * 10 + "1" + longest)
+        assert str(err.value) == ("integer literal of 4301 digits exceeds the limit of 4300 "
+                                  "digits at offset 2")
 
     def test_anticommutator_and_unary_minus(self):
         node = parse("-{Q,P}")
@@ -413,6 +431,37 @@ EXPR_ST = st.recursive(
     ),
     max_leaves=5,
 )
+
+
+class TestFoldMemo:
+    @given(st.lists(EXPR_ST, min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_memoized_fold_equals_tree_by_tree(self, exprs):
+        # rows that share subtrees: each expression, each times the next, and
+        # the commutator of the last with the first
+        rows = [*exprs, *(BinOp("*", x, y) for x, y in zip(exprs, exprs[1:])),
+                Bracket("commutator", exprs[-1], exprs[0])]
+        assume(all(tracked_radius(row) <= 8 for row in rows))
+        trees = algebra._interned(rows)
+        assert trees == rows
+        visits = algebra.shared_visits(trees)
+        exact, memo = algebra._Exact(ATOMS), algebra.FoldMemo(visits)
+        assert [algebra.fold(tree, exact, memo) for tree in trees] == \
+            [normal_form(row) for row in rows]
+        assert not memo and not memo.values
+        lat = MomentumLattice(-0.5, 0.25, 12)
+        atoms, memo = operators._LatticeAtoms(lat), algebra.FoldMemo(visits)
+        assert [atoms.matrix(algebra.fold(tree, atoms, memo)).bands.tobytes()
+                for tree in trees] == [expression_matrix(row, lat).bands.tobytes()
+                                       for row in rows]
+        assert not memo and not memo.values
+
+    def test_interned_trees_share_equal_subtrees(self):
+        first, second = algebra._interned([parse("[X,H] + P"), parse("[X,H]*P")])
+        assert first.left is second.left
+        # one fold visits [X,H] once from each parent; the atoms are not memoized
+        assert algebra.shared_visits([first, second]) == {id(first.left): 2}
+        assert algebra.shared_visits([first, first]) == {id(first): 2}
 
 
 class TestConfluenceAndHomomorphism:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 import momlat.algebra
 import momlat.operators
-from momlat.algebra import ATOMS, IDENTITIES, IDENTITY_TREES, OPERATOR_NAMES, verify_symbolic_suite
+from momlat.algebra import (ATOMS, IDENTITIES, IDENTITY_TREES, OPERATOR_NAMES, SymbolicCheck,
+                            SymbolicOperator, verify_symbolic_suite)
 from momlat.lattice import GridFunction, MomentumLattice, square_well_lattice
 from momlat.operators import (
     MAX_CONTINUUM_POINTS,
@@ -400,6 +402,92 @@ class TestParsedOnce:
         assert len(verify_identity_suite(lat)) == 16
         for name in OPERATOR_NAMES:
             build_operator(lat, name)
+
+
+def recording_memos(monkeypatch, module) -> list:
+    """The list that every FoldMemo `module` makes from now on is added to."""
+    made = []
+
+    class Recording(momlat.algebra.FoldMemo):
+        def __init__(self, visits):
+            super().__init__(visits)
+            made.append(self)
+
+    monkeypatch.setattr(module, "FoldMemo", Recording)
+    return made
+
+
+def _shared_fold_lattices():
+    """The golden lattices, the strict-xfail corner, and seeded lattices up
+    to n = 2048."""
+    rng = np.random.default_rng(1414)
+    seeded = [MomentumLattice(float(rng.uniform(-10, 10)), float(rng.uniform(0.001, 2.0)), int(n))
+              for n in rng.integers(8, 2049, size=5)]
+    return [MomentumLattice(0.0, 0.1, 64), square_well_lattice(1.0, 16),
+            square_well_lattice(1e308, 8, 1e308), MomentumLattice(-10.0, 20.0 / 1023, 1024),
+            MomentumLattice(-10.0, 20.0 / 2047, 2048)] + seeded
+
+
+class TestSharedFold:
+    """The suites fold their rows as one DAG; a row folded alone, from its
+    text parsed anew, in a fresh domain and with no memo, is the reference."""
+
+    @pytest.mark.parametrize("lat", _shared_fold_lattices(), ids=lambda lat: lat.descriptor())
+    def test_numeric_suite_equals_row_by_row_fold(self, monkeypatch, lat):
+        memos = recording_memos(monkeypatch, momlat.operators)
+        reports = verify_identity_suite(lat)
+        expected = []
+        for name, text, margin in IDENTITIES:
+            if margin is not None:
+                atoms = momlat.operators._LatticeAtoms(lat)
+                value = atoms.matrix(momlat.algebra.fold(momlat.algebra.parse(text), atoms))
+                expected.append((name, interior_residual(value, margin).hex(), margin))
+        assert [(r.identity_name, r.max_interior_residual.hex(), r.margin_rows)
+                for r in reports[:len(expected)]] == expected
+        [memo] = memos
+        assert not memo and not memo.values
+
+    def test_symbolic_suite_equals_row_by_row_fold(self, monkeypatch):
+        memos = recording_memos(monkeypatch, momlat.algebra)
+        expected = []
+        for name, text, _ in IDENTITIES:
+            nf = momlat.algebra.fold(momlat.algebra.parse(text), momlat.algebra._Exact(ATOMS))
+            expected.append(SymbolicCheck(name, nf.is_zero, nf.term_count))
+        assert verify_symbolic_suite() == expected
+        [memo] = memos
+        assert not memo and not memo.values
+
+    def test_work_of_one_suite_call(self, monkeypatch):
+        # row by row, the numeric suite did 30 banded products and built 93
+        # results, and the symbolic suite did 64 exact products of 170 pairs
+        counts = Counter()
+
+        def count(cls, attr, key, pairs=False):
+            original = getattr(cls, attr)
+
+            def counted(*args):
+                counts[key] += 1
+                if pairs:
+                    counts["exact pairs"] += len(args[0]._terms) * len(args[1]._terms)
+                return original(*args)
+            monkeypatch.setattr(cls, attr, counted)
+
+        count(OperatorMatrix, "__matmul__", "banded products")
+        count(OperatorMatrix, "__post_init__", "results")
+        count(SymbolicOperator, "__mul__", "exact products", pairs=True)
+        verify_identity_suite(MomentumLattice(0.0, 0.1, 96))
+        assert counts == {"banded products": 26, "results": 83}
+        counts.clear()
+        verify_symbolic_suite()
+        assert counts == {"exact products": 43, "exact pairs": 119}
+
+    def test_rows_share_equal_subtrees(self):
+        trees = {name: tree for name, tree, _ in IDENTITY_TREES}
+        braced, expanded = trees["commutator_X_H_braced"], trees["commutator_X_H_expanded"]
+        # "[X,H] + 2*i*P - ..." and "[X,H] + 2*i*P - ... - ...": one prefix node
+        assert braced.left.left == momlat.algebra.parse("[X,H]")
+        assert braced.left.left is expanded.left.left.left
+        assert braced.left is expanded.left.left
 
 
 class TestLeibnizRules:

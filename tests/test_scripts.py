@@ -43,7 +43,7 @@ def test_byte_diff_of_a_tree_against_itself(tmp_path):
 
 def test_byte_diff_names_the_calls_that_differ(tmp_path):
     # with no seed, only the warm-up probes and the argvs of the golden,
-    # usage-error and parser cases are replayed
+    # usage-error, parser and scale cases are replayed
     change = tmp_path / "change"
     shutil.copytree(SCRIPTS.parent / "src" / "momlat", change / "momlat",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -56,4 +56,5 @@ def test_byte_diff_names_the_calls_that_differ(tmp_path):
     assert "differs in stdout: momlat check A*P" in lines
     assert "differs in stdout: momlat check H^3" in lines
     assert "differs in stdout: momlat --help" in lines
-    assert lines[-1] == "6 of 54 calls differ in stdout, stderr or exit code"
+    assert "differs in stdout: momlat check H^12" in lines
+    assert lines[-1] == "7 of 63 calls differ in stdout, stderr or exit code"
