@@ -10,10 +10,11 @@ replays, in process, the same calls on both: every job of every workload in
 argv of every golden file, every usage-error case, every case that argparse
 itself ends (help and usage text) and every north-star-sized call
 (`SCALE_CASES`: verify up to n = 10^5, spectrum n = 2000, the fine
-continuum ladder, check H^12) in `tests/cli_cases.py`.  It
+continuum ladder, check H^12, eigvec n = 10^5) in `tests/cli_cases.py`.  It
 compares stdout, stderr and exit code call by call, names each call that
-differs, and ends with a verdict line; it exits 1 when any call differs.  It
-only reads `bench/` and `tests/`.
+differs (an argv token longer than 60 characters shows as its head, its tail
+and its length), and ends with a verdict line; it exits 1 when any call
+differs.  It only reads `bench/` and `tests/`.
 """
 
 import argparse
@@ -86,6 +87,13 @@ def replay(cli, argv) -> tuple:
             hashlib.sha256(err.getvalue().encode()).hexdigest())
 
 
+def shown(argv) -> str:
+    """The argv as one line, each token of more than 60 characters cut to its
+    first and last 20 and its length."""
+    return " ".join(token if len(token) <= 60 else
+                    f"{token[:20]}...{token[-20:]}[{len(token)} chars]" for token in argv)
+
+
 def seed_range(text: str) -> range:
     lo, _, hi = text.partition("-")
     return range(int(lo), int(hi or lo) + 1)
@@ -111,7 +119,7 @@ def main():
             differ += 1
             parts = [part for part, x, y in zip(("exit code", "stdout", "stderr"), before, after)
                      if x != y]
-            print(f"differs in {', '.join(parts)}: momlat {' '.join(argv)}")
+            print(f"differs in {', '.join(parts)}: momlat {shown(argv)}")
     print(f"{differ} of {len(argvs)} calls differ in stdout, stderr or exit code")
     sys.exit(1 if differ else 0)
 

@@ -66,6 +66,10 @@ MAX_DEPTH = 200
 # (|left| * |right| summed over its products, powers included).  H^16*H^8
 # takes 1,412,780 and 1.1-1.7 s; H^16*H^16 would take 9,788,756 (~9 s).
 MAX_PRODUCT_WORK = 2_000_000
+# Most digits of a printed normal-form coefficient (numerator or
+# denominator).  Turning an int into decimal text takes time quadratic in its
+# length, ~0.2 s at this size, and powers of long literals grow past it.
+MAX_PRINTED_DIGITS = 100_000
 
 
 class ExpressionError(ValueError):
@@ -681,20 +685,43 @@ ATOMS = _build_atoms()
 # rendering
 # ---------------------------------------------------------------------------
 
+def _decimal(n: int) -> str:
+    """str(n), also past Python's 4300-digit limit on int-to-text conversion:
+    a longer n is split at a power of ten and printed in pieces."""
+    bits = abs(n).bit_length()
+    if bits <= 14000:  # at most 4215 digits
+        return str(n)
+    if bits > 3 * MAX_PRINTED_DIGITS and abs(n) >= 10 ** MAX_PRINTED_DIGITS:
+        raise ExpressionError(f"the normal form has a coefficient of more than "
+                              f"{MAX_PRINTED_DIGITS} digits, past the printing limit")
+    if n < 0:
+        return "-" + _decimal(-n)
+    half = bits * 3 // 20  # about half of n's digits
+    high, low = divmod(n, 10 ** half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
+def _rational(x: Fraction) -> str:
+    """str(x), through `_decimal`."""
+    if x.denominator == 1:
+        return _decimal(x.numerator)
+    return _decimal(x.numerator) + "/" + _decimal(x.denominator)
+
+
 def _format_gaussian(re: int, im: int, den: int) -> str:
     """The scalar (re + i*im)/den as the grammar reads it."""
     re, im = Fraction(re, den), Fraction(im, den)
     if im == 0:
-        return str(re)
+        return _rational(re)
     if re == 0:
         if im == 1:
             return "i"
         if im == -1:
             return "-i"
-        return f"{im}*i"
-    i_str = "i" if abs(im) == 1 else f"{abs(im)}*i"
+        return f"{_rational(im)}*i"
+    i_str = "i" if abs(im) == 1 else f"{_rational(abs(im))}*i"
     sign = "+" if im > 0 else "-"
-    return f"({re}{sign}{i_str})"
+    return f"({_rational(re)}{sign}{i_str})"
 
 
 def _format_laurent(terms: dict, den: int, wrap_products: bool) -> str:

@@ -121,11 +121,11 @@ def grid_to_csv(f: GridFunction) -> str:
     """CSV interchange form: header `j,p,re,im`, one row per grid point.
 
     Numbers print as `fmt_real` prints them, 15 significant digits with -0.0
-    as 0.  The rows come from `format_rows`, one `%` call per ROW_BLOCK
-    points, so the Python floats of the three columns never all exist at
-    once.  A lattice whose spacing is lost in rounding, so that two
-    consecutive momenta are equal, is rejected: `grid_from_csv` could not
-    read its p column back.
+    as 0.  The rows come from `format_rows`, ROW_BLOCK points a block, so
+    only one block's Python floats or kernel buffers exist at a time.  A
+    lattice whose spacing is lost in rounding, so that two consecutive
+    momenta are equal, is rejected: `grid_from_csv` could not read its p
+    column back.
     """
     momenta = f.lattice.momenta()
     if np.any(momenta[1:] == momenta[:-1]):

@@ -86,6 +86,8 @@ USAGE_ERROR_CASES = [
     (("check", "1" + "0" * 5000),
      "integer literal of 5001 digits exceeds the limit of 4300 digits at offset 0"),
     (("check", "P^" + "9" * 5000), "9 exceeds the limit 16 at offset 2"),
+    (("check", "((" + "9" * 4300 + ")^16)^2"),
+     "the normal form has a coefficient of more than 100000 digits, past the printing limit"),
 ]
 
 
@@ -106,7 +108,9 @@ PARSER_CASES = [
 
 # The end-to-end calls of the ROADMAP's north star, at its sizes, for
 # `scripts/byte_diff.py` to replay beyond the benchmark's n <= 640.  The
-# one-shot `eigvec --n 10^6` (~4 s) is left out.  Plain literals, as above.
+# one-shot `eigvec --n 10^6` (~4 s) is left out; the two `eigvec --n 10^5`
+# calls print 25 full blocks of `formatting.format_rows`.  Plain literals, as
+# above.
 SCALE_CASES = [
     ("verify", "--n", "1024"),
     ("verify", "--n", "2048"),
@@ -115,6 +119,8 @@ SCALE_CASES = [
     ("continuum", "--spacings", "0.01,0.001,0.0001"),
     ("spectrum", "--n", "2000"),
     ("check", "H^12"),
+    ("eigvec", "--x", "0.5", "--a", "0.001", "--n", "100000"),
+    ("eigvec", "--x", "0.5", "--a", "0.001", "--n", "100000", "--format", "json"),
 ]
 
 

@@ -135,6 +135,17 @@ class TestExitCodes:
         assert code == 1
         assert out.splitlines()[-1] == "NONZERO"
 
+    def test_check_prints_coefficients_longer_than_int_to_text_allows(self):
+        # (10^3000 - 1)^2 has 6000 digits; str() prints at most 4300
+        nines = "9" * 3000
+        square = "9" * 2999 + "8" + "0" * 2999 + "1"
+        code, out, err = run_cli("check", f"({nines})^2")
+        assert (code, out, err) == (1, square + "\nNONZERO\n", "")
+        code, out, err = run_cli("check", f"({nines})^2*P/(2*i)")
+        assert (code, out, err) == (1, f"-{square}/2*i*P\nNONZERO\n", "")
+        code, out, err = run_cli("check", f"P/({nines})^2")
+        assert (code, out, err) == (1, f"1/{square}*P\nNONZERO\n", "")
+
     def test_spectrum_size_cap(self):
         n = eigen.MAX_SPECTRUM_POINTS + 1
         start = time.perf_counter()

@@ -1,12 +1,16 @@
+import decimal
 import json
 import math
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from momlat.formatting import ROW_BLOCK, dumps, fmt_real, format_rows
+from momlat import format_kernel, formatting
+from momlat.formatting import KERNEL_MIN_ROWS, ROW_BLOCK, dumps, fmt_real, format_rows
 from test_lattice import SPECIAL_FLOATS
 
 
@@ -138,3 +142,124 @@ class TestFormatRows:
             "0,0,-4.94065645841247e-324,inf,"
         assert "".join(format_rows("[%.15g, %.15g]", ([-0.0], np.array([math.nan])))) == \
             "[0, nan]"
+
+
+def from_bits(bits):
+    """The float64 of a 64-bit pattern, a NaN made quiet: adding 0.0 to a
+    signalling NaN raises numpy's invalid-operation warning, which the test
+    configuration makes an error, and momlat's arithmetic makes none."""
+    x = struct.unpack("<d", struct.pack("<Q", bits))[0]
+    return math.nan if x != x else x
+
+
+def exact_ties(rng, count):
+    """Doubles whose exact decimal value has 16 significant digits, the last
+    a 5: 15-digit rounding meets an exact tie, which `%` rounds to even."""
+    out = []
+    for places in range(5):  # digits after the point
+        # 16 - places digits before it; every sum below is exact, under 2^53
+        whole = rng.integers(10 ** (15 - places), min(10 ** (16 - places), 2 ** 53), count)
+        if places == 0:
+            values = whole // 10 * 10 + 5
+        else:
+            values = whole + (2 * rng.integers(0, 2 ** (places - 1), count) + 1) / 2 ** places
+        out += values.astype(float).tolist()
+    return out
+
+
+def fixed_cases():
+    rng = np.random.default_rng(15)
+    tens = 10.0 ** np.arange(-307, 309)
+    switch = np.array([1e-5, 1e-4, 1e15, 1e16, 9.999999999999995e14, 9.9999999999999995e-5,
+                       9.999999999999999e15, 1e-280, 1e280, 1.0000000000000001e-280])
+    around = [np.nextafter(switch, np.inf), np.nextafter(switch, -np.inf), switch]
+    for _ in range(3):
+        around.append(np.nextafter(around[-3], np.inf))
+        around.append(np.nextafter(around[-3], -np.inf))
+    values = [*tens, *np.nextafter(tens, np.inf), *np.nextafter(tens, -np.inf),
+              *np.concatenate(around), *exact_ties(rng, 200),
+              0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+              -1e-310, math.inf, -math.inf, math.nan, 1.7976931348623157e308]
+    values += [-v for v in values]
+    return np.array(values)
+
+
+def expected_rows(a, b, start):
+    return "".join(f"{start + j},{fmt_real(x)},{fmt_real(y)}\n" for j, (x, y) in
+                   enumerate(zip(a.tolist(), b.tolist())))
+
+
+def assert_rows_match(values, monkeypatch):
+    """format_rows against fmt_real per value, on one block the kernel prints
+    and one it leaves to `%`."""
+    printed = []
+    kernel = format_kernel.print_block
+    monkeypatch.setattr(format_kernel, "print_block",
+                        lambda *args: printed.append(len(args[1][0])) or kernel(*args))
+    for rows in (KERNEL_MIN_ROWS, KERNEL_MIN_ROWS - 1):
+        a = np.resize(values, rows)
+        b = np.roll(a, 1)
+        text = "".join(format_rows("%d,%.15g,%.15g\n", (a, b), start=3))
+        assert text == expected_rows(a, b, 3)
+        assert "".join(format_rows("%.15g;", (b,))) == "".join(fmt_real(y) + ";" for y in b)
+    assert printed == [KERNEL_MIN_ROWS] * 2
+
+
+class TestKernel:
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+    def test_raw_bit_patterns(self, patterns):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert_rows_match([from_bits(bits) for bits in patterns], monkeypatch)
+
+    def test_fixed_cases(self, monkeypatch):
+        values = fixed_cases()
+        for lo in range(0, len(values), KERNEL_MIN_ROWS - 1):
+            assert_rows_match(values[lo:lo + KERNEL_MIN_ROWS - 1], monkeypatch)
+
+    def test_exact_ties_reach_the_fallback(self):
+        # the tie guard, not luck, decides them: where the 15th digit is odd,
+        # `%` rounds up to even, and the kernel's own rounding (up only above
+        # one half) would print one unit too low
+        ties = np.array(exact_ties(np.random.default_rng(16), 400))
+        digits = [decimal.Decimal(x).as_tuple().digits for x in ties.tolist()]
+        assert all(len(d) == 16 and d[-1] == 5 for d in digits)
+        assert sum(d[-2] % 2 for d in digits) > 500
+        assert "".join(format_rows("%.15g\n", (ties,))) == "".join(
+            fmt_real(x) + "\n" for x in ties)
+
+    def test_powers_of_ten_table(self):
+        # hi + lo is 10^(14 - E) to a relative 2^-106, the bound the rounding
+        # argument in `_print_g15` takes
+        t = format_kernel._tables()
+        for j, (hi, lo) in enumerate(zip(t["hi"].tolist(), t["lo"].tolist())):
+            exact = Fraction(10) ** (14 - (format_kernel._E_MIN + j))
+            assert abs(exact - Fraction(hi) - Fraction(lo)) <= exact / 2 ** 106
+            assert t["hi1"][j] + t["hi2"][j] == hi
+
+    @pytest.mark.parametrize("template,start", [
+        ("%.15g|%%|\u00e9%.15g\n", None), ("%d: %.15g, %.15g [0x%%]\n", 7),
+        ("<%.15g><%.15g>", None), ("%d%.15g%.15g", 0), ("%s,%.15g;%.15g\n", 0),
+        ("\0%.15g%.15g", None),
+    ])
+    def test_literal_text_and_other_conversions(self, template, start):
+        rng = np.random.default_rng(17)
+        a, b = rng.standard_normal((2, 2 * KERNEL_MIN_ROWS + 5)) * 1e3
+        rows = [((start + j,) if start is not None else ()) + (x + 0.0, y + 0.0)
+                for j, (x, y) in enumerate(zip(a.tolist(), b.tolist()))]
+        expected = "".join(template % row for row in rows)
+        assert "".join(format_rows(template, (a, b), start)) == expected
+        assert "".join(format_rows(template, (list(a), tuple(b)), start)) == expected
+
+    @pytest.mark.parametrize("start", [-1, format_kernel.INDEX_LIMIT - 2 * KERNEL_MIN_ROWS])
+    def test_index_outside_the_kernel_range(self, start):
+        a = np.linspace(-1, 1, 3 * KERNEL_MIN_ROWS)
+        expected = "".join(f"{start + j},{fmt_real(x)}\n" for j, x in enumerate(a))
+        assert "".join(format_rows("%d,%.15g\n", (a,), start)) == expected
+
+    @pytest.mark.parametrize("n", [69, 70, 71, 12, 3 * KERNEL_MIN_ROWS])
+    @pytest.mark.parametrize("indent", [0, 2, 7])
+    def test_long_arrays_in_dumps(self, n, indent):
+        values = np.linspace(-2.5, 2.5, n) ** 3
+        assert dumps(values, indent) == per_element_dumps(values.tolist(), indent)
+        cvalues = values + 1j * values[::-1]
+        assert dumps(cvalues, indent) == per_element_dumps(cvalues.tolist(), indent)

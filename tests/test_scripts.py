@@ -50,6 +50,8 @@ def test_byte_diff_names_the_calls_that_differ(tmp_path):
     cli = change / "momlat" / "cli.py"
     text = cli.read_text().replace('else "NONZERO"', 'else "NONZERO "')
     cli.write_text(text.replace("identity suites\"", "identity suite\""))
+    algebra = change / "momlat" / "algebra.py"
+    algebra.write_text(algebra.read_text().replace("integer literal of", "integer literal with"))
     proc = run_byte_diff(SCRIPTS.parent / "src", change, "1-0", tmp_path)
     assert proc.returncode == 1, proc.stderr
     lines = proc.stdout.splitlines()
@@ -57,4 +59,8 @@ def test_byte_diff_names_the_calls_that_differ(tmp_path):
     assert "differs in stdout: momlat check H^3" in lines
     assert "differs in stdout: momlat --help" in lines
     assert "differs in stdout: momlat check H^12" in lines
-    assert lines[-1] == "7 of 63 calls differ in stdout, stderr or exit code"
+    # the 5001-digit literal shows as its head, its tail and its length
+    assert "differs in stderr: momlat check 10000000000000000000...00000000000000000000" \
+        "[5001 chars]" in lines
+    assert max(map(len, lines)) < 100
+    assert lines[-1] == "8 of 66 calls differ in stdout, stderr or exit code"
