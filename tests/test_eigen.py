@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bits import same_bits
 from cli_cases import run_cli
 from momlat import eigen
 from momlat.eigen import (
@@ -105,12 +106,6 @@ def numpy_indexed_recurrence(lattice, x, phi0):
         values[j + 1] = prev + t * values[j]
         prev = values[j]
     return values
-
-
-def same_bits(u, v):
-    """Bitwise equality of two complex arrays, signed zeros included."""
-    u, v = np.ascontiguousarray(u), np.ascontiguousarray(v)
-    return u.shape == v.shape and np.array_equal(u.view(np.uint64), v.view(np.uint64))
 
 
 class TestRecurrenceMatchesNumpyLoop:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from momlat import format_kernel, formatting
 from momlat.formatting import KERNEL_MIN_ROWS, ROW_BLOCK, dumps, fmt_real, format_rows
+from momlat.lattice import GridFunction, MomentumLattice, grid_to_csv
 from test_lattice import SPECIAL_FLOATS
 
 
@@ -145,11 +146,43 @@ class TestFormatRows:
 
 
 def from_bits(bits):
-    """The float64 of a 64-bit pattern, a NaN made quiet: adding 0.0 to a
-    signalling NaN raises numpy's invalid-operation warning, which the test
-    configuration makes an error, and momlat's arithmetic makes none."""
-    x = struct.unpack("<d", struct.pack("<Q", bits))[0]
-    return math.nan if x != x else x
+    """The float64 of a 64-bit pattern, signalling NaNs included: format_rows
+    quiets them without numpy's invalid-operation warning, which the test
+    configuration makes an error."""
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# A signalling NaN of each sign: quiet bit clear, some other fraction bit set.
+SIGNALLING_NANS = (0x7ff0000000000001, 0xfff4000000000000)
+
+
+class TestSignallingNaN:
+    """A signalling NaN prints `nan`, and warns of nothing, in a block printed
+    by `%` and in one printed by the kernel."""
+
+    @pytest.mark.parametrize("bits", SIGNALLING_NANS, ids=hex)
+    @pytest.mark.parametrize("rows", [KERNEL_MIN_ROWS - 1, KERNEL_MIN_ROWS + 1])
+    def test_format_rows_grid_csv_and_dumps(self, bits, rows):
+        x = from_bits(bits)
+        values = np.full(rows, 0.25)
+        values[1] = x
+        grid = np.zeros(rows, dtype=complex)
+        grid.real[2] = x
+        grid.imag[3] = x
+        f = GridFunction(MomentumLattice(0.0, 1.0, rows), grid)
+        # the patterns reach the printers unquieted
+        assert values.view(np.uint64)[1] == bits
+        assert f.values.view(np.uint64)[4] == f.values.view(np.uint64)[7] == bits
+
+        reals = [math.nan if j == 1 else 0.25 for j in range(rows)]
+        assert "".join(format_rows("%d,%.15g\n", (values,), start=0)) == \
+            "".join(f"{j},{fmt_real(v)}\n" for j, v in enumerate(reals))
+        assert grid_to_csv(f) == "j,p,re,im\n" + "".join(
+            f"{j},{j},{'nan' if j == 2 else 0},{'nan' if j == 3 else 0}\n" for j in range(rows))
+        assert dumps(values) == per_element_dumps(reals)
+        assert dumps(f.values) == per_element_dumps(
+            [complex(math.nan if j == 2 else 0.0, math.nan if j == 3 else 0.0)
+             for j in range(rows)])
 
 
 def exact_ties(rng, count):

@@ -8,13 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bits import same_bits
+
 import momlat.algebra
 import momlat.operators
 from momlat.algebra import (ATOMS, IDENTITIES, IDENTITY_TREES, OPERATOR_NAMES, SymbolicCheck,
                             SymbolicOperator, verify_symbolic_suite)
-from momlat.lattice import GridFunction, MomentumLattice, square_well_lattice
+from momlat.lattice import GridFunction, MomentumLattice, inner_product, square_well_lattice
 from momlat.operators import (
+    ADJOINT_SEED,
     MAX_CONTINUUM_POINTS,
+    MAX_SUITE_POINTS,
     OperatorMatrix,
     adjoint,
     apply,
@@ -481,6 +485,16 @@ class TestSharedFold:
         verify_symbolic_suite()
         assert counts == {"exact products": 43, "exact pairs": 119}
 
+    def test_shifts_of_one_suite_call(self, monkeypatch):
+        # moving each product's right operand anew took 12 `_shifted` calls;
+        # an operand's moved terms are kept from its second product on
+        calls = []
+        shifted = momlat.algebra._shifted
+        monkeypatch.setattr(momlat.algebra, "_shifted",
+                            lambda terms, s: calls.append(s) or shifted(terms, s))
+        verify_symbolic_suite()
+        assert len(calls) == 7
+
     def test_rows_share_equal_subtrees(self):
         trees = {name: tree for name, tree, _ in IDENTITY_TREES}
         braced, expanded = trees["commutator_X_H_braced"], trees["commutator_X_H_expanded"]
@@ -615,6 +629,168 @@ class TestBandedStorage:
                 float(np.max(np.abs(L.entries[margin:n - margin, :])))
 
 
+def band_rows(m, n):
+    """Rows i whose column i+m is on an n-point lattice (test-local copy)."""
+    return slice(min(n, max(0, -m)), max(0, n - max(0, m)))
+
+
+def accumulated_product(L, R):
+    """Reference: the banded product's bands as `out[...] += left * right`
+    accumulated them, diagonal by diagonal in ascending m1."""
+    n, r1, r2 = L.lattice.n_points, L.shift_radius, R.shift_radius
+    r = r1 + r2
+    out = np.zeros((2 * r + 1, n), dtype=complex)
+    for m1 in range(-r1, r1 + 1):
+        rows = band_rows(m1, n)
+        left = L.bands[r1 + m1, None, rows]
+        right = R.bands[:, rows.start + m1:rows.stop + m1]
+        out[r + m1 - r2:r + m1 + r2 + 1, rows] += left * right
+    return out
+
+
+def one_row_apply(M, values):
+    """Reference: an operator applied to one row of grid values with
+    `out[rows] += band * values`, diagonal by diagonal."""
+    n, r = M.lattice.n_points, M.shift_radius
+    out = np.zeros(n, dtype=complex)
+    for m in range(-r, r + 1):
+        rows = band_rows(m, n)
+        out[rows] += M.bands[r + m, rows] * values[rows.start + m:rows.stop + m]
+    return out
+
+
+# Reals a band or grid entry draws from besides scaled normals.
+SPECIAL_REALS = (0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0)
+FINITE_SPECIAL_REALS = (0.0, -0.0, 1.0, -1.0)
+
+
+def special_values(rng, shape, specials=SPECIAL_REALS):
+    """Complex values whose parts are, each with probability 1/3, one of the
+    special reals, and otherwise a normal scaled by up to 10^+-8."""
+    def part():
+        normal = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        return np.where(rng.random(shape) < 1 / 3, rng.choice(specials, shape), normal)
+    values = np.empty(shape, dtype=complex)  # parts set, not added: 1j * inf is nan
+    values.real, values.imag = part(), part()
+    return values
+
+
+def quiet_nan_signs(values):
+    """The complex values with every NaN part made the positive quiet NaN."""
+    parts = np.array(values, dtype=complex).view(float)
+    parts[np.isnan(parts)] = math.nan
+    return parts.view(complex)
+
+
+def special_banded(lattice, radius, rng, specials=SPECIAL_REALS):
+    """An operator of the given radius with special values on every entry
+    that the lattice holds, and zeros off it."""
+    n = lattice.n_points
+    bands = special_values(rng, (2 * radius + 1, n), specials)
+    for m in range(-radius, radius + 1):
+        rows = band_rows(m, n)
+        bands[radius + m, :rows.start] = 0
+        bands[radius + m, rows.stop:] = 0
+    return OperatorMatrix(lattice, bands, radius)
+
+
+class TestInPlaceAccumulation:
+    """The banded product and `apply` add each diagonal into their output in
+    place; the bits are those of the `+=` loops they replaced, on bands that
+    hold inf, nan and signed zeros, and on lattices of n <= 2r, where some
+    diagonals have no rows."""
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 40), st.integers(0, 4), st.integers(0, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_product_bitwise_equal_to_accumulated_loop(self, seed, n, r1, r2):
+        rng = np.random.default_rng(seed)
+        lat = MomentumLattice(-1.0, 0.3, n)
+        L, R = special_banded(lat, r1, rng), special_banded(lat, r2, rng)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = (L @ R).bands
+            expected = accumulated_product(L, R)
+        assert same_bits(got, expected)
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 40), st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_apply_bitwise_equal_to_one_row_loop(self, seed, n, r):
+        rng = np.random.default_rng(seed)
+        lat = MomentumLattice(-1.0, 0.3, n)
+        M = special_banded(lat, r, rng)
+        values = special_values(rng, n)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = apply(M, GridFunction(lat, values)).values
+            expected = one_row_apply(M, values)
+        assert same_bits(got, expected)
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 40), st.integers(0, 4),
+           st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_stacked_apply_equals_one_row_applies(self, seed, n, r, k):
+        rng = np.random.default_rng(seed)
+        lat = MomentumLattice(-1.0, 0.3, n)
+        M = special_banded(lat, r, rng, FINITE_SPECIAL_REALS)
+        finite = special_values(rng, (k, n), FINITE_SPECIAL_REALS)
+        got = momlat.operators._apply_rows(M, finite)
+        assert got.shape == (k, n)
+        for row, values in zip(got, finite):
+            assert same_bits(row, apply(M, GridFunction(lat, values)).values)
+        M = special_banded(lat, r, rng)
+        # with inf and nan: the same values, but a stack of several rows
+        # takes numpy's strided add loop, which may pass on the other of
+        # two NaN operands, so only the NaN's sign may differ
+        stack = special_values(rng, (k, n))
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = momlat.operators._apply_rows(M, stack)
+            applied = [apply(M, GridFunction(lat, values)).values for values in stack]
+        for row, single in zip(got, applied):
+            assert same_bits(quiet_nan_signs(row), quiet_nan_signs(single))
+
+
+def four_pair_adjoint_residual(lattice):
+    """Reference: the suite's <f|A g> = <Abar f|g> check as it was, four
+    pairs drawn and checked one at a time."""
+    n = lattice.n_points
+    A, Abar = build_operator(lattice, "A"), build_operator(lattice, "Abar")
+    rng = np.random.default_rng(ADJOINT_SEED)
+    worst = 0.0
+    for _ in range(4):
+        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        f[0] = f[-1] = 0.0
+        g[0] = g[-1] = 0.0
+        gf, gg = GridFunction(lattice, f), GridFunction(lattice, g)
+        lhs = inner_product(gf, GridFunction(lattice, one_row_apply(A, g)))
+        rhs = inner_product(GridFunction(lattice, one_row_apply(Abar, f)), gg)
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def adjoint_report(lattice):
+    [report] = [r for r in verify_identity_suite(lattice)
+                if r.identity_name == "A_adjoint_inner_product"]
+    return report.max_interior_residual
+
+
+class TestBatchedAdjointCheck:
+    @given(st.integers(8, 300), st.floats(-1e3, 1e3), st.floats(-3.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_to_four_pair_loop(self, n, p0, log_a):
+        lat = MomentumLattice(p0, 10.0 ** log_a, n)
+        assert adjoint_report(lat).hex() == four_pair_adjoint_residual(lat).hex()
+
+    def test_bitwise_equal_at_1e5_points(self):
+        lat = MomentumLattice(-10.0, 20.0 / 99_999, 100_000)
+        assert adjoint_report(lat).hex() == four_pair_adjoint_residual(lat).hex()
+
+    @pytest.mark.parametrize("n", [8, 9, 1000])
+    def test_one_draw_is_the_stream_of_sixteen(self, n):
+        rng = np.random.default_rng(ADJOINT_SEED)
+        sixteen = [rng.standard_normal(n) for _ in range(16)]
+        draws = np.random.default_rng(ADJOINT_SEED).standard_normal((4, 4, n))
+        assert same_bits(draws.reshape(16, n), np.array(sixteen))
+
+
 class TestSuiteAtScale:
     def test_n20000_suite_in_banded_memory(self):
         # one dense 20000 x 20000 complex matrix alone would take 6.4 GB
@@ -629,6 +805,21 @@ class TestSuiteAtScale:
         assert peak < 64 * 2 ** 20
         names = {r.identity_name for r in reports}
         assert {"commutator_X_H_braced", "A_adjoint_inner_product"} <= names
+
+    def test_suite_peak_within_its_per_point_model(self):
+        # MAX_SUITE_POINTS is sized from a peak of ~784 bytes a point; the
+        # batched adjoint check must not raise it
+        n = 20_000
+        lat = MomentumLattice(-10.0, 20.0 / (n - 1), n)
+        verify_identity_suite(MomentumLattice(0.0, 0.1, 64))  # caches warmed
+        tracemalloc.start()
+        try:
+            verify_identity_suite(lat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 800 * n
+        assert 800 * MAX_SUITE_POINTS < 2 ** 30
 
     @pytest.mark.parametrize("lat", [MomentumLattice(0.0, 1e200, 16),
                                      MomentumLattice(1e300, 0.1, 16),
