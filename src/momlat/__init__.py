@@ -10,8 +10,6 @@ normalization), and continuum-limit convergence studies.
 from .algebra import (
     ATOMS,
     ExpressionError,
-    GaussianRational,
-    LaurentPoly,
     SymbolicOperator,
     format_normal_form,
     normal_form,
@@ -19,7 +17,6 @@ from .algebra import (
     verify_symbolic_suite,
 )
 from .eigen import (
-    AlphaValue,
     EigenResult,
     alpha,
     eigenvector_closed_form,
@@ -58,13 +55,10 @@ from .operators import (
 
 __all__ = [
     "ATOMS",
-    "AlphaValue",
     "ConvergenceTable",
     "EigenResult",
     "ExpressionError",
-    "GaussianRational",
     "GridFunction",
-    "LaurentPoly",
     "MomentumLattice",
     "OperatorMatrix",
     "ResidualReport",

@@ -15,12 +15,12 @@ A `SymbolicOperator` stores its normal form flat, as one map
 (k, m, e) -> (re, im) of Python ints over a single shared denominator: the
 term ((re + i*im)/den) a^e P^k A^m.  Products and sums are integer
 arithmetic followed by one gcd reduction, so the stored form is canonical.
-This map is the only coefficient arithmetic: `format_normal_form` renders
+This map is the only form a coefficient takes: `format_normal_form` renders
 from it, and `SymbolicOperator.evaluate`, which `operators.to_matrix` reads,
-turns it into floating point at a concrete spacing.  `GaussianRational` and
-`LaurentPoly` are plain read-only value types, with no arithmetic, that
-`items()` and `coefficient()` build on demand.  One `normal_form` call
-multiplies at most `MAX_PRODUCT_WORK` pairs of flat terms.
+turns it into floating point at a concrete spacing.  Operators are built
+only by this module, from the grammar (`parse`, `normal_form`), which checks
+its input.  One `normal_form` call multiplies at most `MAX_PRODUCT_WORK`
+pairs of flat terms.
 
 The module also owns the expression grammar, its one tree walker and the
 two tables the other layers read.  `fold(node, domain)` visits each node of
@@ -83,57 +83,6 @@ class ExpressionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# exact scalars: the read-only value types a coefficient is read as
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-
-def _as_gaussian(v) -> GaussianRational:
-    if isinstance(v, GaussianRational):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return GaussianRational(Fraction(v))
-    raise TypeError(f"cannot coerce {type(v).__name__} to GaussianRational")
-
-
-class LaurentPoly:
-    """Laurent polynomial in the spacing symbol a over the Gaussian rationals."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: dict | None = None):
-        clean = {}
-        for exp, coeff in (terms or {}).items():
-            coeff = _as_gaussian(coeff)
-            if not coeff.is_zero:
-                clean[int(exp)] = coeff
-        self._terms = clean
-
-    def items(self):
-        return sorted(self._terms.items(), reverse=True)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self._terms == other._terms
-
-    def __hash__(self):
-        return hash(tuple(self.items()))
-
-
-# ---------------------------------------------------------------------------
 # normal-ordered operators
 # ---------------------------------------------------------------------------
 
@@ -146,39 +95,11 @@ class SymbolicOperator:
     shares the one positive denominator `_den`.  The storage is reduced: no
     entry is (0, 0) and gcd(_den, every numerator) == 1, so the zero operator
     is the empty map over 1, and equality of operators is equality of
-    (map, denominator).  `items()` and `coefficient()` build the
-    `LaurentPoly` view of a (k, m) coefficient on demand.
+    (map, denominator).  This map is the operator's only coefficient form,
+    and `_operator` the only constructor.
     """
 
     __slots__ = ("_terms", "_den")
-
-    def __init__(self, terms: dict | None = None):
-        """Operator from {(k, m): LaurentPoly or scalar}, the form `items()` lists."""
-        flat = {}
-        for (k, m), poly in (terms or {}).items():
-            if not isinstance(poly, LaurentPoly):
-                poly = LaurentPoly({0: poly})
-            if k < 0:
-                raise ValueError("P exponent must be non-negative")
-            for e, c in poly._terms.items():
-                flat[(int(k), int(m), e)] = c
-        den = math.lcm(1, *(x.denominator for c in flat.values() for x in (c.re, c.im)))
-        self._terms, self._den = _reduced(
-            {key: (int(c.re * den), int(c.im * den)) for key, c in flat.items()}, den)
-
-    def items(self):
-        """[((k, m), LaurentPoly)] sorted by (k, m)."""
-        polys: dict = {}
-        for (k, m, e), c in self._terms.items():
-            polys.setdefault((k, m), {})[e] = self._gaussian(c)
-        return sorted((key, LaurentPoly(p)) for key, p in polys.items())
-
-    def coefficient(self, k: int, m: int) -> LaurentPoly:
-        return LaurentPoly({e: self._gaussian(c) for (k2, m2, e), c in self._terms.items()
-                            if (k2, m2) == (k, m)})
-
-    def _gaussian(self, c) -> GaussianRational:
-        return GaussianRational(Fraction(c[0], self._den), Fraction(c[1], self._den))
 
     def evaluate(self, a: float) -> dict:
         """{(k, m): c_{k,m}(a)} as Python complex numbers at the spacing a, each

@@ -51,15 +51,6 @@ _SMLNUM = float(np.finfo(float).tiny / np.finfo(float).eps)
 _RMIN, _RMAX = math.sqrt(_SMLNUM), math.sqrt(1.0 / _SMLNUM)
 
 
-@dataclass(frozen=True)
-class AlphaValue:
-    """The unimodular recurrence root for position eigenvalue x at spacing a."""
-
-    x: float
-    a: float
-    alpha: complex
-
-
 @dataclass(frozen=True, eq=False)
 class EigenResult:
     """A position-eigenvector candidate phi on a lattice."""
@@ -71,14 +62,15 @@ class EigenResult:
     method: str
 
 
-def alpha(x: float, a: float) -> AlphaValue:
-    """alpha = iax - sqrt(1 - a^2 x^2); unimodular for |ax| <= 1."""
+def alpha(x: float, a: float) -> complex:
+    """The unimodular recurrence root alpha = iax - sqrt(1 - a^2 x^2) for the
+    position eigenvalue x at spacing a; |ax| <= 1 is required."""
     s = a * x
     if math.isnan(s):
         raise ValueError(f"a*x is not a number: a={a}, x={x}")
     if abs(s) > 1:
         raise ValueError(f"eigenvalue outside lattice band: |a*x| = {abs(s)} > 1")
-    return AlphaValue(x, a, complex(-math.sqrt(max(1.0 - s * s, 0.0)), s))
+    return complex(-math.sqrt(max(1.0 - s * s, 0.0)), s)
 
 
 def eigenvector_recurrence(lattice: MomentumLattice, x: float,
@@ -107,7 +99,7 @@ def eigenvector_closed_form(lattice: MomentumLattice, x: float,
     Requires |ax| < 1 strictly: on the band edge the denominator
     alpha + conj(alpha) = -2 sqrt(1 - a^2 x^2) vanishes.
     """
-    al = alpha(x, lattice.a).alpha
+    al = alpha(x, lattice.a)
     denom = 2.0 * al.real
     if denom == 0.0:
         raise ValueError("degenerate denominator: alpha + conj(alpha) = 0 "
@@ -167,7 +159,7 @@ def normalization_formula(x: float, a: float, N: int) -> float:
     s = a * x
     if abs(s) >= 1:
         raise ValueError(f"need |a*x| < 1 strictly, got {abs(s)}")
-    al = alpha(x, a).alpha
+    al = alpha(x, a)
     al2 = al * al
     denom = al2 + 1.0
     if abs(denom) < 1e-12:

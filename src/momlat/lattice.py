@@ -139,8 +139,12 @@ def grid_to_csv(f: GridFunction) -> str:
 def grid_from_csv(text: str) -> GridFunction:
     """Parse the `j,p,re,im` CSV form back into a GridFunction.
 
-    The lattice is inferred from the p column, so at least two rows are
-    required.
+    The lattice is inferred from the p column: p0 and a from its first two
+    rows, so at least two rows are required.  Every row's p must then lie
+    less than half a spacing from p0 + j*a, or the row is rejected.  So a
+    `grid_to_csv` file fails where p1 - p0, rounded to the float step of p0,
+    misreads a: at p0=1e9, a=1e-5 by 0.14%, which drifts half a spacing by
+    row 365.
     """
     rows = [line for line in io.StringIO(text) if line.strip()]
     if not rows or rows[0].strip() != GRID_CSV_HEADER:
@@ -160,4 +164,11 @@ def grid_from_csv(text: str) -> GridFunction:
         raise ValueError("need at least two rows to infer the lattice spacing")
     a = momenta[1] - momenta[0]
     lattice = MomentumLattice(p0=momenta[0], a=a, n_points=len(momenta))
+    drift = np.abs(np.asarray(momenta) - lattice.momenta()) / a
+    off = np.flatnonzero(~(drift < 0.5))
+    if off.size:
+        j = int(off[0])
+        raise ValueError(f"row {j}: p={fmt_real(momenta[j])} lies {fmt_real(drift[j])} spacings "
+                         f"from p0+j*a on the lattice {lattice.descriptor()} that rows 0 and 1 "
+                         "give; it must lie less than half a spacing from it")
     return GridFunction(lattice, np.asarray(values))

@@ -94,7 +94,7 @@ def test_criterion_4_eigenvector_equivalence_grid():
         assert np.max(np.abs(phi_c - phi_r)) < 1e-12 * scale, (x, a, n)
 
         # h factorization: phi_j - alpha phi_{j-1} is a geometric sequence
-        al = alpha(x, a).alpha
+        al = alpha(x, a)
         h = np.empty(n, dtype=complex)
         h[0] = phi_r[0]
         h[1:] = phi_r[1:] - al * phi_r[:-1]

@@ -289,6 +289,35 @@ class TestCsvInterchange:
         assert back.lattice.a == pytest.approx(lat.a)
         assert np.allclose(back.values, f.values, atol=1e-12)
 
+    @pytest.mark.parametrize("p0,a,n", [(-3.2, 0.1, 10**5), (0.0, 1e-5, 10**6)])
+    def test_long_roundtrip_stays_on_lattice(self, p0, a, n):
+        # each printed p drifts from p0 + j*a of the lattice read back from
+        # rows 0 and 1 by rounding only, far below the half-spacing limit
+        text = grid_to_csv(GridFunction(MomentumLattice(p0, a, n), np.ones(n)))
+        back = grid_from_csv(text)
+        p = np.array([float(line.split(",")[1]) for line in text.splitlines()[1:]])
+        assert np.max(np.abs(p - back.lattice.momenta())) <= 2e-10 * back.lattice.a
+
+    @pytest.mark.parametrize("p,row", [("7.5", 2), ("0.625", 2), ("nan", 2), ("inf", 2)])
+    def test_off_lattice_row_rejected(self, p, row):
+        # rows 0 and 1 give p0 = 0 and a = 0.25; 0.625 is exactly half a
+        # spacing from row 2's 0.5
+        text = f"j,p,re,im\n0,0,1,0\n1,0.25,1,0\n2,{p},1,0\n3,0.75,1,0\n"
+        with pytest.raises(ValueError, match=f"^row {row}: p={p} lies "):
+            grid_from_csv(text)
+
+    def test_row_just_inside_half_spacing_accepted(self):
+        back = grid_from_csv("j,p,re,im\n0,0,1,0\n1,0.25,1,0\n2,0.624,1,0\n3,0.874,1,0\n")
+        assert back.lattice == MomentumLattice(0.0, 0.25, 4)
+
+    def test_unresolved_spacing_file_rejected(self):
+        # p1 - p0 is rounded to the float step of 1e9 (1.2e-7), so rows 0
+        # and 1 misread a = 1e-5 by 0.14%, and the drift reaches half a
+        # spacing at row 365
+        text = grid_to_csv(GridFunction(MomentumLattice(1e9, 1e-5, 2000), np.ones(2000)))
+        with pytest.raises(ValueError, match="^row 365: "):
+            grid_from_csv(text)
+
     @pytest.mark.parametrize("p0,a", [(1e16, 1.0), (-1e17, 3.0)])
     def test_collapsed_momenta_rejected(self, p0, a):
         # a spacing below the rounding step of p0 repeats a momentum, and
