@@ -10,7 +10,8 @@ replays, in process, the same calls on both: every job of every workload in
 argv of every golden file, every usage-error case, every case that argparse
 itself ends (help and usage text) and every north-star-sized call
 (`SCALE_CASES`: verify up to n = 10^5, spectrum n = 2000, the fine
-continuum ladder, check H^12, eigvec n = 10^5) in `tests/cli_cases.py`.  It
+continuum ladder, check H^12, eigvec n = 10^5) and every eigvec call across
+the closed form's power cutoff (`POWER_CUTOFF_CASES`) in `tests/cli_cases.py`.  It
 compares stdout, stderr and exit code call by call, names each call that
 differs (an argv token longer than 60 characters shows as its head, its tail
 and its length), and ends with a verdict line; it exits 1 when any call
@@ -33,9 +34,9 @@ import workloads  # noqa: E402  (bench/ is not a package)
 
 
 def case_argvs() -> list:
-    """The argv of every golden file, usage-error, parser and scale case, read from
-    tests/cli_cases.py without importing it (it imports momlat): each table's
-    expression is evaluated alone, with no builtins."""
+    """The argv of every golden file, usage-error, parser, scale and power-cutoff
+    case, read from tests/cli_cases.py without importing it (it imports
+    momlat): each table's expression is evaluated alone, with no builtins."""
     path = ROOT / "tests" / "cli_cases.py"
     tables = {target.id: node.value for node in ast.parse(path.read_text(encoding="utf-8")).body
               if isinstance(node, ast.Assign) for target in node.targets
@@ -47,7 +48,8 @@ def case_argvs() -> list:
         return eval(compile(ast.Expression(tables[name]), str(path), "eval"),
                     {"__builtins__": {}})
     return [*table("GOLDEN_CASES").values(), *(argv for argv, _ in table("USAGE_ERROR_CASES")),
-            *(argv for argv, _, _ in table("PARSER_CASES")), *table("SCALE_CASES")]
+            *(argv for argv, _, _ in table("PARSER_CASES")), *table("SCALE_CASES"),
+            *table("POWER_CUTOFF_CASES")]
 
 
 def calls(seeds) -> list:

@@ -9,6 +9,18 @@ the closed normalization formula for |phi(p_0)| is kept as a comparison
 target only (it corresponds to summing the first N points, see
 `normalization_formula`).
 
+The closed form needs z^k for k = 1..n at the two roots z = alpha and
+-conj(alpha).  numpy's complex `power` multiplies out integer exponents
+|k| < 100 and hands every larger one to libm's `cpow`, which glibc evaluates
+as cexp(k * clog z), recomputing the same clog z for every element.
+`_powers` keeps the first 99 exponents on `np.power` and takes the log once
+for the rest, so the array is bitwise `np.power`'s (the other product of
+(k + 0j) * log z is an exact zero) at about a seventh of the cost.  The
+combining expression phi0 * (P(alpha) - P(-conj(alpha))) / denom must not be
+rewritten: above 256 KiB numpy elides its temporaries, so `phi0 * temp` runs
+in place as `temp * phi0`, and complex multiplication is not bitwise
+commutative here.
+
 The spectrum of the truncated X is solved in real arithmetic on two
 diagonals, in O(n^2) time and O(n) memory.  X is Hermitian tridiagonal with
 a real diagonal, and a diagonal phase similarity carries it to the real
@@ -92,12 +104,35 @@ def eigenvector_recurrence(lattice: MomentumLattice, x: float,
                        "recurrence")
 
 
+# numpy's complex `power` multiplies out integer exponents below this bound;
+# it evaluates every other one as libm's cpow, cexp(k * clog z).
+_POWER_CUTOFF = 100
+
+
+def _powers(z: complex, exps: np.ndarray) -> np.ndarray:
+    """`np.power(z, exps)` bit for bit, for exps = 1..n: the exponents from
+    `_POWER_CUTOFF` on are exp(k * log z) with log z taken once."""
+    head = _POWER_CUTOFF - 1
+    if exps.size <= head:
+        return np.power(z, exps)
+    out = np.empty(exps.size, dtype=complex)
+    out[:head] = np.power(z, exps[:head])
+    tail = out[head:]
+    np.multiply(exps[head:], np.log(z), out=tail)
+    np.exp(tail, out=tail)
+    return out
+
+
 def eigenvector_closed_form(lattice: MomentumLattice, x: float,
                             phi0: complex = 1.0 + 0.0j) -> EigenResult:
     """phi_j = phi0 (alpha^(j+1) - (-conj(alpha))^(j+1)) / (alpha + conj(alpha)).
 
     Requires |ax| < 1 strictly: on the band edge the denominator
-    alpha + conj(alpha) = -2 sqrt(1 - a^2 x^2) vanishes.
+    alpha + conj(alpha) = -2 sqrt(1 - a^2 x^2) vanishes.  Both powers come
+    from `_powers`, bitwise `np.power` with the log of each root taken once
+    for the exponents from 100 on.  The combining expression stays as
+    written: its bits depend on numpy's temporary elision (see the module
+    docstring).
     """
     al = alpha(x, lattice.a)
     denom = 2.0 * al.real
@@ -105,7 +140,7 @@ def eigenvector_closed_form(lattice: MomentumLattice, x: float,
         raise ValueError("degenerate denominator: alpha + conj(alpha) = 0 "
                          "on the band edge |a*x| = 1")
     exps = np.arange(1, lattice.n_points + 1)
-    values = phi0 * (np.power(al, exps) - np.power(-al.conjugate(), exps)) / denom
+    values = phi0 * (_powers(al, exps) - _powers(-al.conjugate(), exps)) / denom
     return EigenResult(lattice, x, GridFunction(lattice, values), complex(phi0),
                        "closed_form")
 

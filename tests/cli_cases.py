@@ -1,6 +1,7 @@
 """Shared CLI invocation helpers, the golden-file case table, the table of
 inputs that must end in a usage error, the table of inputs that argparse
-itself ends and the table of north-star-sized calls."""
+itself ends, the table of north-star-sized calls and the table of calls
+across the closed form's power cutoff."""
 
 import contextlib
 import io
@@ -108,7 +109,7 @@ PARSER_CASES = [
 
 # The end-to-end calls of the ROADMAP's north star, at its sizes, for
 # `scripts/byte_diff.py` to replay beyond the benchmark's n <= 640.  The
-# one-shot `eigvec --n 10^6` (~4 s) is left out; the two `eigvec --n 10^5`
+# one-shot `eigvec --n 10^6` (~1-1.6 s) is left out; the two `eigvec --n 10^5`
 # calls print 25 full blocks of `formatting.format_rows`.  Plain literals, as
 # above.
 SCALE_CASES = [
@@ -121,6 +122,18 @@ SCALE_CASES = [
     ("check", "H^12"),
     ("eigvec", "--x", "0.5", "--a", "0.001", "--n", "100000"),
     ("eigvec", "--x", "0.5", "--a", "0.001", "--n", "100000", "--format", "json"),
+]
+
+
+# `eigvec` calls whose closed form crosses numpy's small-power cutoff
+# (exponents from 100 on go through libm's cpow) and, at n = 16385, the
+# 256 KiB size from which numpy elides the temporaries of its combining
+# expression.  At x = 0 the second root -conj(alpha) is exactly 1 + 0j.  Plain
+# literals, as above.
+POWER_CUTOFF_CASES = [
+    ("eigvec", "--x", "0", "--a", "1", "--n", "101"),
+    ("eigvec", "--x", "-0.3", "--a", "1", "--n", "100", "--format", "json"),
+    ("eigvec", "--x", "0.999999999999", "--a", "1", "--n", "16385"),
 ]
 
 

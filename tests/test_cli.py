@@ -6,10 +6,11 @@ import time
 import tracemalloc
 from importlib import import_module
 
+import numpy as np
 import pytest
 
-from cli_cases import (GOLDEN, GOLDEN_CASES, PARSER_CASES, USAGE_ERROR_CASES, run_cli,
-                       subprocess_env)
+from cli_cases import (GOLDEN, GOLDEN_CASES, PARSER_CASES, POWER_CUTOFF_CASES,
+                       USAGE_ERROR_CASES, run_cli, subprocess_env)
 from momlat import cli, eigen
 
 
@@ -269,6 +270,13 @@ class TestEigvec:
         phi0 = json.loads(err)["phi0"]
         assert phi0[0] == pytest.approx(0.0, abs=1e-12)
         assert phi0[1] == pytest.approx(1 / math.sqrt(3))
+
+    @pytest.mark.parametrize("argv", POWER_CUTOFF_CASES, ids=" ".join)
+    def test_power_cutoff_output_is_that_of_np_power(self, argv, monkeypatch):
+        shared_log = run_cli(*argv)
+        assert shared_log[0] == 0
+        monkeypatch.setattr(eigen, "_powers", np.power)
+        assert shared_log == run_cli(*argv)
 
 
 class TestSpectrumAndContinuum:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,60 @@ class TestClosedForm:
         assert np.max(np.abs(closed.phi.values - rec.phi.values)) < 1e-12 * scale
 
 
+def power_closed_form(lattice, x, phi0):
+    """Reference: the closed form with numpy's `power` at both roots, the
+    formula `eigenvector_closed_form` evaluated before its powers shared a log."""
+    al = alpha(x, lattice.a)
+    exps = np.arange(1, lattice.n_points + 1)
+    return phi0 * (np.power(al, exps) - np.power(-al.conjugate(), exps)) / (2.0 * al.real)
+
+
+# sizes on both sides of numpy's small-power cutoff (exponents below 100) and
+# of its temporary elision (arrays of 256 KiB, 16384 complex points, or more)
+CUTOFF_SIZES = [1, 2, 3, 4, 98, 99, 100, 101, 102, 4097, 16384, 16385]
+EDGE_S = [0.0, -0.0, 5e-324, -5e-324, 1 - 10 ** -15.5, -(1 - 10 ** -15.5)]
+
+
+class TestClosedFormPowers:
+    """The closed form is bitwise its `np.power` formula on every input."""
+
+    def check(self, s, a, n, phi0):
+        lat = MomentumLattice(-1.5, a, n)
+        got = eigenvector_closed_form(lat, s / a, phi0).phi.values
+        assert same_bits(got, power_closed_form(lat, s / a, phi0))
+
+    @given(st.floats(-0.999999, 0.999999), st.floats(1e-4, 10.0),
+           st.sampled_from(CUTOFF_SIZES[:-2] + [250, 3000]),
+           st.one_of(st.none(), st.floats(-math.pi, math.pi)))
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal(self, s, a, n, phase):
+        self.check(s, a, n, 1.0 + 0.0j if phase is None else phase_seed(phase))
+
+    @pytest.mark.parametrize("s", EDGE_S)
+    @pytest.mark.parametrize("n", CUTOFF_SIZES)
+    @pytest.mark.parametrize("phi0", [1.0 + 0.0j, phase_seed(2.5)], ids=["one", "phase2.5"])
+    def test_bitwise_equal_at_edge_roots(self, s, n, phi0):
+        self.check(s, 0.5, n, phi0)
+
+    def test_bitwise_equal_at_a_million_points(self):
+        self.check(0.0005, 0.001, 10 ** 6, 1.0 + 0.0j)
+
+    def test_peak_memory_per_point(self):
+        # the np.power formula peaks at 40 bytes a point (the exponents and
+        # the two power arrays) plus numpy's 128 KiB buffer for casting the
+        # integer exponents to complex
+        n = 200_000
+        lat = MomentumLattice(0.0, 1e-3, n)
+        eigenvector_closed_form(MomentumLattice(0.0, 1.0, 200), 0.3)  # caches warmed
+        tracemalloc.start()
+        try:
+            eigenvector_closed_form(lat, 300.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * n + 2 ** 18
+
+
 class TestShiftedDifferenceFactor:
     @pytest.mark.parametrize("x,a,n", [(0.3, 1.0, 64), (-0.8, 0.5, 128), (0.05, 0.1, 256)])
     def test_geometric_factorization(self, x, a, n):
@@ -254,7 +309,7 @@ class TestNormalization:
             normalization_direct(zero)
 
     def test_overflowing_squared_norm_rejected(self):
-        # phi = 1, 0, -1, 0, 1, 0 sums to 3, and 3a overflows at a = 7e307
+        # phi = 1, 0, 1, 0, 1, 0 sums to 3, and 3a overflows at a = 7e307
         res = eigenvector_closed_form(MomentumLattice(0.0, 7e307, 6), 0.0)
         with pytest.raises(ValueError, match=r"a\*sum\|phi\|\^2 overflows double precision"):
             normalization_direct(res)

@@ -43,7 +43,7 @@ def test_byte_diff_of_a_tree_against_itself(tmp_path):
 
 def test_byte_diff_names_the_calls_that_differ(tmp_path):
     # with no seed, only the warm-up probes and the argvs of the golden,
-    # usage-error, parser and scale cases are replayed
+    # usage-error, parser, scale and power-cutoff cases are replayed
     change = tmp_path / "change"
     shutil.copytree(SCRIPTS.parent / "src" / "momlat", change / "momlat",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -63,4 +63,4 @@ def test_byte_diff_names_the_calls_that_differ(tmp_path):
     assert "differs in stderr: momlat check 10000000000000000000...00000000000000000000" \
         "[5001 chars]" in lines
     assert max(map(len, lines)) < 100
-    assert lines[-1] == "8 of 66 calls differ in stdout, stderr or exit code"
+    assert lines[-1] == "8 of 69 calls differ in stdout, stderr or exit code"
