@@ -7,8 +7,9 @@ PARENT_SRC and CHANGE_SRC are directories that hold a `momlat` package (the
 `src/` of two checkouts).  The script imports each tree's momlat in turn and
 replays, in process, the same calls on both: every job of every workload in
 `bench/workloads.py` (its warm-up probes and each seed's job list), then the
-argv of every golden file, every usage-error case, every case that argparse
-itself ends (help and usage text) and every north-star-sized call
+argv of every golden file, every usage-error case, every valid edge call
+(`EDGE_CASES`), every case that argparse itself ends (help and usage text)
+and every north-star-sized call
 (`SCALE_CASES`: verify up to n = 10^5, spectrum n = 2000, the fine
 continuum ladder, check H^12, eigvec n = 10^5) and every eigvec call across
 the closed form's power cutoff (`POWER_CUTOFF_CASES`) in `tests/cli_cases.py`.  It
@@ -34,8 +35,8 @@ import workloads  # noqa: E402  (bench/ is not a package)
 
 
 def case_argvs() -> list:
-    """The argv of every golden file, usage-error, parser, scale and power-cutoff
-    case, read from tests/cli_cases.py without importing it (it imports
+    """The argv of every golden file, usage-error, edge, parser, scale and
+    power-cutoff case, read from tests/cli_cases.py without importing it (it imports
     momlat): each table's expression is evaluated alone, with no builtins."""
     path = ROOT / "tests" / "cli_cases.py"
     tables = {target.id: node.value for node in ast.parse(path.read_text(encoding="utf-8")).body
@@ -48,8 +49,8 @@ def case_argvs() -> list:
         return eval(compile(ast.Expression(tables[name]), str(path), "eval"),
                     {"__builtins__": {}})
     return [*table("GOLDEN_CASES").values(), *(argv for argv, _ in table("USAGE_ERROR_CASES")),
-            *(argv for argv, _, _ in table("PARSER_CASES")), *table("SCALE_CASES"),
-            *table("POWER_CUTOFF_CASES")]
+            *table("EDGE_CASES"), *(argv for argv, _, _ in table("PARSER_CASES")),
+            *table("SCALE_CASES"), *table("POWER_CUTOFF_CASES")]
 
 
 def calls(seeds) -> list:

@@ -3,7 +3,9 @@
 
 Runs the residual scan for a geometric ladder of spacings and compares the
 measured residuals against the smooth-function prediction r(a) ~ (a^2/2)
-max|f''| (the Gaussian test function has max|f''| = 1 at the origin).
+max|f''| (the Gaussian test function has max|f''| = 1 at the origin).  A
+residual of exactly 0 has no ratio and the scan then no slope, so no
+verdict is printed.
 """
 
 import argparse
@@ -27,7 +29,7 @@ def main():
     print(f"{'a':>10}  {'r(a)':>14}  {'r/(a^2/2)':>10}  {'ratio':>8}")
     prev = None
     for a, r in zip(table.spacings, table.residuals):
-        ratio = f"{prev / r:8.4f}" if prev is not None else "       -"
+        ratio = f"{prev / r:8.4f}" if prev is not None and r != 0 else "       -"
         print(f"{a:10.5f}  {r:14.6e}  {r / (a * a / 2):10.5f}  {ratio}")
         prev = r
     print(f"\nlog-log slope: {table.slope:.6f}  (second-order limit => 2)")

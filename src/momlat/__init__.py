@@ -43,7 +43,6 @@ from .operators import (
     ResidualReport,
     adjoint,
     apply,
-    bracket,
     build_operator,
     continuum_scan,
     expression_matrix,
@@ -67,7 +66,6 @@ __all__ = [
     "adjoint",
     "alpha",
     "apply",
-    "bracket",
     "build_operator",
     "continuum_scan",
     "eigenvector_closed_form",

@@ -660,20 +660,30 @@ def _rational(x: Fraction) -> str:
     return _decimal(x.numerator) + "/" + _decimal(x.denominator)
 
 
+def _times(c: str, symbol: str) -> str:
+    """The printed coefficient c times a symbol: the symbol alone for c = 1,
+    negated for c = -1."""
+    if c == "1":
+        return symbol
+    if c == "-1":
+        return "-" + symbol
+    return f"{c}*{symbol}"
+
+
+def _power(symbol: str, k: int) -> str:
+    """symbol^k, bare for k = 1."""
+    return symbol if k == 1 else f"{symbol}^{k}"
+
+
 def _format_gaussian(re: int, im: int, den: int) -> str:
     """The scalar (re + i*im)/den as the grammar reads it."""
     re, im = Fraction(re, den), Fraction(im, den)
     if im == 0:
         return _rational(re)
     if re == 0:
-        if im == 1:
-            return "i"
-        if im == -1:
-            return "-i"
-        return f"{_rational(im)}*i"
-    i_str = "i" if abs(im) == 1 else f"{_rational(abs(im))}*i"
+        return _times(_rational(im), "i")
     sign = "+" if im > 0 else "-"
-    return f"({_rational(re)}{sign}{i_str})"
+    return f"({_rational(re)}{sign}{_times(_rational(abs(im)), 'i')})"
 
 
 def _format_laurent(terms: dict, den: int, wrap_products: bool) -> str:
@@ -689,16 +699,9 @@ def _format_laurent(terms: dict, den: int, wrap_products: bool) -> str:
         if exp == 0:
             parts.append(c)
         elif exp > 0:
-            a_str = "a" if exp == 1 else f"a^{exp}"
-            if c == "1":
-                parts.append(a_str)
-            elif c == "-1":
-                parts.append("-" + a_str)
-            else:
-                parts.append(f"{c}*{a_str}")
+            parts.append(_times(c, _power("a", exp)))
         else:
-            a_str = "a" if exp == -1 else f"a^{-exp}"
-            parts.append(f"{c}/{a_str}")
+            parts.append(f"{c}/{_power('a', -exp)}")
     text = _join_signed(parts)
     if wrap_products and len(parts) > 1:
         return f"({text})"
@@ -728,30 +731,15 @@ def format_normal_form(op: SymbolicOperator) -> str:
     for m in sorted(by_shift, reverse=True):
         terms = []
         for k in sorted(by_shift[m], reverse=True):
-            p_str = "" if k == 0 else ("P" if k == 1 else f"P^{k}")
-            c_str = _format_laurent(by_shift[m][k], op._den, wrap_products=bool(p_str) or m != 0)
-            if not p_str:
-                terms.append(c_str)
-            elif c_str == "1":
-                terms.append(p_str)
-            elif c_str == "-1":
-                terms.append("-" + p_str)
-            else:
-                terms.append(f"{c_str}*{p_str}")
+            c_str = _format_laurent(by_shift[m][k], op._den, wrap_products=k != 0 or m != 0)
+            terms.append(_times(c_str, _power("P", k)) if k else c_str)
         body = _join_signed(terms)
         if m == 0:
             groups.append(body)
             continue
-        shift = ("A" if m == 1 else f"A^{m}") if m > 0 else \
-                ("Abar" if m == -1 else f"Abar^{-m}")
         if len(terms) > 1:
             body = f"({body})"
-        if body == "1":
-            groups.append(shift)
-        elif body == "-1":
-            groups.append("-" + shift)
-        else:
-            groups.append(f"{body}*{shift}")
+        groups.append(_times(body, _power("A", m) if m > 0 else _power("Abar", -m)))
     return _join_signed(groups)
 
 

@@ -145,15 +145,21 @@ def eigenvector_closed_form(lattice: MomentumLattice, x: float,
                        "closed_form")
 
 
-def normalization_direct(result: EigenResult) -> float:
-    """Positive s with s*phi of unit norm under the lattice inner product."""
-    norm_sq = result.lattice.a * float(np.sum(np.abs(result.phi.values) ** 2))
+def _unit_scale(a: float, values: np.ndarray) -> float:
+    """Positive s with s*values of unit norm under the inner product of a
+    lattice of spacing a."""
+    norm_sq = a * float(np.sum(np.abs(values) ** 2))
     if norm_sq == 0.0:
         raise ValueError("cannot normalize the zero vector")
     if not math.isfinite(norm_sq):
-        raise ValueError(f"cannot normalize at a={fmt_real(result.lattice.a)}: the squared "
+        raise ValueError(f"cannot normalize at a={fmt_real(a)}: the squared "
                          "norm a*sum|phi|^2 overflows double precision")
     return 1.0 / math.sqrt(norm_sq)
+
+
+def normalization_direct(result: EigenResult) -> float:
+    """Positive s with s*phi of unit norm under the lattice inner product."""
+    return _unit_scale(result.lattice.a, result.phi.values)
 
 
 def normalization_direct_first_n(result: EigenResult, N: int) -> float:
@@ -164,13 +170,9 @@ def normalization_direct_first_n(result: EigenResult, N: int) -> float:
     normalization of a fresh recurrence on the N-point lattice, whose values
     are this prefix.
     """
-    lat = result.lattice
-    if not 1 <= N <= lat.n_points:
-        raise ValueError(f"need 1 <= N <= {lat.n_points}, got N={N}")
-    head = MomentumLattice(lat.p0, lat.a, N)
-    return normalization_direct(EigenResult(head, result.x,
-                                            GridFunction(head, result.phi.values[:N]),
-                                            result.phi0, result.method))
+    if not 1 <= N <= result.lattice.n_points:
+        raise ValueError(f"need 1 <= N <= {result.lattice.n_points}, got N={N}")
+    return _unit_scale(result.lattice.a, result.phi.values[:N])
 
 
 def normalization_formula(x: float, a: float, N: int) -> float:

@@ -43,7 +43,7 @@ _E_MIN, _E_MAX = -281, 281
 _SPLIT = 134217729.0
 # The kernel prints `%d` indices below this, of at most 12 digits.
 INDEX_LIMIT = 10 ** 12
-_CONVERSION = re.compile(r"(%%|%d|%\.15g)")
+_CONVERSION = re.compile(r"(%d|%\.15g)")
 # Words a field takes, and (word, byte) from which its last word is free: a
 # `%.15g` field ends with "e-280" at most, the index with its 12 digits.
 _WORDS = {"d": 2, "g": 6}
@@ -62,15 +62,9 @@ def row_layout(template: str, columns: int, index: bool):
     other run of literal text, (first word, its NUL-padded words).
     """
     pieces = _CONVERSION.split(template)
-    literals, kinds = [""], []
-    for i, piece in enumerate(pieces):
-        if i % 2 == 0 or piece == "%%":
-            literals[-1] += "%" if piece == "%%" else piece
-        else:
-            kinds.append(piece[-1])
-            literals.append("")
+    literals, kinds = pieces[::2], [piece[-1] for piece in pieces[1::2]]
     if kinds != ["d"] * index + ["g"] * columns or any(
-            "%" in text or "\0" in text for text in pieces[::2]):
+            "%" in text or "\0" in text for text in literals):
         return None
     words, fields, texts = 0, [], []
 

@@ -7,9 +7,10 @@ files.
 Single values go through `fmt_real`.  Every bulk numeric output (the
 `eigvec` grid CSV, the `spectrum` CSV rows, and JSON arrays of floats or of
 complex numbers) is a numpy array, and goes through one block formatter,
-`format_rows`, which yields ROW_BLOCK rows a string.  Its bytes are
-`fmt_real`'s: adding 0.0 to every value first turns -0.0 into 0.0, which
-prints as `0`, as `fmt_real` prints it.
+`format_rows`, which yields ROW_BLOCK rows a string.  Both keep one rule for
+the sign of zero: 0.0 is added to every value before it is printed, which
+turns -0.0 into 0.0, printed as `0`, and leaves every other value, inf and
+nan included, as it is.  So a value prints the same bytes alone or in bulk.
 
 A block of fewer than KERNEL_MIN_ROWS rows is printed by one `%` call:
 `'%.15g' % x` and `format(x, '.15g')` both print through CPython's correctly
@@ -38,10 +39,8 @@ KERNEL_MIN_ROWS = 1024
 
 
 def fmt_real(x: float) -> str:
-    """Format a real number with 15 significant digits."""
-    if x == 0.0:  # collapses -0.0
-        return "0"
-    return format(float(x), ".15g")
+    """Format a real number with 15 significant digits, -0.0 as `0`."""
+    return "%.15g" % (float(x) + 0.0)
 
 
 # The error state is set by a decorator: on a 16-row block that costs ~1.4 us

@@ -37,12 +37,6 @@ class MomentumLattice:
         if self.n_points < 1:
             raise ValueError(f"lattice needs at least one point, got {self.n_points}")
 
-    def momentum_at(self, j: int) -> float:
-        """Momentum of the j-th grid point, p0 + j*a."""
-        if not 0 <= j < self.n_points:
-            raise IndexError(f"grid index {j} outside 0..{self.n_points - 1}")
-        return self.p0 + j * self.a
-
     def momenta(self) -> np.ndarray:
         """All grid momenta as a float array of length n_points.  A lattice
         whose last momentum p0 + a*(n-1) overflows is rejected before the
@@ -64,7 +58,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex).copy()
+        vals = np.array(self.values, dtype=complex)
         if vals.shape != (self.lattice.n_points,):
             raise ValueError(
                 f"expected {self.lattice.n_points} values, got shape {vals.shape}"
@@ -102,7 +96,7 @@ def square_well_lattice(L: float, n_levels: int, hbar: float = 1.0) -> MomentumL
 
 def sample(lattice: MomentumLattice, fn: Callable[[np.ndarray], np.ndarray]) -> GridFunction:
     """Sample a vectorized callable on the lattice momenta."""
-    return GridFunction(lattice, np.asarray(fn(lattice.momenta()), dtype=complex))
+    return GridFunction(lattice, fn(lattice.momenta()))
 
 
 def a_integral(f: GridFunction) -> complex:

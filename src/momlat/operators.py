@@ -43,7 +43,7 @@ import numpy as np
 from .algebra import (ATOMS, DEFINITION_TREES, IDENTITY_TREES, OPERATOR_NAMES, FoldMemo,
                       SymbolicOperator, fold, parse, shared_visits)
 from .formatting import fmt_real
-from .lattice import GridFunction, MomentumLattice
+from .lattice import GridFunction, MomentumLattice, sample
 
 RESIDUAL_CSV_HEADER = "identity,margin,residual"
 # Seed of the random grid functions on which the suite checks <f|A g> = <Abar f|g>.
@@ -293,15 +293,6 @@ def adjoint(M: OperatorMatrix) -> OperatorMatrix:
     return _result(M.lattice, bands, r)
 
 
-def bracket(kind: str, M1: OperatorMatrix, M2: OperatorMatrix) -> OperatorMatrix:
-    """Commutator or anticommutator of two operators on the same lattice."""
-    if kind == "commutator":
-        return M1 @ M2 - M2 @ M1
-    if kind == "anticommutator":
-        return M1 @ M2 + M2 @ M1
-    raise ValueError(f"unknown bracket kind {kind!r}")
-
-
 def apply(M: OperatorMatrix, f: GridFunction) -> GridFunction:
     """Matrix-vector action of an operator on a grid function, each entry
     summed in ascending column."""
@@ -517,7 +508,7 @@ def continuum_scan(spacings, test_function=None, window: tuple = (-8.0, 8.0)) ->
 
     residuals = []
     for lat in [window_lattice(a, window) for a in spacings]:
-        f = GridFunction(lat, fn(lat.momenta()))
+        f = sample(lat, fn)
         X, P = build_operator(lat, "X"), build_operator(lat, "P")
         g = apply(X, apply(P, f)).values - apply(P, apply(X, f)).values + 1j * f.values
         scale = np.max(np.abs(f.values))
@@ -540,18 +531,21 @@ def reports_to_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def convergence_to_csv(table: ConvergenceTable) -> str:
-    lines = [CONVERGENCE_CSV_HEADER]
+def _log_rows(table: ConvergenceTable) -> list:
+    """(a, r, log a, log r) per spacing.  A residual of 0 has no log: the
+    first spacing that has one is named in a ValueError."""
     for a, r in zip(table.spacings, table.residuals):
-        lines.append(f"{fmt_real(a)},{fmt_real(r)},"
-                     f"{fmt_real(math.log(a))},{fmt_real(math.log(r))}")
-    lines.append(f"slope,{fmt_real(table.slope)},,")
-    return "\n".join(lines) + "\n"
+        if r == 0:
+            raise ValueError(f"the residual at spacing {fmt_real(a)} is 0, which has no "
+                             "logarithm, so the scan has no log-log row for it")
+    return [(a, r, math.log(a), math.log(r)) for a, r in zip(table.spacings, table.residuals)]
+
+
+def convergence_to_csv(table: ConvergenceTable) -> str:
+    rows = [",".join(map(fmt_real, row)) for row in _log_rows(table)]
+    return "\n".join([CONVERGENCE_CSV_HEADER, *rows, f"slope,{fmt_real(table.slope)},,"]) + "\n"
 
 
 def convergence_to_dict(table: ConvergenceTable) -> dict:
-    rows = [
-        {"a": a, "r": r, "log_a": math.log(a), "log_r": math.log(r)}
-        for a, r in zip(table.spacings, table.residuals)
-    ]
+    rows = [dict(zip(CONVERGENCE_CSV_HEADER.split(","), row)) for row in _log_rows(table)]
     return {"rows": rows, "slope": table.slope}

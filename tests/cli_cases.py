@@ -1,7 +1,7 @@
 """Shared CLI invocation helpers, the golden-file case table, the table of
-inputs that must end in a usage error, the table of inputs that argparse
-itself ends, the table of north-star-sized calls and the table of calls
-across the closed form's power cutoff."""
+inputs that must end in a usage error, the table of valid edge calls, the
+table of inputs that argparse itself ends, the table of north-star-sized
+calls and the table of calls across the closed form's power cutoff."""
 
 import contextlib
 import io
@@ -89,6 +89,31 @@ USAGE_ERROR_CASES = [
     (("check", "P^" + "9" * 5000), "9 exceeds the limit 16 at offset 2"),
     (("check", "((" + "9" * 4300 + ")^16)^2"),
      "the normal form has a coefficient of more than 100000 digits, past the printing limit"),
+    (("verify", "--n", "7"), "n must be >= 8"),
+    (("verify", "--tol", "-1"), "tolerance must be a non-negative number, got --tol -1.0"),
+    (("eigvec", "--x", "0.5", "--n", "0"), "n must be >= 1"),
+    (("eigvec", "--x", "0.5", "--n", "3000001"),
+     "eigenvector of n=3000001 points exceeds the limit of 3000000"),
+    (("spectrum", "--n", "0"), "n must be >= 1"),
+    (("well", "--L", "1", "--levels", "7"), "levels must be >= 8 to run the identity suite"),
+    (("continuum", "--spacings", "0.1,x"), "bad spacing list '0.1,x'"),
+    (("continuum", "--window=1:2:3"), "bad window '1:2:3', expected lo:hi"),
+    (("continuum", "--window=a:b"), "bad window 'a:b', expected lo:hi"),
+    (("continuum", "--window=38.6:45", "--spacings", "1,0.5,0.25"),
+     "the residual at spacing 0.5 is 0, which has no logarithm"),
+]
+
+
+# Valid calls that take a branch no other table reaches: a `check` expression
+# that starts with '-', the one-point eigenvector (null formula fields) and
+# spectra that LAPACK's driver would scale.  Each exits 0 with no warning.
+# Plain literals, as above.
+EDGE_CASES = [
+    ("check", "-{Q,P}+{Q,P}"),
+    ("eigvec", "--x", "0.5", "--a", "1", "--n", "1"),
+    ("eigvec", "--x", "0.5", "--a", "1", "--n", "1", "--format", "json"),
+    ("spectrum", "--a", "1e200", "--n", "64"),
+    ("spectrum", "--a", "1e-200", "--n", "64"),
 ]
 
 

@@ -4,12 +4,13 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from importlib import import_module
 
 import numpy as np
 import pytest
 
-from cli_cases import (GOLDEN, GOLDEN_CASES, PARSER_CASES, POWER_CUTOFF_CASES,
+from cli_cases import (EDGE_CASES, GOLDEN, GOLDEN_CASES, PARSER_CASES, POWER_CUTOFF_CASES,
                        USAGE_ERROR_CASES, run_cli, subprocess_env)
 from momlat import cli, eigen
 
@@ -114,6 +115,15 @@ class TestExitCodes:
         assert out == ""
         assert message in err
         assert "Warning" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", EDGE_CASES, ids=" ".join)
+    def test_edge_call_runs_cleanly(self, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(*argv)
+        assert code == 0
+        assert out
+        assert "Warning" not in err and "Traceback" not in err and "error" not in err
 
     @pytest.mark.parametrize("argv,exit_code,text", PARSER_CASES)
     def test_parser_ends_call(self, argv, exit_code, text):

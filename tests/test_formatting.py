@@ -144,6 +144,13 @@ class TestFormatRows:
         assert "".join(format_rows("[%.15g, %.15g]", ([-0.0], np.array([math.nan])))) == \
             "[0, nan]"
 
+    @pytest.mark.parametrize("x", [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                                   5e-324, -5e-324, 2.2250738585072009e-308, -1e-310])
+    def test_fmt_real_is_one_value_of_a_block(self, x):
+        # one signed-zero rule for single and bulk values
+        assert fmt_real(x) == "".join(format_rows("%.15g", ([x],)))
+        assert fmt_real(np.float64(x)) == fmt_real(x)
+
 
 def from_bits(bits):
     """The float64 of a 64-bit pattern, signalling NaNs included: format_rows

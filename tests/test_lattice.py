@@ -29,18 +29,11 @@ def const(lattice, value):
 class TestMomentumLattice:
     def test_momentum_at_square_well_values(self):
         lat = MomentumLattice(math.pi, math.pi, 5)
-        assert lat.momentum_at(2) == pytest.approx(3 * math.pi, abs=1e-12)
-        assert lat.momentum_at(0) == math.pi
+        assert lat.momenta()[2] == pytest.approx(3 * math.pi, abs=1e-12)
+        assert lat.momenta()[0] == math.pi
 
     def test_momentum_at_plain_arithmetic(self):
-        assert MomentumLattice(0.0, 0.5, 5).momentum_at(4) == pytest.approx(2.0)
-
-    def test_momentum_at_out_of_range(self):
-        lat = MomentumLattice(0.0, 1.0, 3)
-        with pytest.raises(IndexError):
-            lat.momentum_at(3)
-        with pytest.raises(IndexError):
-            lat.momentum_at(-1)
+        assert MomentumLattice(0.0, 0.5, 5).momenta()[4] == pytest.approx(2.0)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

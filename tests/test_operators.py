@@ -22,10 +22,10 @@ from momlat.operators import (
     OperatorMatrix,
     adjoint,
     apply,
-    bracket,
     build_operator,
     continuum_scan,
     convergence_to_csv,
+    convergence_to_dict,
     expression_matrix,
     interior_residual,
     reports_to_csv,
@@ -107,39 +107,42 @@ class TestApply:
 
 
 class TestBracket:
+    """The grammar's brackets [L,R] and {L,R}, evaluated by `expression_matrix`."""
+
+    @pytest.mark.parametrize("left,right", [(left, right) for left in OPERATOR_NAMES
+                                            for right in OPERATOR_NAMES])
+    def test_brackets_are_the_matrix_products(self, left, right):
+        for lat in (MomentumLattice(0.0, 0.7, 9), MomentumLattice(-2.3, 0.31, 14)):
+            L, R = build_operator(lat, left), build_operator(lat, right)
+            for text, expected in ((f"[{left},{right}]", L @ R - R @ L),
+                                   (f"{{{left},{right}}}", L @ R + R @ L)):
+                out = expression_matrix(text, lat)
+                assert out.shift_radius == expected.shift_radius, text
+                assert same_bits(out.bands, expected.bands), text
+
     def test_self_commutator_vanishes(self):
         lat = MomentumLattice(0.0, 0.7, 5)
-        P = build_operator(lat, "P")
-        assert np.all(bracket("commutator", P, P).entries == 0)
+        assert np.all(expression_matrix("[P,P]", lat).entries == 0)
 
     def test_shift_momentum_commutator_interior(self):
         lat = MomentumLattice(0.0, 0.7, 8)
-        A = build_operator(lat, "A")
-        P = build_operator(lat, "P")
-        resid = bracket("commutator", A, P) - A.scaled(lat.a)
+        resid = expression_matrix("[A,P]", lat) - build_operator(lat, "A").scaled(lat.a)
         assert interior_residual(resid, 1) == pytest.approx(0.0, abs=1e-15)
 
     def test_identity_anticommutator_doubles(self):
         lat = MomentumLattice(0.0, 1.0, 6)
-        I = build_operator(lat, "I")
-        Q = build_operator(lat, "Q")
-        out = bracket("anticommutator", I, Q)
-        assert np.allclose(out.entries, 2 * Q.entries, atol=1e-15)
+        out = expression_matrix("{I,Q}", lat)
+        assert np.allclose(out.entries, 2 * build_operator(lat, "Q").entries, atol=1e-15)
 
     def test_radius_adds(self):
         lat = MomentumLattice(0.0, 1.0, 8)
-        X = build_operator(lat, "X")
-        H = build_operator(lat, "H")
-        assert bracket("commutator", X, H).shift_radius == 3
+        assert expression_matrix("[X,H]", lat).shift_radius == 3
 
-    def test_bad_kind_and_mismatch(self):
-        lat = MomentumLattice(0.0, 1.0, 4)
-        A = build_operator(lat, "A")
-        with pytest.raises(ValueError):
-            bracket("nested", A, A)
+    def test_lattice_mismatch_raises_through_matmul(self):
+        A = build_operator(MomentumLattice(0.0, 1.0, 4), "A")
         other = build_operator(MomentumLattice(0.0, 2.0, 4), "A")
-        with pytest.raises(ValueError):
-            bracket("commutator", A, other)
+        with pytest.raises(ValueError, match="different lattices"):
+            A @ other
 
 
 class TestInteriorResidual:
@@ -147,7 +150,7 @@ class TestInteriorResidual:
         lat = MomentumLattice(0.0, 0.5, 8)
         A = build_operator(lat, "A")
         P = build_operator(lat, "P")
-        M = bracket("commutator", A, P) - A.scaled(lat.a)
+        M = A @ P - P @ A - A.scaled(lat.a)
         assert interior_residual(M, 1) == 0.0
 
     def test_shift_inverse_boundary_row(self):
@@ -200,7 +203,7 @@ class TestIdentitySuite:
     def test_envelope_lattices_below_1e12(self, n, a_max):
         # |p| <= 10 envelope, moderate stretches
         lat = MomentumLattice(-10.0, a_max, n)
-        assert abs(lat.momentum_at(n - 1)) <= 10.0
+        assert abs(lat.momenta()[n - 1]) <= 10.0
         for r in verify_identity_suite(lat):
             assert r.max_interior_residual < 1e-12, r.identity_name
 
@@ -877,6 +880,17 @@ class TestContinuumScan:
                                test_function=lambda p: np.ones_like(p))
         assert all(r < 1e-13 for r in table.residuals)
 
+    def test_zero_residual_has_no_log_row(self):
+        # the constant function's residuals are exactly 0: the scan returns
+        # them with a nan slope, and neither writer takes their log
+        table = continuum_scan((0.5, 0.25, 0.125),
+                               test_function=lambda p: np.ones_like(p))
+        assert table.residuals == (0.0, 0.0, 0.0) and math.isnan(table.slope)
+        for writer in (convergence_to_csv, convergence_to_dict):
+            with pytest.raises(ValueError, match=r"^the residual at spacing 0\.5 is 0, which "
+                                                 "has no logarithm"):
+                writer(table)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             continuum_scan((0.1, 0.05))
@@ -927,8 +941,8 @@ class TestContinuumScan:
     def test_window_lattice_covers(self):
         lat = window_lattice(0.1, (-8.0, 8.0))
         assert lat.n_points == 161
-        assert lat.momentum_at(0) == -8.0
-        assert lat.momentum_at(160) == pytest.approx(8.0)
+        assert lat.momenta()[0] == -8.0
+        assert lat.momenta()[160] == pytest.approx(8.0)
 
 
 class TestSerialization:

@@ -5,7 +5,7 @@ import momlat
 PUBLIC_NAMES = [
     "ATOMS", "ConvergenceTable", "EigenResult", "ExpressionError", "GridFunction",
     "MomentumLattice", "OperatorMatrix", "ResidualReport", "SymbolicOperator", "a_integral",
-    "adjoint", "alpha", "apply", "bracket", "build_operator", "continuum_scan",
+    "adjoint", "alpha", "apply", "build_operator", "continuum_scan",
     "eigenvector_closed_form", "eigenvector_recurrence", "expression_matrix",
     "format_normal_form", "grid_from_csv", "grid_to_csv", "inner_product", "interior_residual",
     "normal_form", "normalization_direct", "normalization_direct_first_n",

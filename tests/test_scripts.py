@@ -26,6 +26,18 @@ def test_script_runs_to_its_verdict(script, verdict, tmp_path):
     assert proc.stdout.splitlines()[-1] == verdict
 
 
+def test_continuum_study_with_a_zero_residual(tmp_path):
+    # far out in the Gaussian's tail the residuals at 0.5 and 0.25 are 0
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "continuum_study.py"), "--window",
+                           "38.6", "45", "--coarsest", "1", "--halvings", "3"],
+                          capture_output=True, text=True, timeout=120, env=subprocess_env(),
+                          cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[-1] for line in lines[1:4]] == ["-", "-", "-"]
+    assert lines[-1] == "log-log slope: nan  (second-order limit => 2)"
+
+
 def run_byte_diff(parent, change, seeds, tmp_path):
     return subprocess.run([sys.executable, str(SCRIPTS / "byte_diff.py"), str(parent),
                            str(change), "--seeds", seeds], capture_output=True, text=True,
@@ -43,7 +55,7 @@ def test_byte_diff_of_a_tree_against_itself(tmp_path):
 
 def test_byte_diff_names_the_calls_that_differ(tmp_path):
     # with no seed, only the warm-up probes and the argvs of the golden,
-    # usage-error, parser, scale and power-cutoff cases are replayed
+    # usage-error, edge, parser, scale and power-cutoff cases are replayed
     change = tmp_path / "change"
     shutil.copytree(SCRIPTS.parent / "src" / "momlat", change / "momlat",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -63,4 +75,4 @@ def test_byte_diff_names_the_calls_that_differ(tmp_path):
     assert "differs in stderr: momlat check 10000000000000000000...00000000000000000000" \
         "[5001 chars]" in lines
     assert max(map(len, lines)) < 100
-    assert lines[-1] == "8 of 69 calls differ in stdout, stderr or exit code"
+    assert lines[-1] == "8 of 84 calls differ in stdout, stderr or exit code"
