@@ -5,11 +5,13 @@ Runs the residual scan for a geometric ladder of spacings and compares the
 measured residuals against the smooth-function prediction r(a) ~ (a^2/2)
 max|f''| (the Gaussian test function has max|f''| = 1 at the origin).  A
 residual of exactly 0 has no ratio and the scan then no slope, so no
-verdict is printed.
+verdict is printed.  A scan the library rejects, say on a window where the
+Gaussian vanishes, prints its error on one line and exits 2.
 """
 
 import argparse
 import math
+import sys
 
 from momlat.operators import continuum_scan
 
@@ -24,7 +26,11 @@ def main():
     args = ap.parse_args()
 
     spacings = tuple(args.coarsest / 2 ** k for k in range(args.halvings))
-    table = continuum_scan(spacings, window=tuple(args.window))
+    try:
+        table = continuum_scan(spacings, window=tuple(args.window))
+    except ValueError as exc:
+        print(f"{ap.prog}: error: {exc}", file=sys.stderr)
+        sys.exit(2)
 
     print(f"{'a':>10}  {'r(a)':>14}  {'r/(a^2/2)':>10}  {'ratio':>8}")
     prev = None

@@ -36,17 +36,19 @@ certified here as an exact rewrite to zero, and `operators` evaluates each
 row with a margin on truncated matrices.  Adding an identity takes one row.
 Each table text is parsed once, at import: `DEFINITION_TREES` and
 `IDENTITY_TREES` hold the parsed rows next to the text tables, and every
-consumer (`_build_atoms`, `verify_symbolic_suite` and `operators`) folds
-those trees, so no run parses a table text again.
+consumer (`_build_atoms`, the verdicts and `operators`) folds those trees,
+so no run parses a table text again.  The verdicts are constants of the
+program too: each row is normal-formed once, at import, as `check` would.
 
 The identity rows form one DAG: their trees are interned at import, so
 equal subtrees of different rows are one node object, and `shared_visits`
 counts, once, how often one fold of the rows visits each shared node.  A
-suite call folds all its rows with one domain and one `FoldMemo` built from
-those counts: a shared node is folded on its first visit, its value is
-returned on later visits and dropped after the last one, so the memo ends
-empty and holds each value only until its last use.  Expressions given by
-a user are folded without a memo.
+numeric suite call (`operators.verify_identity_suite`) folds all its rows
+with one lattice domain and one `FoldMemo` built from those counts: a
+shared node is folded on its first visit, its value is returned on later
+visits and dropped after the last one, so the memo ends empty and holds
+each value only until its last use.  The exact domain folds without a memo:
+the rows certified at import and the expressions given by a user alike.
 """
 
 from __future__ import annotations
@@ -556,9 +558,9 @@ class _Exact(dict):
     operands of those products moved past each shift they have met.
 
     The shifts are shared for this fold only, from an operand's second
-    product on: a power multiplies its base in once per factor, and rows of
-    the identity table multiply by the same atoms, so such an operand is
-    moved past each A^m1 once, not once per product.  Sharing changes no
+    product on: a power multiplies its base in once per factor, and every
+    use of an atom is the same operand, so such an operand is moved past
+    each A^m1 once, not once per product.  Sharing changes no
     normal form, its storage order or the pair count."""
 
     def __init__(self, atoms: dict):
@@ -785,19 +787,12 @@ IDENTITIES = (
 IDENTITY_TREES = tuple(
     (name, tree, margin) for (name, _, margin), tree
     in zip(IDENTITIES, _interned(parse(text) for _, text, _ in IDENTITIES)))
-# The shared nodes of one fold of every row, for the memo of that fold.
-_IDENTITY_VISITS = shared_visits(tree for _, tree, _ in IDENTITY_TREES)
+# Each row's verdict, certified once: one normal form per row.
+_SYMBOLIC_CHECKS = tuple(SymbolicCheck(name, nf.is_zero, nf.term_count)
+                         for name, tree, _ in IDENTITY_TREES for nf in [normal_form(tree)])
 
 
 def verify_symbolic_suite() -> list:
-    """Normal-form every identity and report whether it is exactly zero.
-
-    The rows are folded as one DAG: one exact domain and one `FoldMemo`, so
-    a subtree that several rows share is normal-formed once."""
-    domain, memo = _Exact(ATOMS), FoldMemo(_IDENTITY_VISITS)
-    results = []
-    for name, tree, _ in IDENTITY_TREES:
-        nf = fold(tree, domain, memo)
-        results.append(SymbolicCheck(name, nf.is_zero, nf.term_count))
-    return results
-
+    """Whether each identity's normal form is exactly zero: a fresh list of
+    the verdicts certified at import.  `FoldMemo` serves the numeric suite."""
+    return list(_SYMBOLIC_CHECKS)

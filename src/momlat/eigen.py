@@ -198,10 +198,8 @@ def normalization_formula(x: float, a: float, N: int) -> float:
         raise ValueError(f"need |a*x| < 1 strictly, got {abs(s)}")
     al = alpha(x, a)
     al2 = al * al
-    denom = al2 + 1.0
-    if abs(denom) < 1e-12:
-        raise ValueError("degenerate bracket: alpha^2 + 1 vanishes")
-    tail = ((-al2) ** (N + 1) - (-1.0 / al2) ** N) / denom
+    # |alpha^2 + 1| = 2*sqrt(1 - s^2) >= 2^-25 for every double |s| < 1
+    tail = ((-al2) ** (N + 1) - (-1.0 / al2) ** N) / (al2 + 1.0)
     bracket = 2 * N + 1 + tail.real
     # the bracket is real in exact arithmetic; a large imaginary residue
     # means the evaluation left its numerically meaningful range

@@ -515,6 +515,10 @@ def continuum_scan(spacings, test_function=None, window: tuple = (-8.0, 8.0)) ->
         if not scale > 0:
             raise ValueError(f"the test function vanishes on the lattice {lat.descriptor()}, "
                              "so the residual has no scale")
+        if scale < np.finfo(float).tiny:
+            raise ValueError(f"the test function's largest value on the lattice "
+                             f"{lat.descriptor()} is {fmt_real(scale)}, below the smallest "
+                             "normal double, so the residual has no scale")
         residuals.append(float(np.max(np.abs(g[1:-1])) / scale))
 
     if all(r > 0 for r in residuals):

@@ -100,7 +100,15 @@ USAGE_ERROR_CASES = [
     (("continuum", "--window=1:2:3"), "bad window '1:2:3', expected lo:hi"),
     (("continuum", "--window=a:b"), "bad window 'a:b', expected lo:hi"),
     (("continuum", "--window=38.6:45", "--spacings", "1,0.5,0.25"),
-     "the residual at spacing 0.5 is 0, which has no logarithm"),
+     "the test function's largest value on the lattice p0=38.6,a=1,n=7 is "
+     "4.94065645841247e-324, below the smallest normal double"),
+    (("continuum", "--window=38.6:45", "--spacings", "0.4,0.2,0.1"),
+     "the test function's largest value on the lattice p0=38.6,a=0.4,n=17 is "
+     "4.94065645841247e-324, below the smallest normal double"),
+    # 2^-27, 2^-30, 2^-31, 2^-32: the Gaussian reads 1.0 at every point
+    (("continuum", "--window=0:7.450580596923828e-09", "--spacings",
+      "9.313225746154785e-10,4.656612873077393e-10,2.3283064365386963e-10"),
+     "the residual at spacing 9.31322574615479e-10 is 0, which has no logarithm"),
 ]
 
 

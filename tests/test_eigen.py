@@ -360,6 +360,22 @@ class TestNormalizationFormula:
         with pytest.raises(ValueError):
             normalization_formula(0.5, -1.0, 4)
 
+    @pytest.mark.parametrize("N", [1, 4, 1000])
+    @pytest.mark.parametrize("s", [math.nextafter(1.0, 0.0), -math.nextafter(1.0, 0.0),
+                                   0.999999999999, -0.999999999999])
+    def test_bracket_denominator_near_the_band_edge(self, s, N):
+        # |alpha^2 + 1| = 2*sqrt(1 - s^2) is at least 2^-25 for every double
+        # |s| < 1 (exactly 2^-25 at the largest double below 1), so the
+        # bracket divides by it unguarded
+        al = alpha(s, 1.0)
+        assert abs(al * al + 1.0) >= 2.0 ** -25
+        try:
+            value = normalization_formula(s, 1.0, N)
+        except ValueError as exc:
+            assert str(exc).startswith(("degenerate bracket", "normalization formula")), exc
+        else:
+            assert math.isfinite(value) and value > 0
+
     def test_overflowing_value_rejected(self):
         # |phi(p_0)|^2 ~ 4/(a*(2N+1)) passes the largest double below a ~ 1e-308
         assert math.isfinite(normalization_formula(0.5, 1e-300, 3))

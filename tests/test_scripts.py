@@ -26,16 +26,33 @@ def test_script_runs_to_its_verdict(script, verdict, tmp_path):
     assert proc.stdout.splitlines()[-1] == verdict
 
 
-def test_continuum_study_with_a_zero_residual(tmp_path):
-    # far out in the Gaussian's tail the residuals at 0.5 and 0.25 are 0
-    proc = subprocess.run([sys.executable, str(SCRIPTS / "continuum_study.py"), "--window",
-                           "38.6", "45", "--coarsest", "1", "--halvings", "3"],
+def run_continuum_study(tmp_path, *args):
+    return subprocess.run([sys.executable, str(SCRIPTS / "continuum_study.py"), *args],
                           capture_output=True, text=True, timeout=120, env=subprocess_env(),
                           cwd=tmp_path)
+
+
+def test_continuum_study_with_a_zero_residual(tmp_path):
+    # on [0, 2^-27] the Gaussian reads 1.0 at every point, and on the dyadic
+    # spacings 2^-30, 2^-31, 2^-32 every residual is exactly 0
+    proc = run_continuum_study(tmp_path, "--window", "0", "7.450580596923828e-09",
+                               "--coarsest", "9.313225746154785e-10", "--halvings", "3")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert [line.split()[-1] for line in lines[1:4]] == ["-", "-", "-"]
+    assert [line.split()[1:] for line in lines[1:4]] == [["0.000000e+00", "0.00000", "-"]] * 3
     assert lines[-1] == "log-log slope: nan  (second-order limit => 2)"
+
+
+def test_continuum_study_with_a_subnormal_scale(tmp_path):
+    # far out in the Gaussian's tail its largest sample is 5e-324
+    proc = run_continuum_study(tmp_path, "--window", "38.6", "45", "--coarsest", "1",
+                               "--halvings", "3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "continuum_study.py: error: the test function's largest value on the lattice "
+        "p0=38.6,a=1,n=7 is 4.94065645841247e-324, below the smallest normal double, so the "
+        "residual has no scale\n")
 
 
 def run_byte_diff(parent, change, seeds, tmp_path):
@@ -75,4 +92,4 @@ def test_byte_diff_names_the_calls_that_differ(tmp_path):
     assert "differs in stderr: momlat check 10000000000000000000...00000000000000000000" \
         "[5001 chars]" in lines
     assert max(map(len, lines)) < 100
-    assert lines[-1] == "8 of 84 calls differ in stdout, stderr or exit code"
+    assert lines[-1] == "8 of 86 calls differ in stdout, stderr or exit code"
