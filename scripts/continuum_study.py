@@ -36,7 +36,7 @@ def main():
     prev = None
     for a, r in zip(table.spacings, table.residuals):
         ratio = f"{prev / r:8.4f}" if prev is not None and r != 0 else "       -"
-        print(f"{a:10.5f}  {r:14.6e}  {r / (a * a / 2):10.5f}  {ratio}")
+        print(f"{a:10.4g}  {r:14.6e}  {r / (a * a / 2):10.5f}  {ratio}")
         prev = r
     print(f"\nlog-log slope: {table.slope:.6f}  (second-order limit => 2)")
     if not math.isnan(table.slope) and abs(table.slope - 2.0) < 0.1:

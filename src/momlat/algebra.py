@@ -55,8 +55,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
-from fractions import Fraction
+
+from .record import ValueRecord
 
 MAX_EXPONENT = 16
 # Most digits, leading zeros aside, of an integer literal: the longest that
@@ -254,39 +254,36 @@ OP_ONE = _operator({(0, 0, 0): (1, 0)}, 1)
 # expression grammar
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+# The tree nodes: immutable, equal and hashed by their fields.
+
+class Atom(ValueRecord):
+    def __init__(self, name: str):
+        self.__dict__.update(name=name)
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class IntLit(ValueRecord):
+    def __init__(self, value: int):
+        self.__dict__.update(value=value)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: object
+class Neg(ValueRecord):
+    def __init__(self, operand):
+        self.__dict__.update(operand=operand)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    left: object
-    right: object
+class BinOp(ValueRecord):
+    def __init__(self, op: str, left, right):  # op is one of + - * /
+        self.__dict__.update(op=op, left=left, right=right)
 
 
-@dataclass(frozen=True)
-class Power:
-    base: object
-    exponent: int
+class Power(ValueRecord):
+    def __init__(self, base, exponent: int):
+        self.__dict__.update(base=base, exponent=exponent)
 
 
-@dataclass(frozen=True)
-class Bracket:
-    kind: str  # commutator | anticommutator
-    left: object
-    right: object
+class Bracket(ValueRecord):
+    def __init__(self, kind: str, left, right):  # commutator | anticommutator
+        self.__dict__.update(kind=kind, left=left, right=right)
 
 
 # The whitespace before a token, then the token: an operator character, an
@@ -502,7 +499,8 @@ def _interned(trees) -> list:
             return known
         fields = _OPERAND_FIELDS.get(type(node), ())
         if fields:
-            node = replace(node, **{f: intern(getattr(node, f)) for f in fields})
+            node = type(node)(**{f: intern(value) if f in fields else value
+                                 for f, value in vars(node).items()})
         nodes[node] = node
         return node
     return [intern(tree) for tree in trees]
@@ -655,11 +653,13 @@ def _decimal(n: int) -> str:
     return _decimal(high) + _decimal(low).zfill(half)
 
 
-def _rational(x: Fraction) -> str:
-    """str(x), through `_decimal`."""
-    if x.denominator == 1:
-        return _decimal(x.numerator)
-    return _decimal(x.numerator) + "/" + _decimal(x.denominator)
+def _rational(num: int, den: int) -> str:
+    """num/den in lowest terms, den > 0, through `_decimal`: the numerator
+    alone when the quotient is whole."""
+    g = math.gcd(num, den)
+    if g == den:
+        return _decimal(num // g)
+    return _decimal(num // g) + "/" + _decimal(den // g)
 
 
 def _times(c: str, symbol: str) -> str:
@@ -679,13 +679,12 @@ def _power(symbol: str, k: int) -> str:
 
 def _format_gaussian(re: int, im: int, den: int) -> str:
     """The scalar (re + i*im)/den as the grammar reads it."""
-    re, im = Fraction(re, den), Fraction(im, den)
-    if im == 0:
-        return _rational(re)
-    if re == 0:
-        return _times(_rational(im), "i")
+    if not im:
+        return _rational(re, den)
+    if not re:
+        return _times(_rational(im, den), "i")
     sign = "+" if im > 0 else "-"
-    return f"({_rational(re)}{sign}{_times(_rational(abs(im)), 'i')})"
+    return f"({_rational(re, den)}{sign}{_times(_rational(abs(im), den), 'i')})"
 
 
 def _format_laurent(terms: dict, den: int, wrap_products: bool) -> str:
@@ -749,11 +748,13 @@ def format_normal_form(op: SymbolicOperator) -> str:
 # identity suite
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymbolicCheck:
-    identity: str
-    zero: bool
-    normal_form_term_count: int
+class SymbolicCheck(ValueRecord):
+    """One identity's verdict; `vars()` gives the fields in the order of the
+    CLI's JSON report."""
+
+    def __init__(self, identity: str, zero: bool, normal_form_term_count: int):
+        self.__dict__.update(identity=identity, zero=zero,
+                             normal_form_term_count=normal_form_term_count)
 
 
 # Rows are (name, text, margin).  The margin is the number of boundary rows

@@ -8,6 +8,7 @@ usage or validation errors.  All data output is byte-deterministic (fixed
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -100,10 +101,14 @@ def _suite_report(args, lattice: MomentumLattice, lattice_doc: dict, csv_head: s
     """Run both identity suites on the lattice and emit the report.
 
     Exit 1 when a symbolic identity is not exactly zero or a numeric
-    residual is not below --tol.
+    residual is not below --tol.  A --tol that is negative or not a number
+    is a usage error, and so is an infinite one: every residual would pass
+    it, and JSON has no infinity to report it with.
     """
     if not args.tol >= 0:
         raise ValueError(f"tolerance must be a non-negative number, got --tol {args.tol}")
+    if args.tol == math.inf:
+        raise ValueError(f"tolerance must be finite, got --tol {args.tol}")
     symbolic = algebra.verify_symbolic_suite()
     numeric = operators.verify_identity_suite(lattice)
     passed = all(c.zero for c in symbolic) and \

@@ -43,7 +43,6 @@ import cmath
 import ctypes
 import functools
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +50,7 @@ import numpy as np
 from .formatting import fmt_real
 from .lattice import GridFunction, MomentumLattice
 from .operators import build_operator
+from .record import Record
 
 # Largest lattice `truncated_spectrum` accepts.  The `dsterf` path needs O(n)
 # memory; the cap is set by the dense fallback, which keeps an n x n real
@@ -63,15 +63,12 @@ _SMLNUM = float(np.finfo(float).tiny / np.finfo(float).eps)
 _RMIN, _RMAX = math.sqrt(_SMLNUM), math.sqrt(1.0 / _SMLNUM)
 
 
-@dataclass(frozen=True, eq=False)
-class EigenResult:
-    """A position-eigenvector candidate phi on a lattice."""
+class EigenResult(Record):
+    """A position-eigenvector candidate phi on a lattice; equal only to itself."""
 
-    lattice: MomentumLattice
-    x: float
-    phi: GridFunction
-    phi0: complex
-    method: str
+    def __init__(self, lattice: MomentumLattice, x: float, phi: GridFunction, phi0: complex,
+                 method: str):
+        self.__dict__.update(lattice=lattice, x=x, phi=phi, phi0=phi0, method=method)
 
 
 def alpha(x: float, a: float) -> complex:

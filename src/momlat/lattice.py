@@ -11,23 +11,25 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .formatting import fmt_real, format_rows
+from .record import Record, ValueRecord
 
 GRID_CSV_HEADER = "j,p,re,im"
 
 
-@dataclass(frozen=True)
-class MomentumLattice:
-    """Uniform momentum grid p_j = p0 + j*a with a finite number of points."""
+class MomentumLattice(ValueRecord):
+    """Uniform momentum grid p_j = p0 + j*a with a finite number of points.
 
-    p0: float
-    a: float
-    n_points: int
+    Equal and hashed by (p0, a, n_points).  Every construction runs
+    `__post_init__`, which checks the fields."""
+
+    def __init__(self, p0: float, a: float, n_points: int):
+        self.__dict__.update(p0=p0, a=a, n_points=n_points)
+        self.__post_init__()
 
     def __post_init__(self):
         if not math.isfinite(self.p0):
@@ -50,21 +52,16 @@ class MomentumLattice:
         return f"p0={fmt_real(self.p0)},a={fmt_real(self.a)},n={self.n_points}"
 
 
-@dataclass(frozen=True, eq=False)
-class GridFunction:
-    """A complex-valued function sampled on a MomentumLattice."""
+class GridFunction(Record):
+    """A complex-valued function sampled on a MomentumLattice: `values` is a
+    read-only complex copy of the samples given.  Equal only to itself."""
 
-    lattice: MomentumLattice
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=complex)
-        if vals.shape != (self.lattice.n_points,):
-            raise ValueError(
-                f"expected {self.lattice.n_points} values, got shape {vals.shape}"
-            )
+    def __init__(self, lattice: MomentumLattice, values):
+        vals = np.array(values, dtype=complex)
+        if vals.shape != (lattice.n_points,):
+            raise ValueError(f"expected {lattice.n_points} values, got shape {vals.shape}")
         vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        self.__dict__.update(lattice=lattice, values=vals)
 
 
 def square_well_lattice(L: float, n_levels: int, hbar: float = 1.0) -> MomentumLattice:

@@ -36,7 +36,6 @@ caller's array is never aliased or made read-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +43,7 @@ from .algebra import (ATOMS, DEFINITION_TREES, IDENTITY_TREES, OPERATOR_NAMES, F
                       SymbolicOperator, fold, parse, shared_visits)
 from .formatting import fmt_real
 from .lattice import GridFunction, MomentumLattice, sample
+from .record import Record, ValueRecord
 
 RESIDUAL_CSV_HEADER = "identity,margin,residual"
 # Seed of the random grid functions on which the suite checks <f|A g> = <Abar f|g>.
@@ -72,8 +72,7 @@ def _rows(m: int, n: int) -> slice:
     return slice(0, max(0, n - m))
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class OperatorMatrix:
+class OperatorMatrix(Record):
     """Truncated operator on a lattice, stored as its diagonals.
 
     `bands` has shape (2*shift_radius + 1, n): row shift_radius + m holds
@@ -83,16 +82,13 @@ class OperatorMatrix:
     +/-, sum under products.  `entries` is the dense matrix, built on demand
     for the tests.  The constructor stores a read-only complex copy of
     `bands`; only `_result` hands over an array without the copy.  Either
-    way `__post_init__` checks the shape and sets the bands read-only.
+    way `__post_init__` checks the shape and sets the bands read-only.  An
+    operator is equal only to itself.
     """
 
-    lattice: MomentumLattice
-    bands: np.ndarray
-    shift_radius: int
-
     def __init__(self, lattice: MomentumLattice, bands, shift_radius: int):
-        vars(self).update(lattice=lattice, bands=np.array(bands, dtype=complex),
-                          shift_radius=shift_radius)
+        self.__dict__.update(lattice=lattice, bands=np.array(bands, dtype=complex),
+                             shift_radius=shift_radius)
         self.__post_init__()
 
     def __post_init__(self):
@@ -190,29 +186,28 @@ def _result(lattice: MomentumLattice, bands: np.ndarray, radius: int) -> Operato
     over: the constructor is skipped, and `__post_init__` checks the shape
     and sets the array read-only without copying it."""
     op = object.__new__(OperatorMatrix)
-    fields = op.__dict__  # written directly: a frozen dataclass refuses setattr
-    fields["lattice"], fields["bands"], fields["shift_radius"] = lattice, bands, radius
+    # written directly, as the constructor does: a record refuses setattr
+    op.__dict__.update(lattice=lattice, bands=bands, shift_radius=radius)
     op.__post_init__()
     return op
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Outcome of one identity check: worst interior matrix entry of LHS-RHS."""
+class ResidualReport(ValueRecord):
+    """Outcome of one identity check: worst interior matrix entry of LHS-RHS.
+    `vars()` gives the fields in the order of the CLI's JSON report."""
 
-    identity_name: str
-    max_interior_residual: float
-    margin_rows: int
-    lattice: str
+    def __init__(self, identity_name: str, max_interior_residual: float, margin_rows: int,
+                 lattice: str):
+        self.__dict__.update(identity_name=identity_name,
+                             max_interior_residual=max_interior_residual,
+                             margin_rows=margin_rows, lattice=lattice)
 
 
-@dataclass(frozen=True)
-class ConvergenceTable:
+class ConvergenceTable(ValueRecord):
     """Residual-vs-spacing table of a continuum scan plus the log-log slope."""
 
-    spacings: tuple
-    residuals: tuple
-    slope: float
+    def __init__(self, spacings: tuple, residuals: tuple, slope: float):
+        self.__dict__.update(spacings=spacings, residuals=residuals, slope=slope)
 
 
 _NUMERIC_IDENTITIES = tuple(row for row in IDENTITY_TREES if row[2] is not None)

@@ -91,6 +91,10 @@ USAGE_ERROR_CASES = [
      "the normal form has a coefficient of more than 100000 digits, past the printing limit"),
     (("verify", "--n", "7"), "n must be >= 8"),
     (("verify", "--tol", "-1"), "tolerance must be a non-negative number, got --tol -1.0"),
+    (("verify", "--n", "8", "--tol", "inf", "--format", "json"),
+     "tolerance must be finite, got --tol inf"),
+    (("well", "--L", "1", "--levels", "8", "--tol", "inf", "--format", "json"),
+     "tolerance must be finite, got --tol inf"),
     (("eigvec", "--x", "0.5", "--n", "0"), "n must be >= 1"),
     (("eigvec", "--x", "0.5", "--n", "3000001"),
      "eigenvector of n=3000001 points exceeds the limit of 3000000"),

@@ -12,8 +12,8 @@ from bits import same_bits
 
 import momlat.algebra
 import momlat.operators
-from momlat.algebra import (ATOMS, IDENTITIES, IDENTITY_TREES, OPERATOR_NAMES, SymbolicCheck,
-                            SymbolicOperator, verify_symbolic_suite)
+from momlat.algebra import (ATOMS, DEFINITION_TREES, IDENTITIES, IDENTITY_TREES, OPERATOR_NAMES,
+                            SymbolicCheck, SymbolicOperator, fold, verify_symbolic_suite)
 from momlat.lattice import GridFunction, MomentumLattice, inner_product, square_well_lattice
 from momlat.operators import (
     ADJOINT_SEED,
@@ -396,6 +396,68 @@ class TestTableDrivenSuite:
         # only three rows have a nonzero boundary row at all, one each
         assert {name: m for name, m in derived.items() if m} == {
             "A_Abar_is_identity": 1, "Abar_A_is_identity": 1, "commutator_P_H_expanded": 1}
+
+    def test_table_margins_cover_the_bound_of_the_margin_domain(self):
+        # The bound is derived from each row's tree alone, for every lattice;
+        # the table's margins are written by hand and may exceed it.
+        bounds = {name: fold(tree, MarginBound())[1]
+                  for name, tree, margin in IDENTITY_TREES if margin is not None}
+        assert list(bounds.values()) == [1] * 8 + [2] * 4
+        for name, _, margin in IDENTITY_TREES:
+            if margin is not None:
+                assert bounds[name] <= margin, (name, bounds[name], margin)
+        # and the bound suffices: on a dyadic lattice, where every float
+        # operation is exact, the rows inside it are exactly zero
+        lat = MomentumLattice(-3.0, 0.25, 16)
+        for name, tree, margin in IDENTITY_TREES:
+            if margin is not None:
+                assert interior_residual(expression_matrix(tree, lat), bounds[name]) == 0.0, name
+
+
+class MarginBound(dict):
+    """The margin domain of `algebra.fold`.  A value is (r, b): the band
+    radius r of a truncated matrix and a bound b on the rows at each end
+    that truncation corrupts.  The primitive atoms and the scalars are exact
+    (b = 0); a sum or difference corrupts the rows either operand does; row
+    i of a product L*R is exact when row i of L is and the r(L) rows of R
+    around it are, so b(L*R) = max(b(L), r(L) + b(R)).  A composite atom
+    folds its definition row, as the lattice domain builds it; dividing by
+    a scalar changes neither r nor b."""
+
+    def __init__(self):
+        super().__init__({name: Band(op.shift_radius, 0) for name, op in ATOMS.items()
+                          if name not in DEFINITION_TREES})
+
+    def __missing__(self, name):
+        value = self[name] = fold(DEFINITION_TREES[name], self)
+        return value
+
+    @staticmethod
+    def literal(value):
+        return Band(0, 0)
+
+    @staticmethod
+    def times(left, right):
+        return Band(left[0] + right[0], max(left[1], left[0] + right[1]))
+
+    @staticmethod
+    def plus(op, left, right):
+        return Band(max(left[0], right[0]), max(left[1], right[1]))
+
+    @staticmethod
+    def divide(left, right):
+        assert right == (0, 0)
+        return left
+
+
+class Band(tuple):
+    """(r, b) of `MarginBound`; negation changes neither."""
+
+    def __new__(cls, r, b):
+        return super().__new__(cls, (r, b))
+
+    def __neg__(self):
+        return self
 
 
 class TestParsedOnce:

@@ -1,5 +1,6 @@
-"""Smoke runs of the study scripts: each exits 0 and prints its verdict."""
+"""Smoke runs of the scripts: each exits 0 and prints its verdict or its result."""
 
+import json
 import re
 import shutil
 import subprocess
@@ -40,6 +41,8 @@ def test_continuum_study_with_a_zero_residual(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split()[1:] for line in lines[1:4]] == [["0.000000e+00", "0.00000", "-"]] * 3
+    # three different nonzero spacings, printed with significant digits
+    assert [line.split()[0] for line in lines[1:4]] == ["9.313e-10", "4.657e-10", "2.328e-10"]
     assert lines[-1] == "log-log slope: nan  (second-order limit => 2)"
 
 
@@ -92,4 +95,24 @@ def test_byte_diff_names_the_calls_that_differ(tmp_path):
     assert "differs in stderr: momlat check 10000000000000000000...00000000000000000000" \
         "[5001 chars]" in lines
     assert max(map(len, lines)) < 100
-    assert lines[-1] == "8 of 86 calls differ in stdout, stderr or exit code"
+    assert lines[-1] == "8 of 88 calls differ in stdout, stderr or exit code"
+
+
+def test_oneshot_bench_measures_one_call(tmp_path):
+    out = tmp_path / "BENCH_oneshot.json"
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "oneshot_bench.py"), "--rounds", "1",
+                           "--only", "momlat verify --n 64", "--out", str(out)],
+                          capture_output=True, text=True, timeout=120, env=subprocess_env(),
+                          cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["env"]["rounds"] == 1 and doc["env"]["blas_threads"] == 1
+    assert list(doc["commands"]) == ["momlat verify --n 64"]
+    modes = doc["commands"]["momlat verify --n 64"]
+    assert list(modes) == ["host", "cached"]
+    for mode in modes.values():
+        assert mode["exit_codes"] == [0]
+        wall = mode["wall_ms"]
+        assert 0 < wall["q1"] == wall["median"] == wall["q3"]
+        assert mode["max_rss_mb"]["median"] > 0
+    assert proc.stdout.startswith("momlat verify --n 64 ")
