@@ -2,7 +2,6 @@
 """Wall time and max RSS of one-shot momlat CLI calls at the north-star sizes.
 
     python scripts/oneshot_bench.py [--rounds 10] [--src SRC] [--out BENCH_oneshot.json]
-                                    [--only LABEL ...]
 
 Each command runs as its own `python -m momlat ...` process, as a user calls
 it, so its time includes interpreter start-up and every import; `python -c
@@ -115,13 +114,10 @@ def main():
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="directory that holds the momlat package (default: this checkout's)")
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_oneshot.json")
-    ap.add_argument("--only", nargs="+", choices=COMMANDS, metavar="LABEL",
-                    help="measure only these commands, named as in the output")
     args = ap.parse_args()
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
-    commands = {label: COMMANDS[label] for label in args.only or COMMANDS}
-    results = measure(commands, args.rounds, args.src)
+    results = measure(COMMANDS, args.rounds, args.src)
     doc = {
         "env": {"python": platform.python_version(), "numpy": metadata.version("numpy"),
                 "machine": platform.machine(), "nproc": os.cpu_count(), "rounds": args.rounds,

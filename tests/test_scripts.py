@@ -1,6 +1,6 @@
-"""Smoke runs of the scripts: each exits 0 and prints its verdict or its result."""
+"""Smoke runs of the scripts: each exits 0 and prints its verdict or its result;
+the one-shot bench measures one call."""
 
-import json
 import re
 import shutil
 import subprocess
@@ -9,9 +9,14 @@ from pathlib import Path
 
 import pytest
 
+import momlat
 from cli_cases import subprocess_env
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
+SRC = Path(momlat.__file__).parent.parent
+
+sys.path.insert(0, str(SCRIPTS))
+import oneshot_bench  # noqa: E402  (scripts/ is not a package)
 
 
 @pytest.mark.parametrize("script,verdict", [
@@ -98,21 +103,14 @@ def test_byte_diff_names_the_calls_that_differ(tmp_path):
     assert lines[-1] == "8 of 88 calls differ in stdout, stderr or exit code"
 
 
-def test_oneshot_bench_measures_one_call(tmp_path):
-    out = tmp_path / "BENCH_oneshot.json"
-    proc = subprocess.run([sys.executable, str(SCRIPTS / "oneshot_bench.py"), "--rounds", "1",
-                           "--only", "momlat verify --n 64", "--out", str(out)],
-                          capture_output=True, text=True, timeout=120, env=subprocess_env(),
-                          cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(out.read_text())
-    assert doc["env"]["rounds"] == 1 and doc["env"]["blas_threads"] == 1
-    assert list(doc["commands"]) == ["momlat verify --n 64"]
-    modes = doc["commands"]["momlat verify --n 64"]
+def test_oneshot_bench_measures_one_call():
+    label = "momlat verify --n 64"
+    results = oneshot_bench.measure({label: oneshot_bench.COMMANDS[label]}, 1, SRC)
+    assert list(results) == [label]
+    modes = results[label]
     assert list(modes) == ["host", "cached"]
     for mode in modes.values():
         assert mode["exit_codes"] == [0]
         wall = mode["wall_ms"]
         assert 0 < wall["q1"] == wall["median"] == wall["q3"]
         assert mode["max_rss_mb"]["median"] > 0
-    assert proc.stdout.startswith("momlat verify --n 64 ")
