@@ -20,7 +20,6 @@ differs.  It only reads `bench/` and `tests/`.
 """
 
 import argparse
-import ast
 import contextlib
 import hashlib
 import importlib
@@ -30,27 +29,18 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "bench"))
-import workloads  # noqa: E402  (bench/ is not a package)
+# bench/ and tests/ are not packages; neither module imports momlat
+sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tests")]
+import cli_cases  # noqa: E402
+import workloads  # noqa: E402
 
 
 def case_argvs() -> list:
     """The argv of every golden file, usage-error, edge, parser, scale and
-    power-cutoff case, read from tests/cli_cases.py without importing it (it imports
-    momlat): each table's expression is evaluated alone, with no builtins."""
-    path = ROOT / "tests" / "cli_cases.py"
-    tables = {target.id: node.value for node in ast.parse(path.read_text(encoding="utf-8")).body
-              if isinstance(node, ast.Assign) for target in node.targets
-              if isinstance(target, ast.Name)}
-
-    def table(name):
-        if name not in tables:
-            raise SystemExit(f"byte_diff: no {name} in tests/cli_cases.py")
-        return eval(compile(ast.Expression(tables[name]), str(path), "eval"),
-                    {"__builtins__": {}})
-    return [*table("GOLDEN_CASES").values(), *(argv for argv, _ in table("USAGE_ERROR_CASES")),
-            *table("EDGE_CASES"), *(argv for argv, _, _ in table("PARSER_CASES")),
-            *table("SCALE_CASES"), *table("POWER_CUTOFF_CASES")]
+    power-cutoff case in tests/cli_cases.py."""
+    return [*cli_cases.GOLDEN_CASES.values(), *(argv for argv, _ in cli_cases.USAGE_ERROR_CASES),
+            *cli_cases.EDGE_CASES, *(argv for argv, _, _ in cli_cases.PARSER_CASES),
+            *cli_cases.SCALE_CASES, *cli_cases.POWER_CUTOFF_CASES]
 
 
 def calls(seeds) -> list:

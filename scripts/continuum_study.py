@@ -13,7 +13,7 @@ import argparse
 import math
 import sys
 
-from momlat.operators import continuum_scan
+from momlat.operators import DEFAULT_WINDOW, continuum_scan
 
 
 def main():
@@ -22,7 +22,7 @@ def main():
                     help="largest spacing (default 0.1)")
     ap.add_argument("--halvings", type=int, default=4,
                     help="number of spacings, each half the previous (default 4)")
-    ap.add_argument("--window", type=float, nargs=2, default=(-8.0, 8.0))
+    ap.add_argument("--window", type=float, nargs=2, default=DEFAULT_WINDOW)
     args = ap.parse_args()
 
     spacings = tuple(args.coarsest / 2 ** k for k in range(args.halvings))

@@ -20,6 +20,10 @@ the host spreads over all of them.  Each child's wall time, exit code and max
 RSS come from `os.wait4`, so the script needs a POSIX host.  BLAS runs one
 thread.  The output holds, per command and mode, the median and quartiles of
 wall time (ms) and max RSS (MB) and the exit codes seen, plus an `env` block.
+When the floor is among the commands, every other command and mode also gets
+`over_floor_ms`: the median and quartiles of its wall time minus the floor's
+wall time of the same round and mode, which cancels most of a slow phase of
+the host.
 """
 
 import argparse
@@ -36,9 +40,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+FLOOR = "import numpy"
 # label -> interpreter arguments
 COMMANDS = {
-    "import numpy": ("-c", "import numpy"),
+    FLOOR: ("-c", "import numpy"),
     **{"momlat " + " ".join(argv): ("-m", "momlat", *argv) for argv in (
         ("verify", "--n", "64"),
         ("verify", "--n", "1024"),
@@ -101,11 +106,17 @@ def measure(commands: dict, rounds: int, src: Path) -> dict:
             for label, args in commands.items():
                 for mode, env in envs.items():
                     runs[label, mode].append(run_once(args, env))
-    return {label: {mode: {"wall_ms": summary(1e3 * wall for wall, _, _ in runs[label, mode]),
-                           "max_rss_mb": summary(rss for _, _, rss in runs[label, mode]),
-                           "exit_codes": sorted({code for _, code, _ in runs[label, mode]})}
-                    for mode in envs}
-            for label in commands}
+    results = {label: {mode: {"wall_ms": summary(1e3 * wall for wall, _, _ in runs[label, mode]),
+                              "max_rss_mb": summary(rss for _, _, rss in runs[label, mode]),
+                              "exit_codes": sorted({code for _, code, _ in runs[label, mode]})}
+                       for mode in envs}
+               for label in commands}
+    if FLOOR in commands:
+        for (label, mode), label_runs in runs.items():
+            if label != FLOOR:
+                results[label][mode]["over_floor_ms"] = summary(
+                    1e3 * (run[0] - floor[0]) for run, floor in zip(label_runs, runs[FLOOR, mode]))
+    return results
 
 
 def main():
@@ -126,9 +137,12 @@ def main():
         "commands": results,
     }
     args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    # per mode: median wall time, its excess over the floor, median max RSS
     for label, modes in results.items():
         print(f"{label:50} " + "  ".join(
-            f"{mode} {m['wall_ms']['median']:7.1f} ms {m['max_rss_mb']['median']:6.1f} MB"
+            f"{mode} {m['wall_ms']['median']:7.1f} ms "
+            + (f"{m['over_floor_ms']['median']:+7.1f}" if "over_floor_ms" in m else " " * 7)
+            + f" {m['max_rss_mb']['median']:6.1f} MB"
             for mode, m in modes.items()))
 
 

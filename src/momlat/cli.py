@@ -80,8 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("continuum", help="convergence of [X,P] -> -i as the spacing shrinks")
     p.add_argument("--spacings", default="0.1,0.05,0.025,0.0125",
                    help="comma-separated decreasing spacings")
-    p.add_argument("--window", default="-8:8", help="momentum window lo:hi "
-                   "(use --window=-8:8 for negative bounds)")
+    window = "{:g}:{:g}".format(*operators.DEFAULT_WINDOW)
+    p.add_argument("--window", default=window, help="momentum window lo:hi "
+                   f"(use --window={window} for negative bounds)")
     _output_args(p)
     p.set_defaults(handler=run_continuum)
 
@@ -133,8 +134,6 @@ def _suite_report(args, lattice: MomentumLattice, lattice_doc: dict, csv_head: s
 
 
 def run_verify(args) -> int:
-    if args.n < 8:
-        raise ValueError("n must be >= 8")
     lattice = MomentumLattice(args.p0, args.a, args.n)
     return _suite_report(args, lattice,
                          {"p0": lattice.p0, "a": lattice.a, "n": lattice.n_points})
@@ -148,8 +147,6 @@ def run_check(args) -> int:
 
 
 def run_eigvec(args) -> int:
-    if args.n < 1:
-        raise ValueError("n must be >= 1")
     if args.n > MAX_EIGVEC_POINTS:
         raise ValueError(f"eigenvector of n={args.n} points exceeds the limit of "
                          f"{MAX_EIGVEC_POINTS}: it needs ~300 bytes a point")
@@ -187,8 +184,6 @@ def run_eigvec(args) -> int:
 
 
 def run_spectrum(args) -> int:
-    if args.n < 1:
-        raise ValueError("n must be >= 1")
     lattice = MomentumLattice(args.p0, args.a, args.n)
     values = eigen.truncated_spectrum(lattice)
     if args.format == "json":
@@ -228,8 +223,6 @@ def run_continuum(args) -> int:
 
 
 def run_well(args) -> int:
-    if args.levels < 8:
-        raise ValueError("levels must be >= 8 to run the identity suite")
     lattice = square_well_lattice(args.L, args.levels, args.hbar)
     head = ("p0,a,levels\n"
             f"{fmt_real(lattice.p0)},{fmt_real(lattice.a)},{lattice.n_points}\n\n")

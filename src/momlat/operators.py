@@ -49,6 +49,7 @@ RESIDUAL_CSV_HEADER = "identity,margin,residual"
 # Seed of the random grid functions on which the suite checks <f|A g> = <Abar f|g>.
 ADJOINT_SEED = 181054
 CONVERGENCE_CSV_HEADER = "a,r,log_a,log_r"
+DEFAULT_WINDOW = (-8.0, 8.0)
 # Most lattice points `continuum_scan` samples at one spacing.  A scan peaks
 # near 320 bytes a point (312 under tracemalloc, 316-333 in max RSS at
 # 1.6e6-8e6 points), so the cap keeps one spacing near 1 GB and ~3 s.
@@ -459,7 +460,7 @@ def unit_gaussian(p: np.ndarray) -> np.ndarray:
     return np.exp(-np.asarray(p, dtype=float) ** 2 / 2.0)
 
 
-def window_lattice(spacing: float, window: tuple = (-8.0, 8.0)) -> MomentumLattice:
+def window_lattice(spacing: float, window: tuple) -> MomentumLattice:
     """Smallest lattice with the given spacing whose points cover the window.
 
     The scan measures interior rows, so a spacing that leaves fewer than 3
@@ -480,7 +481,7 @@ def window_lattice(spacing: float, window: tuple = (-8.0, 8.0)) -> MomentumLatti
     return MomentumLattice(p0=lo, a=spacing, n_points=n)
 
 
-def continuum_scan(spacings, test_function=None, window: tuple = (-8.0, 8.0)) -> ConvergenceTable:
+def continuum_scan(spacings, test_function=None, window=DEFAULT_WINDOW) -> ConvergenceTable:
     """Residual of the canonical commutation relation as the spacing shrinks.
 
     For each spacing a the test function is sampled on a lattice covering the

@@ -1,15 +1,16 @@
 """Shared CLI invocation helpers, the golden-file case table, the table of
 inputs that must end in a usage error, the table of valid edge calls, the
 table of inputs that argparse itself ends, the table of north-star-sized
-calls and the table of calls across the closed form's power cutoff."""
+calls and the table of calls across the closed form's power cutoff.
+
+Importing this module does not import momlat: the helpers import it when
+they are called, so `scripts/byte_diff.py` can read the tables before it
+imports each tree's momlat."""
 
 import contextlib
 import io
 import os
 from pathlib import Path
-
-import momlat
-from momlat.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -35,8 +36,7 @@ GOLDEN_CASES = {
 
 
 # (argv, message): each call exits 2 with the message on stderr, no stdout
-# and no warning or traceback.  Plain expressions over literals, so that
-# `scripts/byte_diff.py` can read the argvs without importing this module.
+# and no warning or traceback.
 USAGE_ERROR_CASES = [
     (("continuum", "--window=0:0.05", "--spacings", "0.1,0.05,0.025"),
      "spacing 0.1 leaves 1 point(s) in the window 0.0:0.05"),
@@ -89,17 +89,17 @@ USAGE_ERROR_CASES = [
     (("check", "P^" + "9" * 5000), "9 exceeds the limit 16 at offset 2"),
     (("check", "((" + "9" * 4300 + ")^16)^2"),
      "the normal form has a coefficient of more than 100000 digits, past the printing limit"),
-    (("verify", "--n", "7"), "n must be >= 8"),
+    (("verify", "--n", "7"), "identity suite needs n >= 8, got 7"),
     (("verify", "--tol", "-1"), "tolerance must be a non-negative number, got --tol -1.0"),
     (("verify", "--n", "8", "--tol", "inf", "--format", "json"),
      "tolerance must be finite, got --tol inf"),
     (("well", "--L", "1", "--levels", "8", "--tol", "inf", "--format", "json"),
      "tolerance must be finite, got --tol inf"),
-    (("eigvec", "--x", "0.5", "--n", "0"), "n must be >= 1"),
+    (("eigvec", "--x", "0.5", "--n", "0"), "lattice needs at least one point, got 0"),
     (("eigvec", "--x", "0.5", "--n", "3000001"),
      "eigenvector of n=3000001 points exceeds the limit of 3000000"),
-    (("spectrum", "--n", "0"), "n must be >= 1"),
-    (("well", "--L", "1", "--levels", "7"), "levels must be >= 8 to run the identity suite"),
+    (("spectrum", "--n", "0"), "lattice needs at least one point, got 0"),
+    (("well", "--L", "1", "--levels", "7"), "identity suite needs n >= 8, got 7"),
     (("continuum", "--spacings", "0.1,x"), "bad spacing list '0.1,x'"),
     (("continuum", "--window=1:2:3"), "bad window '1:2:3', expected lo:hi"),
     (("continuum", "--window=a:b"), "bad window 'a:b', expected lo:hi"),
@@ -119,7 +119,6 @@ USAGE_ERROR_CASES = [
 # Valid calls that take a branch no other table reaches: a `check` expression
 # that starts with '-', the one-point eigenvector (null formula fields) and
 # spectra that LAPACK's driver would scale.  Each exits 0 with no warning.
-# Plain literals, as above.
 EDGE_CASES = [
     ("check", "-{Q,P}+{Q,P}"),
     ("eigvec", "--x", "0.5", "--a", "1", "--n", "1"),
@@ -131,11 +130,12 @@ EDGE_CASES = [
 
 # (argv, exit code, text): calls that argparse ends before any handler runs.
 # Help exits 0 with the text on stdout; an error exits 2 with the usage and
-# the text on stderr.  Plain literals, as above.
+# the text on stderr.
 PARSER_CASES = [
     ((), 2, "momlat: error: the following arguments are required: command"),
     (("--help",), 0, "usage: momlat [-h] {verify,check,eigvec,spectrum,continuum,well} ..."),
     (("verify", "-h"), 0, "usage: momlat verify [-h]"),
+    (("continuum", "-h"), 0, "--window=-8:8"),
     (("bogus",), 2, "momlat: error: argument command: invalid choice: 'bogus'"),
     (("verify", "--bogus"), 2, "momlat: error: unrecognized arguments: --bogus"),
     (("eigvec",), 2, "momlat eigvec: error: the following arguments are required: --x"),
@@ -147,8 +147,7 @@ PARSER_CASES = [
 # The end-to-end calls of the ROADMAP's north star, at its sizes, for
 # `scripts/byte_diff.py` to replay beyond the benchmark's n <= 640.  The
 # one-shot `eigvec --n 10^6` (~1-1.6 s) is left out; the two `eigvec --n 10^5`
-# calls print 25 full blocks of `formatting.format_rows`.  Plain literals, as
-# above.
+# calls print 25 full blocks of `formatting.format_rows`.
 SCALE_CASES = [
     ("verify", "--n", "1024"),
     ("verify", "--n", "2048"),
@@ -165,8 +164,7 @@ SCALE_CASES = [
 # `eigvec` calls whose closed form crosses numpy's small-power cutoff
 # (exponents from 100 on go through libm's cpow) and, at n = 16385, the
 # 256 KiB size from which numpy elides the temporaries of its combining
-# expression.  At x = 0 the second root -conj(alpha) is exactly 1 + 0j.  Plain
-# literals, as above.
+# expression.  At x = 0 the second root -conj(alpha) is exactly 1 + 0j.
 POWER_CUTOFF_CASES = [
     ("eigvec", "--x", "0", "--a", "1", "--n", "101"),
     ("eigvec", "--x", "-0.3", "--a", "1", "--n", "100", "--format", "json"),
@@ -176,6 +174,7 @@ POWER_CUTOFF_CASES = [
 
 def run_cli(*argv):
     """Invoke the CLI in-process, returning (exit_code, stdout, stderr)."""
+    from momlat.cli import main
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
@@ -185,6 +184,7 @@ def run_cli(*argv):
 def subprocess_env():
     """Environment in which `python -m momlat` imports this same momlat and,
     as the in-process tests do, turns a numpy RuntimeWarning into an error."""
+    import momlat
     src = str(Path(momlat.__file__).parent.parent)
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src,

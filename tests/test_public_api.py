@@ -146,3 +146,12 @@ def test_import_generates_no_code():
                           timeout=120, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_the_atom_tables_are_read_only():
+    # every exact fold reads ATOMS, and every lattice domain DEFINITION_TREES
+    with pytest.raises(TypeError):
+        momlat.ATOMS["X"] = momlat.ATOMS["P"]
+    with pytest.raises(TypeError):
+        algebra.DEFINITION_TREES["X"] = algebra.DEFINITION_TREES["Q"]
+    assert momlat.format_normal_form(momlat.normal_form("X")) == "-1/2*i/a*A+1/2*i/a*Abar"

@@ -100,7 +100,7 @@ def test_byte_diff_names_the_calls_that_differ(tmp_path):
     assert "differs in stderr: momlat check 10000000000000000000...00000000000000000000" \
         "[5001 chars]" in lines
     assert max(map(len, lines)) < 100
-    assert lines[-1] == "8 of 88 calls differ in stdout, stderr or exit code"
+    assert lines[-1] == "8 of 89 calls differ in stdout, stderr or exit code"
 
 
 def test_oneshot_bench_measures_one_call():
@@ -114,3 +114,26 @@ def test_oneshot_bench_measures_one_call():
         wall = mode["wall_ms"]
         assert 0 < wall["q1"] == wall["median"] == wall["q3"]
         assert mode["max_rss_mb"]["median"] > 0
+
+
+def test_oneshot_bench_measures_two_calls_over_the_floor():
+    label = "momlat verify --n 64"
+    commands = {label: oneshot_bench.COMMANDS[label]}
+    commands[oneshot_bench.FLOOR] = oneshot_bench.COMMANDS[oneshot_bench.FLOOR]
+    results = oneshot_bench.measure(commands, 2, SRC)
+    for mode in results[label].values():
+        over = mode["over_floor_ms"]
+        assert over["q1"] <= over["median"] <= over["q3"]
+    assert all("over_floor_ms" not in mode for mode in results[oneshot_bench.FLOOR].values())
+
+
+def test_the_case_tables_import_without_momlat():
+    # scripts/byte_diff.py imports them before it imports each tree's momlat;
+    # the child could import momlat, from the same tree as these tests
+    code = ("import sys\n"
+            "import cli_cases\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'momlat'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=subprocess_env(), cwd=Path(__file__).parent)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
