@@ -53,6 +53,7 @@ COMMANDS = {
         ("continuum", "--spacings", "0.01,0.001,0.0001"),
         ("spectrum", "--n", "2000"),
         ("check", "H^12"),
+        ("check", "H^16*H^8"),  # the exact engine's largest accepted product
     )},
 }
 # stdout and stderr of every child go to the null device

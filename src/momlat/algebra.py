@@ -25,8 +25,7 @@ pairs of flat terms.
 The module also owns the expression grammar, its one tree walker and the
 two tables the other layers read.  `fold(node, domain)` visits each node of
 a parsed expression once and leaves the arithmetic to a domain: the exact
-domain here multiplies normal forms, counts their term pairs and shares,
-within one fold, each right operand moved past the shifts of a left one, and
+domain here multiplies normal forms and counts their term pairs, and
 `operators` supplies the lattice domain of banded matrices.  `DEFINITIONS`
 writes the composite operators D, Dbar, X, Q, H over the primitives A,
 Abar, P, I, i, a; `ATOMS` is its exact fold, and the name tables
@@ -152,7 +151,7 @@ class SymbolicOperator:
     def __neg__(self):
         return _operator({key: (-re, -im) for key, (re, im) in self._terms.items()}, self._den)
 
-    def __mul__(self, other, shifts: dict | None = None):
+    def __mul__(self, other):
         # (P^k1 A^m1)(P^k2 A^m2) = P^k1 (P + m1 a)^k2 A^(m1+m2), the closed form
         # of the exchange rules: the right operand is moved past A^m1 once per
         # distinct m1, then every pair of terms multiplies in integers.  A
@@ -160,34 +159,15 @@ class SymbolicOperator:
         # used as it is.  Either way the terms accumulate in one order: shift
         # group by shift group of the left operand, in order of first
         # appearance, and right term by right term within a group.
-        # `shifts`, passed by `_Exact.times`, maps for one fold id(terms) to
-        # (terms, has P, {m1: moved terms}).  An operand's first product
-        # only registers it and moves it group by group as above; from its
-        # second on, each move past A^m1 is kept and read back, so an
-        # operand met once holds no moved copies past its product.  The
-        # entry holds the terms, so their id is not reused while it lives.
         by_shift: dict = {}
         for (k1, m1, e1), (re, im) in self._terms.items():
             by_shift.setdefault(m1, []).append((k1, e1, re, im))
         terms = other._terms
-        entry = None if shifts is None else shifts.get(id(terms))
-        if entry is None:
-            has_p, moved = any(k for k, _, _ in terms), None
-            if shifts is not None:
-                shifts[id(terms)] = (terms, has_p, {})
-        else:
-            _, has_p, moved = entry
+        has_p = any(k for k, _, _ in terms)
         acc: dict = {}
         get = acc.get
         for m1, left in by_shift.items():
-            if not (m1 and has_p):
-                right = terms
-            elif moved is None:
-                right = _shifted(terms, m1)
-            else:
-                right = moved.get(m1)
-                if right is None:
-                    right = moved[m1] = _shifted(terms, m1)
+            right = _shifted(terms, m1) if m1 and has_p else terms
             for (k2, m2, e2), (c, d) in right.items():
                 m = m1 + m2
                 for k1, e1, a, b in left:
@@ -449,10 +429,7 @@ def fold(node, domain, memo=None):
     squaring was measured slower on H.
 
     With a `FoldMemo`, a node the memo lists is folded on its first visit
-    only: later visits return that value, and the last one drops it.  The
-    exact domain also shares, for one fold, the right operands of its
-    products moved past each shift, so a power's base is not moved again
-    for every factor.
+    only: later visits return that value, and the last one drops it.
     """
     if memo is not None and id(node) in memo:
         return memo.visit(node, domain)
@@ -552,20 +529,12 @@ class FoldMemo(dict):
 
 
 class _Exact(dict):
-    """The exact domain: normal forms of the atoms, the flat term pairs the
-    products of one fold have multiplied so far, and `shifts`, the right
-    operands of those products moved past each shift they have met.
-
-    The shifts are shared for this fold only, from an operand's second
-    product on: a power multiplies its base in once per factor, and every
-    use of an atom is the same operand, so such an operand is moved past
-    each A^m1 once, not once per product.  Sharing changes no
-    normal form, its storage order or the pair count."""
+    """The exact domain: normal forms of the atoms, and the flat term pairs
+    the products of one fold have multiplied so far."""
 
     def __init__(self, atoms: dict):
         super().__init__(atoms)
         self.pairs = 0
-        self.shifts = {}
 
     @staticmethod
     def literal(value: int) -> SymbolicOperator:
@@ -576,7 +545,7 @@ class _Exact(dict):
         if self.pairs > MAX_PRODUCT_WORK:
             raise ExpressionError(f"normal form needs more than the work limit of "
                                   f"{MAX_PRODUCT_WORK} term pairs in products")
-        return left.__mul__(right, self.shifts)
+        return left * right
 
     @staticmethod
     def plus(op: str, left: SymbolicOperator, right: SymbolicOperator) -> SymbolicOperator:

@@ -388,7 +388,7 @@ def verify_identity_suite(lattice: MomentumLattice) -> list:
     """
     n = lattice.n_points
     if n < 8:
-        raise ValueError(f"identity suite needs n >= 8, got {n}")
+        raise ValueError(f"identity suite needs at least 8 lattice points, got {n}")
     if n > MAX_SUITE_POINTS:
         raise ValueError(f"identity suite on n={n} points exceeds the limit of "
                          f"{MAX_SUITE_POINTS}: it needs ~900 bytes a point")
@@ -505,9 +505,11 @@ def continuum_scan(spacings, test_function=None, window=DEFAULT_WINDOW) -> Conve
     residuals = []
     for lat in [window_lattice(a, window) for a in spacings]:
         f = sample(lat, fn)
-        X, P = build_operator(lat, "X"), build_operator(lat, "P")
-        g = apply(X, apply(P, f)).values - apply(P, apply(X, f)).values + 1j * f.values
         scale = np.max(np.abs(f.values))
+        if not math.isfinite(scale):
+            raise ValueError(f"the test function's largest value on the lattice "
+                             f"{lat.descriptor()} is {fmt_real(scale)}, not a finite number, "
+                             "so the residual has no scale")
         if not scale > 0:
             raise ValueError(f"the test function vanishes on the lattice {lat.descriptor()}, "
                              "so the residual has no scale")
@@ -515,6 +517,8 @@ def continuum_scan(spacings, test_function=None, window=DEFAULT_WINDOW) -> Conve
             raise ValueError(f"the test function's largest value on the lattice "
                              f"{lat.descriptor()} is {fmt_real(scale)}, below the smallest "
                              "normal double, so the residual has no scale")
+        X, P = build_operator(lat, "X"), build_operator(lat, "P")
+        g = apply(X, apply(P, f)).values - apply(P, apply(X, f)).values + 1j * f.values
         residuals.append(float(np.max(np.abs(g[1:-1])) / scale))
 
     if all(r > 0 for r in residuals):

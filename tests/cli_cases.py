@@ -89,7 +89,7 @@ USAGE_ERROR_CASES = [
     (("check", "P^" + "9" * 5000), "9 exceeds the limit 16 at offset 2"),
     (("check", "((" + "9" * 4300 + ")^16)^2"),
      "the normal form has a coefficient of more than 100000 digits, past the printing limit"),
-    (("verify", "--n", "7"), "identity suite needs n >= 8, got 7"),
+    (("verify", "--n", "7"), "identity suite needs at least 8 lattice points, got 7"),
     (("verify", "--tol", "-1"), "tolerance must be a non-negative number, got --tol -1.0"),
     (("verify", "--n", "8", "--tol", "inf", "--format", "json"),
      "tolerance must be finite, got --tol inf"),
@@ -99,7 +99,8 @@ USAGE_ERROR_CASES = [
     (("eigvec", "--x", "0.5", "--n", "3000001"),
      "eigenvector of n=3000001 points exceeds the limit of 3000000"),
     (("spectrum", "--n", "0"), "lattice needs at least one point, got 0"),
-    (("well", "--L", "1", "--levels", "7"), "identity suite needs n >= 8, got 7"),
+    (("well", "--L", "1", "--levels", "7"),
+     "identity suite needs at least 8 lattice points, got 7"),
     (("continuum", "--spacings", "0.1,x"), "bad spacing list '0.1,x'"),
     (("continuum", "--window=1:2:3"), "bad window '1:2:3', expected lo:hi"),
     (("continuum", "--window=a:b"), "bad window 'a:b', expected lo:hi"),

@@ -668,61 +668,6 @@ class TestFlatEngine:
             normal_form("P / (1 + a)")
 
 
-class UnsharedExact(algebra._Exact):
-    """Reference: the exact domain with every product moving its right
-    operand past each shift anew, as before shifts were shared."""
-
-    def times(self, left, right):
-        self.shifts.clear()
-        return super().times(left, right)
-
-
-def assert_same_storage(got: SymbolicOperator, expected: SymbolicOperator):
-    assert got == expected
-    assert list(got._terms) == list(expected._terms)
-
-
-class TestSharedShifts:
-    """A fold keeps each right operand moved past each shift and shares it
-    across its products; normal forms, their storage order and the pair
-    count are those of moving the operand anew every time."""
-
-    def test_identity_rows_equal_unshared(self):
-        for name, tree, _ in algebra.IDENTITY_TREES:
-            shared, unshared = algebra._Exact(ATOMS), UnsharedExact(ATOMS)
-            assert_same_storage(algebra.fold(tree, shared), algebra.fold(tree, unshared))
-            assert shared.pairs == unshared.pairs, name
-
-    def test_suite_fold_equals_unshared(self):
-        # every row folded in one domain, with no memo: the atoms that
-        # several rows multiply by are moved once per shift for all of them
-        def fold_rows(domain):
-            return [algebra.fold(tree, domain) for _, tree, _ in algebra.IDENTITY_TREES]
-        shared, unshared = algebra._Exact(ATOMS), UnsharedExact(ATOMS)
-        for got, expected in zip(fold_rows(shared), fold_rows(unshared), strict=True):
-            assert_same_storage(got, expected)
-        assert shared.pairs == unshared.pairs == 170
-        assert any(moved for _, _, moved in shared.shifts.values())
-
-    @pytest.mark.parametrize("text", ["H^6", "X^10", "(P*A + P^2*Abar)^5*(P - A)^3",
-                                      "[X,H]*H^2 - H^2*[X,H]"])
-    def test_powers_equal_unshared(self, text):
-        shared, unshared = algebra._Exact(ATOMS), UnsharedExact(ATOMS)
-        assert_same_storage(algebra.fold(parse(text), shared),
-                            algebra.fold(parse(text), unshared))
-        assert shared.pairs == unshared.pairs
-
-    @given(st.lists(ORDERED_OPERAND_ST, min_size=1, max_size=4), ORDERED_OPERAND_ST)
-    @settings(max_examples=150, deadline=None)
-    def test_products_sharing_a_right_operand(self, lefts, right):
-        # every left operand times one right operand, twice over: from the
-        # second product on, the right operand's moved terms are read back
-        domain = algebra._Exact(ATOMS)
-        for left in lefts + lefts:
-            assert_same_storage(domain.times(left, right), left * right)
-        assert domain.pairs == 2 * len(right._terms) * sum(len(x._terms) for x in lefts)
-
-
 # Flat term pairs of one normal_form call of each IDENTITIES row.
 IDENTITY_PAIRS = {
     "A_Abar_is_identity": 1, "Abar_A_is_identity": 1, "commutator_A_P": 3,

@@ -26,7 +26,7 @@ class TestExitCodes:
     def test_verify_small_lattice_usage_error(self):
         code, _, err = run_cli("verify", "--n", "4")
         assert code == 2
-        assert "identity suite needs n >= 8, got 4" in err
+        assert "identity suite needs at least 8 lattice points, got 4" in err
 
     def test_verify_impossible_tolerance(self):
         code, _, _ = run_cli("verify", "--p0", "0", "--a", "0.1", "--n", "64",
@@ -335,7 +335,7 @@ class TestWell:
     def test_level_floor(self):
         code, _, err = run_cli("well", "--L", "1", "--levels", "4")
         assert code == 2
-        assert "identity suite needs n >= 8, got 4" in err
+        assert "identity suite needs at least 8 lattice points, got 4" in err
 
     def test_json_envelope(self):
         code, out, _ = run_cli("well", "--L", "2", "--levels", "12",

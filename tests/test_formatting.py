@@ -95,6 +95,7 @@ class TestBulkDumps:
         [np.float64(-0.0), np.float64(1 / 3)], [1 / 3, np.float64(0.1)],
         [np.complex128(1 - 2j), 0.5j], [1j, 2.0], [[0.5, -0.0], [1j]], [[], [0.25]],
         ["a", 0.5], [0.5] * 30 + [1], [1.5j] * 20 + [None], [{"x": -0.0}, 2.0],
+        [{}, 0.5], [{"x": {}}],
     ])
     def test_mixed_lists_unchanged(self, values):
         assert dumps(values) == per_element_dumps(values)
@@ -120,6 +121,14 @@ class TestBulkDumps:
             dumps(array)
         with pytest.raises(TypeError, match="cannot serialize a"):
             dumps({"values": [array]})
+
+    @pytest.mark.parametrize("obj, name", [({1.5}, "set"), (frozenset(), "frozenset"),
+                                           (b"x", "bytes"), (object(), "object")])
+    def test_unsupported_types_rejected(self, obj, name):
+        with pytest.raises(TypeError, match=f"^cannot serialize {name}$"):
+            dumps(obj)
+        with pytest.raises(TypeError, match=f"^cannot serialize {name}$"):
+            dumps({"values": [0.5, obj]})
 
 
 class TestFormatRows:

@@ -320,9 +320,20 @@ class TestCsvInterchange:
                 f"consecutive momenta of the lattice {f.lattice.descriptor()} are equal")):
             grid_to_csv(f)
 
-    def test_bad_header_rejected(self):
-        with pytest.raises(ValueError):
-            grid_from_csv("x,y\n1,2\n")
+    @pytest.mark.parametrize("text, message", [
+        ("x,y\n1,2\n", "expected header 'j,p,re,im'"),
+        ("", "expected header 'j,p,re,im'"),
+        ("j,p,re,im\n0,0,1,0\n1,0.5,1\n", r"expected 4 fields, got 3: '1,0\.5,1\\n'$"),
+        ("j,p,re,im\n0,0,1,0\n1,0.5,1,0,0\n", "expected 4 fields, got 5"),
+        ("j,p,re,im\n0,0,1,0\n2,0.5,1,0\n", r"row index 2 out of order \(expected 1\)"),
+        ("j,p,re,im\n1,0,1,0\n", r"row index 1 out of order \(expected 0\)"),
+        ("j,p,re,im\n0,0,1,0\n", "need at least two rows to infer the lattice spacing"),
+        ("j,p,re,im\n", "need at least two rows to infer the lattice spacing"),
+    ], ids=["bad-header", "empty", "3-fields", "5-fields", "skipped-index", "first-index-1",
+            "one-row", "no-rows"])
+    def test_bad_header_rejected(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            grid_from_csv(text)
 
 
 class TestSpectrumCsv:

@@ -978,6 +978,15 @@ class TestContinuumScan:
             window_lattice(0.1, (-math.inf, 8.0))
         with pytest.raises(ValueError, match="vanishes"):
             continuum_scan((0.1, 0.05, 0.025), window=(100.0, 110.0))
+        # the scale is checked before the residual, so a nan does not read as
+        # a vanishing function and no inf - inf is computed
+        for fn, value in ((lambda p: np.full_like(p, np.nan), "nan"),
+                          (lambda p: np.where(p == p[5], np.nan, 1.0), "nan"),
+                          (lambda p: np.where(p == p[5], np.inf, 1.0), "inf")):
+            with pytest.raises(ValueError, match=rf"^the test function's largest value on the "
+                                                 rf"lattice p0=-8,a=0\.5,n=33 is {value}, not "
+                                                 "a finite number"):
+                continuum_scan((0.5, 0.25, 0.125), test_function=fn)
 
     def test_subnormal_scale_rejected(self):
         # far out in the Gaussian's tail its largest sample is 5e-324, and the
