@@ -77,8 +77,6 @@ def square_well_lattice(L: float, n_levels: int, hbar: float = 1.0) -> MomentumL
         raise ValueError(f"well width must be positive, got L={L}")
     if not hbar > 0:
         raise ValueError(f"hbar must be positive, got {hbar}")
-    if n_levels < 1:
-        raise ValueError(f"need at least one level, got {n_levels}")
     (mh, eh), (mL, eL) = math.frexp(hbar), math.frexp(L)
     try:
         step = math.ldexp(mh * math.pi / mL, eh - eL)
@@ -130,6 +128,7 @@ def grid_to_csv(f: GridFunction) -> str:
 def grid_from_csv(text: str) -> GridFunction:
     """Parse the `j,p,re,im` CSV form back into a GridFunction.
 
+    A field that does not parse as its column's int or float is rejected.
     The lattice is inferred from the p column: p0 and a from its first two
     rows, so at least two rows are required.  Every row's p must then lie
     less than half a spacing from p0 + j*a, or the row is rejected.  So a
@@ -146,7 +145,14 @@ def grid_from_csv(text: str) -> GridFunction:
         fields = line.strip().split(",")
         if len(fields) != 4:
             raise ValueError(f"expected 4 fields, got {len(fields)}: {line!r}")
-        j, p, re, im = int(fields[0]), float(fields[1]), float(fields[2]), float(fields[3])
+        parsed = []
+        for name, kind, field in zip(("j", "p", "re", "im"), (int, float, float, float), fields):
+            try:
+                parsed.append(kind(field))
+            except ValueError:
+                raise ValueError(f"row {expected_j}: {name}={field!r} does not parse as "
+                                 f"{kind.__name__}") from None
+        j, p, re, im = parsed
         if j != expected_j:
             raise ValueError(f"row index {j} out of order (expected {expected_j})")
         momenta.append(p)

@@ -377,14 +377,11 @@ def verify_identity_suite(lattice: MomentumLattice) -> list:
     operator but A and Abar is released, so the batch's stacks take the
     place they held and the suite's peak stays that of its folds.  A residual
     that is not finite means the entries overflowed double precision; it is
-    rejected with a ValueError naming the identity and the lattice.  So is a
-    spacing whose square underflows to 0, since H_shift_form divides by a^2.
-    A lattice with two equal consecutive momenta, its spacing lost in
-    rounding, is rejected after the overflow check, naming the lattice: its
-    residuals measure the collapse, not the identities.  After that, a
-    lattice whose relative spacing error exceeds MAX_SPACING_ERROR is
-    rejected too, naming the lattice and the error.  A lattice of more
-    than MAX_SUITE_POINTS is rejected before anything is allocated.
+    rejected with a ValueError naming the identity and the lattice.  Before
+    any operator is built, a lattice of more than MAX_SUITE_POINTS is
+    rejected, and so are a spacing whose square underflows to 0 (H_shift_form
+    divides by a^2) and a relative spacing error above MAX_SPACING_ERROR,
+    which two equal consecutive momenta raise to at least 1.
     """
     n = lattice.n_points
     if n < 8:
@@ -396,6 +393,13 @@ def verify_identity_suite(lattice: MomentumLattice) -> list:
     if lattice.a * lattice.a == 0.0:
         raise ValueError(f"spacing a={fmt_real(lattice.a)} of the lattice {desc} is too small "
                          "for the identity suite: a^2 underflows to 0 in double precision")
+    # one expression, so the momenta and their differences are freed before the fold
+    spacing_error = float(np.max(np.abs(np.diff(lattice.momenta()) - lattice.a))) / lattice.a
+    if spacing_error > MAX_SPACING_ERROR:
+        raise ValueError(f"the momenta of the lattice {desc} are unevenly spaced in double "
+                         f"precision: their relative spacing error {spacing_error:.2g} "
+                         "exceeds 2^-26, so its residuals would measure the rounded "
+                         "momenta, not the identities")
     with np.errstate(over="ignore", invalid="ignore"):
         atoms, memo = _LatticeAtoms(lattice), FoldMemo(_NUMERIC_VISITS)
         reports = [
@@ -415,17 +419,6 @@ def verify_identity_suite(lattice: MomentumLattice) -> list:
         if not math.isfinite(r.max_interior_residual):
             raise ValueError(f"identity {r.identity_name} on the lattice {desc} has no finite "
                              "residual: its matrix entries overflowed double precision")
-    momenta = lattice.momenta()
-    if np.any(momenta[1:] == momenta[:-1]):
-        raise ValueError(f"consecutive momenta of the lattice {desc} are equal in double "
-                         "precision, so its residuals would measure the lost spacing, not "
-                         "the identities")
-    spacing_error = float(np.max(np.abs(np.diff(momenta) - lattice.a))) / lattice.a
-    if spacing_error > MAX_SPACING_ERROR:
-        raise ValueError(f"the momenta of the lattice {desc} are unevenly spaced in double "
-                         f"precision: their relative spacing error {spacing_error:.2g} "
-                         "exceeds 2^-26, so its residuals would measure the rounded "
-                         "momenta, not the identities")
     return reports
 
 

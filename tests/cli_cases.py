@@ -78,7 +78,8 @@ USAGE_ERROR_CASES = [
     (("well", "--L", "1", "--hbar", "inf", "--levels", "8"),
      "the momentum step hbar*pi/L of the well with L=1, hbar=inf is inf"),
     (("verify", "--p0", "1e17", "--a", "1", "--n", "8"),
-     "consecutive momenta of the lattice p0=1e+17,a=1,n=8 are equal in double precision"),
+     "the momenta of the lattice p0=1e+17,a=1,n=8 are unevenly spaced in double precision: "
+     "their relative spacing error 1 exceeds 2^-26"),
     (("verify", "--p0", "1e14", "--a", "0.1", "--n", "64"),
      "the momenta of the lattice p0=100000000000000,a=0.1,n=64 are unevenly spaced in double "
      "precision: their relative spacing error 0.094 exceeds 2^-26"),
@@ -114,6 +115,15 @@ USAGE_ERROR_CASES = [
     (("continuum", "--window=0:7.450580596923828e-09", "--spacings",
       "9.313225746154785e-10,4.656612873077393e-10,2.3283064365386963e-10"),
      "the residual at spacing 9.31322574615479e-10 is 0, which has no logarithm"),
+    (("well", "--L", "1", "--levels", "0"), "lattice needs at least one point, got 0"),
+    # the spacing rule refuses a collapsed lattice at the size cap before the fold,
+    # and one whose entries would also overflow
+    (("verify", "--p0", "1e17", "--a", "1", "--n", "1000000"),
+     "the momenta of the lattice p0=1e+17,a=1,n=1000000 are unevenly spaced in double "
+     "precision: their relative spacing error 15 exceeds 2^-26"),
+    (("verify", "--p0", "1e300"),
+     "the momenta of the lattice p0=1e+300,a=0.1,n=64 are unevenly spaced in double "
+     "precision: their relative spacing error 1 exceeds 2^-26"),
 ]
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import subprocess
 import sys
 import time
@@ -98,7 +99,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,lattice,identity", [
         (("verify", "--a", "1e200"), "a=1e+200", "H_shift_form"),
-        (("verify", "--p0", "1e300"), "p0=1e+300", "H_shift_form"),
+        (("verify", "--p0", "1e300", "--a", "1e299"), "p0=1e+300", "H_shift_form"),
         (("well", "--L", "1e-300", "--levels", "8"), "a=3.14159265358979e+300", "H_shift_form"),
     ])
     def test_overflowing_lattice_usage_error(self, argv, lattice, identity):
@@ -407,6 +408,69 @@ class TestOutputFile:
         assert code == 0
         assert target.read_text().startswith("j,p,re,im")
         assert json.loads(out)["n"] == 5
+
+
+class TestRandomArgv:
+    """Seeded random calls over all six subcommands end in a result or in a
+    usage error: exit 0, 1 or 2, never a traceback or a warning, and no
+    `nan` on stdout.  The values are extreme where the code has edges; the
+    sizes are small (n <= 64, exponents <= 4, spacings >= 0.01), so each
+    call is cheap."""
+
+    FLOATS = ("0", "-0", "5e-324", "-5e-324", "1e17", "-1e17", "1e308", "-1e308", "inf",
+              "-inf", "nan", "0.1", "1", "-3.5", "0.25", "2")
+    WORDS = ("A", "Abar", "P", "I", "i", "a", "D", "Dbar", "X", "Q", "H", "2", "1/3", "0")
+
+    @classmethod
+    def expression(cls, rng, depth=2):
+        if depth == 0 or rng.random() < 0.3:
+            word = rng.choice(cls.WORDS)
+            return f"{word}^{rng.randint(0, 4)}" if rng.random() < 0.3 else word
+        x, y = cls.expression(rng, depth - 1), cls.expression(rng, depth - 1)
+        shape = rng.choice(("{}+{}", "{}-{}", "{}*{}", "({})/({})", "[{},{}]", "{{{},{}}}",
+                            "({})^" + str(rng.randint(0, 4))))
+        return shape.format(x, y)
+
+    @classmethod
+    def argv(cls, rng):
+        real = lambda: rng.choice(cls.FLOATS)
+        size = lambda: str(rng.randint(-1, 64))
+        command = rng.choice(("verify", "check", "eigvec", "spectrum", "continuum", "well"))
+        if command == "check":
+            return (command, cls.expression(rng))
+        options = {
+            "verify": (("--p0", real), ("--a", real), ("--n", size), ("--tol", real)),
+            "eigvec": (("--p0", real), ("--a", real), ("--n", size), ("--phi0-phase", real)),
+            "spectrum": (("--p0", real), ("--a", real), ("--n", size)),
+            "continuum": (("--window", lambda: f"{real()}:{real()}"),
+                          ("--spacings", lambda: ",".join(
+                              rng.choice(("0.01", "0.05", "0.1", "1", "1e17", "inf", "nan"))
+                              for _ in range(rng.randint(1, 4))))),
+            "well": (("--levels", size), ("--hbar", real), ("--tol", real)),
+        }[command]
+        required = {"eigvec": [f"--x={real()}"], "well": [f"--L={real()}"]}
+        argv = [command, *required.get(command, ())]
+        for flag, value in options:
+            if rng.random() < 0.5:
+                argv.append(f"{flag}={value()}")
+        if command != "continuum" and rng.random() < 0.3:
+            argv += ["--format", "json"]
+        return tuple(argv)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_every_call_ends_cleanly(self, seed):
+        rng = random.Random(seed)
+        for _ in range(100):
+            argv = self.argv(rng)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(*argv)
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in err and "Warning" not in err, argv
+            if code == 2:
+                assert err.startswith(("momlat: error: ", "usage: momlat")), argv
+            else:
+                assert "nan" not in out.lower(), argv
 
 
 class TestSubprocessEntry:

@@ -329,8 +329,11 @@ class TestCsvInterchange:
         ("j,p,re,im\n1,0,1,0\n", r"row index 1 out of order \(expected 0\)"),
         ("j,p,re,im\n0,0,1,0\n", "need at least two rows to infer the lattice spacing"),
         ("j,p,re,im\n", "need at least two rows to infer the lattice spacing"),
+        ("j,p,re,im\nx,0,1,0\n1,1,1,0\n", "row 0: j='x' does not parse as int$"),
+        ("j,p,re,im\n0,0,1,0\n1,one,1,0\n", "row 1: p='one' does not parse as float$"),
+        ("j,p,re,im\n0,0,1,0j\n1,1,1,0\n", "row 0: im='0j' does not parse as float$"),
     ], ids=["bad-header", "empty", "3-fields", "5-fields", "skipped-index", "first-index-1",
-            "one-row", "no-rows"])
+            "one-row", "no-rows", "x-in-j", "one-in-p", "0j-in-im"])
     def test_bad_header_rejected(self, text, message):
         with pytest.raises(ValueError, match=f"^{message}"):
             grid_from_csv(text)

@@ -889,7 +889,7 @@ class TestSuiteAtScale:
         assert 800 * MAX_SUITE_POINTS < 2 ** 30
 
     @pytest.mark.parametrize("lat", [MomentumLattice(0.0, 1e200, 16),
-                                     MomentumLattice(1e300, 0.1, 16),
+                                     MomentumLattice(1e300, 1e299, 16),
                                      square_well_lattice(1e-300, 8)],
                              ids=lambda lat: lat.descriptor())
     def test_overflow_rejected(self, lat):
@@ -897,14 +897,45 @@ class TestSuiteAtScale:
             verify_identity_suite(lat)
         assert lat.descriptor() in str(err.value)
 
-    @pytest.mark.parametrize("lat", [MomentumLattice(1e17, 1.0, 8), MomentumLattice(1e16, 1.0, 8),
-                                     MomentumLattice(-1e17, 4.0, 16)],
-                             ids=lambda lat: lat.descriptor())
-    def test_collapsed_momenta_rejected(self, lat):
-        # the spacing is below the ulp of p0, so some p0 + j*a repeat a value
-        with pytest.raises(ValueError, match="consecutive momenta") as err:
+    @pytest.mark.parametrize("lat,error", [(MomentumLattice(1e17, 1.0, 8), "1"),
+                                           (MomentumLattice(1e16, 1.0, 8), "1"),
+                                           (MomentumLattice(-1e17, 4.0, 16), "3"),
+                                           (MomentumLattice(1e300, 0.1, 16), "1")],
+                             ids=lambda x: x.descriptor() if isinstance(x, MomentumLattice) else x)
+    def test_collapsed_momenta_rejected(self, lat, error):
+        # the spacing is below the ulp of p0, so some p0 + j*a repeat a value: a
+        # step of 0 reads an error of 1, and at -1e17 the steps of 0 and 16 read
+        # |16 - 4| / 4 = 3; at p0=1e300 the entries would overflow too, but no
+        # operator is built
+        with pytest.raises(ValueError, match="unevenly spaced") as err:
             verify_identity_suite(lat)
         assert lat.descriptor() in str(err.value)
+        assert f"relative spacing error {error} exceeds 2^-26" in str(err.value)
+
+    @pytest.mark.parametrize("p0,a", [(1e17, 1.0), (1e14, 0.1)])
+    def test_rejected_lattice_builds_no_operator(self, p0, a, monkeypatch):
+        # the spacing rule runs before the fold, so a lattice at the cap is
+        # refused in the memory of its momenta, not in the suite's ~800 bytes a point
+        built = []
+        check = OperatorMatrix.__post_init__
+
+        def counted(op):
+            built.append(op.shift_radius)
+            check(op)
+
+        monkeypatch.setattr(OperatorMatrix, "__post_init__", counted)
+        lat = MomentumLattice(p0, a, MAX_SUITE_POINTS)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="unevenly spaced"):
+                verify_identity_suite(lat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert built == []
+        assert peak < 64 * 2 ** 20
+        verify_identity_suite(MomentumLattice(0.0, 0.1, 8))  # every operator passes the count
+        assert built
 
     @pytest.mark.parametrize("lat,error", [(MomentumLattice(1e14, 0.1, 64), "0.094"),
                                            (MomentumLattice(3.2e12, 0.1, 64), "0.0039"),
