@@ -54,6 +54,8 @@ COMMANDS = {
         ("spectrum", "--n", "2000"),
         ("check", "H^12"),
         ("check", "H^16*H^8"),  # the exact engine's largest accepted product
+        # refused at the eigvec size cap: momenta collapse at p0 = 1e308 (exit 2)
+        ("eigvec", "--x", "0.5", "--n", "3000000", "--p0", "1e308"),
     )},
 }
 # stdout and stderr of every child go to the null device

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import algebra, eigen, operators
 from .formatting import dumps, fmt_real, format_rows
-from .lattice import MomentumLattice, grid_to_csv, square_well_lattice
+from .lattice import MomentumLattice, csv_momenta, grid_to_csv, square_well_lattice
 
 SYMBOLIC_CSV_HEADER = "identity,zero,term_count"
 # Largest lattice `eigvec` accepts.  A job peaks near 300 bytes a point with
@@ -147,11 +147,14 @@ def run_check(args) -> int:
 
 
 def run_eigvec(args) -> int:
+    """Eigenvector of X at --x; a CSV's p column is checked before the vector is computed."""
     if args.n > MAX_EIGVEC_POINTS:
         raise ValueError(f"eigenvector of n={args.n} points exceeds the limit of "
                          f"{MAX_EIGVEC_POINTS}: it needs ~300 bytes a point")
     lattice = MomentumLattice(args.p0, args.a, args.n)
     phi0 = eigen.phase_seed(args.phi0_phase)
+    if args.format == "csv":
+        csv_momenta(lattice)
     closed = eigen.eigenvector_closed_form(lattice, args.x, phi0)
     rec = eigen.eigenvector_recurrence(lattice, args.x, phi0)
     scale = np.max(np.abs(closed.phi.values))
@@ -203,13 +206,11 @@ def _parse_spacings(text: str):
 
 
 def _parse_window(text: str):
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"bad window {text!r}, expected lo:hi")
     try:
-        return float(parts[0]), float(parts[1])
+        lo, hi = map(float, text.split(":"))
     except ValueError:
         raise ValueError(f"bad window {text!r}, expected lo:hi")
+    return lo, hi
 
 
 def run_continuum(args) -> int:

@@ -106,21 +106,26 @@ def inner_product(f: GridFunction, g: GridFunction) -> complex:
     return complex(f.lattice.a * np.sum(np.conj(f.values) * g.values))
 
 
+def csv_momenta(lattice: MomentumLattice) -> np.ndarray:
+    """The momenta as a CSV p column, rejected if the last one overflows
+    (`momenta`) or two consecutive ones are equal, as rounding makes them
+    where the spacing is lost: `grid_from_csv` could not read them back."""
+    momenta = lattice.momenta()
+    if np.any(momenta[1:] == momenta[:-1]):
+        raise ValueError(f"consecutive momenta of the lattice {lattice.descriptor()} are "
+                         "equal in double precision, so its CSV p column cannot be read back")
+    return momenta
+
+
 def grid_to_csv(f: GridFunction) -> str:
     """CSV interchange form: header `j,p,re,im`, one row per grid point.
 
     Numbers print as `fmt_real` prints them, 15 significant digits with -0.0
     as 0.  The rows come from `format_rows`, ROW_BLOCK points a block, so
-    only one block's Python floats or kernel buffers exist at a time.  A
-    lattice whose spacing is lost in rounding, so that two consecutive
-    momenta are equal, is rejected: `grid_from_csv` could not read its p
-    column back.
+    only one block's Python floats or kernel buffers exist at a time.  The
+    p column is `csv_momenta`, so a lattice it rejects is rejected here.
     """
-    momenta = f.lattice.momenta()
-    if np.any(momenta[1:] == momenta[:-1]):
-        raise ValueError(f"consecutive momenta of the lattice {f.lattice.descriptor()} are "
-                         "equal in double precision, so its CSV p column cannot be read back")
-    columns = (momenta, f.values.real, f.values.imag)
+    columns = (csv_momenta(f.lattice), f.values.real, f.values.imag)
     return "".join([GRID_CSV_HEADER + "\n",
                     *format_rows("%d,%.15g,%.15g,%.15g\n", columns, start=0)])
 

@@ -222,9 +222,10 @@ class _LatticeAtoms(dict):
 
     i and a are Python numbers, and so is every scalar subtree: a number c
     stands for c*I, so a*A scales A and c*I is built only where a number
-    meets a matrix in a sum.  A definition row is folded in place, so the
-    operators it reads are kept too; every other operator is its exact
-    `algebra.ATOMS` normal form evaluated by `to_matrix`.
+    meets a matrix in a sum.  Only a nonzero number divides; a matrix, even
+    one whose truncated bands are c*I, is refused.  A definition row is
+    folded in place, so the operators it reads are kept too; every other
+    operator is its exact `algebra.ATOMS` normal form evaluated by `to_matrix`.
     """
 
     def __init__(self, lattice: MomentumLattice):
@@ -258,10 +259,9 @@ class _LatticeAtoms(dict):
 
     @staticmethod
     def divide(x, y):
-        c = _scalar_of(y) if isinstance(y, OperatorMatrix) else y
-        if c is None or c == 0:
+        if isinstance(y, OperatorMatrix) or y == 0:
             raise ValueError("division is only defined by nonzero scalars")
-        return x.scaled(1.0 / c) if isinstance(x, OperatorMatrix) else x / c
+        return x.scaled(1.0 / y) if isinstance(x, OperatorMatrix) else x / y
 
 
 def build_operator(lattice: MomentumLattice, name: str) -> OperatorMatrix:
@@ -355,14 +355,6 @@ def expression_matrix(expr, lattice: MomentumLattice) -> OperatorMatrix:
         expr = parse(expr)
     atoms = _LatticeAtoms(lattice)
     return atoms.matrix(fold(expr, atoms))
-
-
-def _scalar_of(M: OperatorMatrix):
-    """The scalar c if M == c*I exactly, else None."""
-    r = M.shift_radius
-    scalar = np.zeros_like(M.bands)
-    scalar[r] = M.bands[r, 0]
-    return M.bands[r, 0] if np.array_equal(M.bands, scalar) else None
 
 
 def verify_identity_suite(lattice: MomentumLattice) -> list:

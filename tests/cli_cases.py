@@ -124,6 +124,15 @@ USAGE_ERROR_CASES = [
     (("verify", "--p0", "1e300"),
      "the momenta of the lattice p0=1e+300,a=0.1,n=64 are unevenly spaced in double "
      "precision: their relative spacing error 1 exceeds 2^-26"),
+    # an eigvec CSV's p column is checked before any eigenvector is computed: at
+    # the size cap, and ahead of an eigenvalue outside the band
+    (("eigvec", "--x", "0.5", "--n", "3000000", "--p0", "1e308"),
+     "consecutive momenta of the lattice p0=1e+308,a=0.1,n=3000000 are equal in double "
+     "precision"),
+    (("eigvec", "--x", "20", "--a", "0.1", "--n", "4", "--p0", "1e308"),
+     "consecutive momenta of the lattice p0=1e+308,a=0.1,n=4 are equal in double precision"),
+    (("continuum", "--window=5"), "bad window '5', expected lo:hi"),
+    (("continuum", "--window=:8"), "bad window ':8', expected lo:hi"),
 ]
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bits import same_bits
 from momlat import algebra, operators
 from momlat.algebra import (
     ATOM_NAMES,
@@ -764,15 +765,20 @@ class TestMatrixEvaluation:
             assert interior_residual(resid, margin) < 1e-12 * scale, text
 
     def test_division_by_scalar_matrix(self):
-        lat = MomentumLattice(0.0, 0.5, 8)
-        halved = expression_matrix("P / 2", lat)
-        P = build_operator(lat, "P")
-        assert np.allclose(halved.entries, P.entries / 2)
+        # a number divisor scales the operator's bands, bit for bit
+        lat = MomentumLattice(-0.3, 0.5, 8)
+        for text, name, divisor in (("P / 2", "P", 2), ("X/(2*i)", "X", 2j),
+                                    ("P/(a+1)", "P", lat.a + 1)):
+            expected = build_operator(lat, name).scaled(1.0 / divisor)
+            assert same_bits(expression_matrix(text, lat).bands, expected.bands), text
 
-    def test_division_by_operator_matrix_rejected(self):
+    # a matrix divisor is refused whatever its truncated bands: those of
+    # 2*I and I + A - A are c*I, and truncation zeroes one diagonal entry of A*Abar
+    @pytest.mark.parametrize("text", ["P / A", "X/(2*I)", "P/(I + A - A)", "P/(A*Abar)"])
+    def test_division_by_operator_matrix_rejected(self, text):
         lat = MomentumLattice(0.0, 0.5, 8)
-        with pytest.raises(ValueError):
-            expression_matrix("P / A", lat)
+        with pytest.raises(ValueError, match="division is only defined by nonzero scalars"):
+            expression_matrix(text, lat)
 
     def test_first_power_is_its_base(self):
         lat = MomentumLattice(-0.5, 0.25, 10)

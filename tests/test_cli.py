@@ -282,6 +282,29 @@ class TestEigvec:
         assert phi0[0] == pytest.approx(0.0, abs=1e-12)
         assert phi0[1] == pytest.approx(1 / math.sqrt(3))
 
+    @pytest.mark.parametrize("argv,message", [
+        (("eigvec", "--x", "0.5", "--n", "3000000", "--p0", "1e308"), "consecutive momenta"),
+        (("eigvec", "--x", "20", "--a", "0.1", "--n", "4", "--p0", "1e308"),
+         "consecutive momenta"),
+        (("eigvec", "--x", "0", "--a", "7e307", "--n", "4"), "the last momentum p0+a*(n-1)"),
+    ])
+    def test_refused_csv_grid_computes_no_eigenvector(self, argv, message, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an eigenvector was computed")
+
+        monkeypatch.setattr(eigen, "eigenvector_closed_form", refuse)
+        monkeypatch.setattr(eigen, "eigenvector_recurrence", refuse)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(*argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err.startswith("momlat: error: " + message)
+        # one momenta array at the size cap: 24 MB
+        assert peak < 64e6
+
     @pytest.mark.parametrize("argv", POWER_CUTOFF_CASES, ids=" ".join)
     def test_power_cutoff_output_is_that_of_np_power(self, argv, monkeypatch):
         shared_log = run_cli(*argv)
