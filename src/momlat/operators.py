@@ -16,7 +16,11 @@ folds its `algebra.DEFINITIONS` row, and `verify_identity_suite` folds the
 trees `algebra` parsed once at import, so building an operator or running
 the suite parses nothing.  The tree walker is `algebra.fold`; this module
 supplies only its lattice domain, in which scalar subtrees stay Python
-numbers standing for c*I, so a*A scales A.  The suite folds its rows as
+numbers standing for c*I, so a*A scales A, and its applied domain, which
+keeps those rules but holds each operator as the map v -> M v on stacks of
+grid values.  `continuum_scan` folds "[X,P] + i" in the applied domain,
+parsed once at import, and applies the result to the sampled test function,
+so it builds no banded product.  The suite folds its rows as
 the one DAG `algebra` interned, with one `algebra.FoldMemo`: a banded
 matrix that several rows share, such as [X,H] + 2*i*P, is built once per
 call and dropped after its last use.  The suite's adjoint check draws its
@@ -51,8 +55,9 @@ ADJOINT_SEED = 181054
 CONVERGENCE_CSV_HEADER = "a,r,log_a,log_r"
 DEFAULT_WINDOW = (-8.0, 8.0)
 # Most lattice points `continuum_scan` samples at one spacing.  A scan peaks
-# near 320 bytes a point (312 under tracemalloc, 316-333 in max RSS at
-# 1.6e6-8e6 points), so the cap keeps one spacing near 1 GB and ~3 s.
+# near 330 bytes a point (328 under tracemalloc at 2e5 and 1.6e6 points,
+# 284-289 in max RSS over the import at 4e5 and 1.6e6), so the cap keeps one
+# spacing near 1 GB; a ladder down to 1.6e6 points takes ~0.55 s (2-core VM).
 MAX_CONTINUUM_POINTS = 3_000_000
 # Largest lattice `verify_identity_suite` accepts (`verify --n`, `well
 # --levels`).  The suite peaks near 784 bytes a point under tracemalloc (at
@@ -248,20 +253,68 @@ class _LatticeAtoms(dict):
 
     @staticmethod
     def times(x, y):
-        if isinstance(x, OperatorMatrix):
-            return x @ y if isinstance(y, OperatorMatrix) else x.scaled(y)
-        return y.scaled(x) if isinstance(y, OperatorMatrix) else x * y
+        if isinstance(x, _OPERATORS):
+            return x @ y if isinstance(y, _OPERATORS) else x.scaled(y)
+        return y.scaled(x) if isinstance(y, _OPERATORS) else x * y
 
     def plus(self, op: str, x, y):
-        if isinstance(x, OperatorMatrix) or isinstance(y, OperatorMatrix):
+        if isinstance(x, _OPERATORS) or isinstance(y, _OPERATORS):
             x, y = self.matrix(x), self.matrix(y)
         return x + y if op == "+" else x - y
 
     @staticmethod
     def divide(x, y):
-        if isinstance(y, OperatorMatrix) or y == 0:
+        if isinstance(y, _OPERATORS) or y == 0:
             raise ValueError("division is only defined by nonzero scalars")
-        return x.scaled(1.0 / y) if isinstance(x, OperatorMatrix) else x / y
+        return x.scaled(1.0 / y) if isinstance(x, _OPERATORS) else x / y
+
+
+class _Applied:
+    """An operator of the applied domain: the map v -> M v on (k, n) stacks
+    of grid values, with the arithmetic the lattice domain asks of a matrix.
+    A product applies its right factor first, so no banded product is built."""
+
+    __slots__ = ("map",)
+
+    def __init__(self, map_):
+        self.map = map_
+
+    def __matmul__(self, other: "_Applied") -> "_Applied":
+        return _Applied(lambda v: self.map(other.map(v)))
+
+    def __add__(self, other: "_Applied") -> "_Applied":
+        return _Applied(lambda v: self.map(v) + other.map(v))
+
+    def __sub__(self, other: "_Applied") -> "_Applied":
+        return _Applied(lambda v: self.map(v) - other.map(v))
+
+    def __neg__(self) -> "_Applied":
+        return _Applied(lambda v: -self.map(v))
+
+    def scaled(self, c: complex) -> "_Applied":
+        return _Applied(lambda v: c * self.map(v))
+
+
+# The values that the lattice and applied domains treat as operators; any
+# other value is a Python number c standing for c*I.
+_OPERATORS = (OperatorMatrix, _Applied)
+
+
+class _AppliedAtoms(_LatticeAtoms):
+    """The applied domain of `algebra.fold`: the lattice domain's rules, with
+    every operator an `_Applied` map.  An atom applies its `build_operator`
+    matrix through `_apply_rows` (a composite atom is not re-folded here, so
+    X keeps its bits), a number c maps v to c*v, and a matrix divisor is
+    refused with the lattice domain's message."""
+
+    def __missing__(self, name):
+        M = build_operator(self.lattice, name)
+        value = self[name] = _Applied(lambda v: _apply_rows(M, v))
+        return value
+
+    @staticmethod
+    def matrix(value) -> _Applied:
+        return value if isinstance(value, _Applied) else _Applied(lambda v: value * v)
 
 
 def build_operator(lattice: MomentumLattice, name: str) -> OperatorMatrix:
@@ -441,8 +494,10 @@ def _adjoint_residual(A: OperatorMatrix, Abar: OperatorMatrix) -> float:
 
 
 def unit_gaussian(p: np.ndarray) -> np.ndarray:
-    """Default continuum-scan test function exp(-p^2/2)."""
-    return np.exp(-np.asarray(p, dtype=float) ** 2 / 2.0)
+    """Default continuum-scan test function exp(-p^2/2).  Where p^2
+    overflows, the value is exp(-inf) = 0, exact in double precision."""
+    with np.errstate(over="ignore"):
+        return np.exp(-np.asarray(p, dtype=float) ** 2 / 2.0)
 
 
 def window_lattice(spacing: float, window: tuple) -> MomentumLattice:
@@ -466,14 +521,19 @@ def window_lattice(spacing: float, window: tuple) -> MomentumLattice:
     return MomentumLattice(p0=lo, a=spacing, n_points=n)
 
 
+# The operator whose action on the test function `continuum_scan` measures.
+_CANONICAL_RESIDUAL = parse("[X,P] + i")
+
+
 def continuum_scan(spacings, test_function=None, window=DEFAULT_WINDOW) -> ConvergenceTable:
     """Residual of the canonical commutation relation as the spacing shrinks.
 
     For each spacing a the test function is sampled on a lattice covering the
     window and r(a) = max_j |(([X,P] + i I) f)(p_j)| / max|f| is measured on
-    interior rows.  Returns the table together with the least-squares slope
-    of log r against log a.  Every spacing's lattice is checked before the
-    first is scanned.
+    interior rows, with [X,P] + i folded in the applied domain: X and P are
+    applied to f, never multiplied.  Returns the table together with the
+    least-squares slope of log r against log a.  Every spacing's lattice is
+    checked before the first is scanned.
     """
     spacings = tuple(float(s) for s in spacings)
     if len(spacings) < 3:
@@ -502,9 +562,8 @@ def continuum_scan(spacings, test_function=None, window=DEFAULT_WINDOW) -> Conve
             raise ValueError(f"the test function's largest value on the lattice "
                              f"{lat.descriptor()} is {fmt_real(scale)}, below the smallest "
                              "normal double, so the residual has no scale")
-        X, P = build_operator(lat, "X"), build_operator(lat, "P")
-        g = apply(X, apply(P, f)).values - apply(P, apply(X, f)).values + 1j * f.values
-        residuals.append(float(np.max(np.abs(g[1:-1])) / scale))
+        g = fold(_CANONICAL_RESIDUAL, _AppliedAtoms(lat)).map(f.values[None])[0, 1:-1]
+        residuals.append(float(np.max(np.abs(g)) / scale))
 
     if all(r > 0 for r in residuals):
         slope = float(np.polyfit(np.log(spacings), np.log(residuals), 1)[0])

@@ -133,18 +133,24 @@ USAGE_ERROR_CASES = [
      "consecutive momenta of the lattice p0=1e+308,a=0.1,n=4 are equal in double precision"),
     (("continuum", "--window=5"), "bad window '5', expected lo:hi"),
     (("continuum", "--window=:8"), "bad window ':8', expected lo:hi"),
+    # the Gaussian's p^2 overflows at every momentum, and reads exp(-inf) = 0
+    (("continuum", "--window=-1e200:1e200", "--spacings", "1e199,5e198,2.5e198"),
+     "the test function vanishes on the lattice p0=-1e+200,a=1e+199,n=21"),
 ]
 
 
 # Valid calls that take a branch no other table reaches: a `check` expression
-# that starts with '-', the one-point eigenvector (null formula fields) and
-# spectra that LAPACK's driver would scale.  Each exits 0 with no warning.
+# that starts with '-', the one-point eigenvector (null formula fields),
+# spectra that LAPACK's driver would scale and a continuum window whose
+# Gaussian overflows p^2.  Each exits 0 with no warning.
 EDGE_CASES = [
     ("check", "-{Q,P}+{Q,P}"),
     ("eigvec", "--x", "0.5", "--a", "1", "--n", "1"),
     ("eigvec", "--x", "0.5", "--a", "1", "--n", "1", "--format", "json"),
     ("spectrum", "--a", "1e200", "--n", "64"),
     ("spectrum", "--a", "1e-200", "--n", "64"),
+    # p^2 overflows on all but the point p = 0, where the Gaussian reads 1
+    ("continuum", "--window=-1e300:1e300", "--spacings", "1e299,5e298,2.5e298"),
 ]
 
 

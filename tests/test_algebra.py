@@ -773,12 +773,15 @@ class TestMatrixEvaluation:
             assert same_bits(expression_matrix(text, lat).bands, expected.bands), text
 
     # a matrix divisor is refused whatever its truncated bands: those of
-    # 2*I and I + A - A are c*I, and truncation zeroes one diagonal entry of A*Abar
+    # 2*I and I + A - A are c*I, and truncation zeroes one diagonal entry of
+    # A*Abar; the applied domain refuses it with the same message
     @pytest.mark.parametrize("text", ["P / A", "X/(2*I)", "P/(I + A - A)", "P/(A*Abar)"])
     def test_division_by_operator_matrix_rejected(self, text):
         lat = MomentumLattice(0.0, 0.5, 8)
         with pytest.raises(ValueError, match="division is only defined by nonzero scalars"):
             expression_matrix(text, lat)
+        with pytest.raises(ValueError, match="^division is only defined by nonzero scalars$"):
+            algebra.fold(parse(text), operators._AppliedAtoms(lat))
 
     def test_first_power_is_its_base(self):
         lat = MomentumLattice(-0.5, 0.25, 10)

@@ -12,11 +12,14 @@ from bits import same_bits
 
 import momlat.algebra
 import momlat.operators
-from momlat.algebra import (ATOMS, DEFINITION_TREES, IDENTITIES, IDENTITY_TREES, OPERATOR_NAMES,
-                            SymbolicCheck, SymbolicOperator, fold, verify_symbolic_suite)
-from momlat.lattice import GridFunction, MomentumLattice, inner_product, square_well_lattice
+from momlat.algebra import (ATOMS, DEFINITION_TREES, DEFINITIONS, IDENTITIES, IDENTITY_TREES,
+                            OPERATOR_NAMES, SymbolicCheck, SymbolicOperator, fold, normal_form,
+                            parse, verify_symbolic_suite)
+from momlat.lattice import (GridFunction, MomentumLattice, inner_product, sample,
+                            square_well_lattice)
 from momlat.operators import (
     ADJOINT_SEED,
+    DEFAULT_WINDOW,
     MAX_CONTINUUM_POINTS,
     MAX_SUITE_POINTS,
     OperatorMatrix,
@@ -1062,6 +1065,123 @@ class TestContinuumScan:
         assert lat.n_points == 161
         assert lat.momenta()[0] == -8.0
         assert lat.momenta()[160] == pytest.approx(8.0)
+
+
+def hand_written_scan(spacings, fn=unit_gaussian, window=DEFAULT_WINDOW):
+    """The residuals and slope of `continuum_scan`, with [X,P] + i applied
+    to each sampled test function by hand."""
+    residuals = []
+    for a in spacings:
+        lat = window_lattice(a, window)
+        f = sample(lat, fn)
+        X, P = build_operator(lat, "X"), build_operator(lat, "P")
+        g = apply(X, apply(P, f)).values - apply(P, apply(X, f)).values + 1j * f.values
+        residuals.append(float(np.max(np.abs(g[1:-1])) / np.max(np.abs(f.values))))
+    if all(r > 0 for r in residuals):
+        return residuals, float(np.polyfit(np.log(spacings), np.log(residuals), 1)[0])
+    return residuals, math.nan
+
+
+def _hand_written_cases():
+    """(spacings, test function, window): seeded ladders on seeded windows
+    (widths 4-24, centres within 2.5 of the origin), the default and fine
+    ladders, the bench's ladders on shifted windows, and the constant and
+    smallest-normal test functions."""
+    rng = np.random.default_rng(2612)
+    cases = []
+    for _ in range(12):
+        ladder = tuple(sorted(rng.uniform(0.02, 0.8, size=int(rng.integers(3, 6))), reverse=True))
+        centre, half = rng.uniform(-2.5, 2.5), rng.uniform(2.0, 12.0)
+        cases.append((ladder, unit_gaussian, (centre - half, centre + half)))
+    for shift in (-1.75, 0.5, 2.0):
+        cases += [((0.4, 0.2, 0.1, 0.05), unit_gaussian, (-8.0 + shift, 8.0 + shift)),
+                  ((0.4, 0.2, 0.1), unit_gaussian, (-8.0 + shift, 8.0 + shift))]
+    tiny = np.finfo(float).tiny
+    return cases + [((0.1, 0.05, 0.025, 0.0125), unit_gaussian, DEFAULT_WINDOW),
+                    ((0.01, 0.001, 0.0001), unit_gaussian, DEFAULT_WINDOW),
+                    ((0.5, 0.25, 0.125), np.ones_like, DEFAULT_WINDOW),
+                    ((0.5, 0.25, 0.125), lambda p: np.full_like(p, tiny), DEFAULT_WINDOW)]
+
+
+class TestContinuumFold:
+    """`continuum_scan` folds "[X,P] + i" in the applied domain; the
+    hand-written residual it replaced is the reference."""
+
+    @pytest.mark.parametrize("spacings,fn,window", _hand_written_cases())
+    def test_bits_equal_hand_written_residual(self, spacings, fn, window):
+        table = continuum_scan(spacings, test_function=fn, window=window)
+        residuals, slope = hand_written_scan(spacings, fn, window)
+        assert [r.hex() for r in table.residuals] == [r.hex() for r in residuals]
+        assert table.slope.hex() == slope.hex()
+
+    def test_scan_peak_within_its_per_point_model(self):
+        # MAX_CONTINUUM_POINTS is sized from a peak of ~328 bytes a point
+        n = 200_000
+        a = 16.0 / (n - 1)
+        continuum_scan((0.4, 0.2, 0.1))  # caches warmed
+        tracemalloc.start()
+        try:
+            continuum_scan((4 * a, 2 * a, a))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 336 * n
+        assert 336 * MAX_CONTINUUM_POINTS < 2 ** 30
+
+
+_LEAVES = (*OPERATOR_NAMES, "i", "a", "2", "(1/2)", "3")
+_FORMS = ("({} + {})", "({} - {})", "{} * {}", "[{},{}]", "{{{},{}}}", "({})^2")
+
+
+def random_texts(count, seed):
+    """`count` seeded expression texts of depth at most 3 over the operator
+    names, i, a and the literals 2, 1/2 and 3, with + - *, both brackets and
+    squares, followed by every DEFINITIONS and IDENTITIES text."""
+    rng = np.random.default_rng(seed)
+
+    def text(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return _LEAVES[rng.integers(len(_LEAVES))]
+        return _FORMS[rng.integers(len(_FORMS))].format(text(depth - 1), text(depth - 1))
+    return ([text(3) for _ in range(count)] + [text for _, text in DEFINITIONS]
+            + [text for _, text, _ in IDENTITIES])
+
+
+# Dyadic lattices: every entry and scalar of the texts below is a dyadic
+# rational well inside double precision (entries below 2^33), so each
+# evaluator computes it exactly, in whatever order it adds and multiplies.
+_DYADIC_LATTICES = [MomentumLattice(p0, a, 40) for p0 in (0.0, 0.25, -3.0, 1.5)
+                    for a in (1.0, 0.5, 0.25)]
+
+
+class TestRandomExpressions:
+    """Seeded expressions over the whole grammar, folded by each evaluator
+    on dyadic lattices, where exact arithmetic makes their values agree
+    (a zero's sign may differ between evaluators)."""
+
+    TEXTS = random_texts(160, 2026)
+
+    def test_applied_fold_equals_matrix_fold(self):
+        rng = np.random.default_rng(26)
+        for lat in _DYADIC_LATTICES:
+            v = rng.integers(-3, 4, (3, 40)) + 1j * rng.integers(-3, 4, (3, 40))
+            for text in self.TEXTS:
+                tree = parse(text)
+                atoms = momlat.operators._AppliedAtoms(lat)
+                got = atoms.matrix(fold(tree, atoms)).map(v)
+                expected = momlat.operators._apply_rows(expression_matrix(tree, lat), v)
+                assert np.array_equal(got, expected), (text, lat.descriptor())
+
+    def test_matrix_fold_equals_normal_form_inside_the_margin(self):
+        for text in self.TEXTS:
+            tree = parse(text)
+            margin = fold(tree, MarginBound())[1]
+            assert 2 * margin < 40, text
+            nf = normal_form(tree)
+            for lat in _DYADIC_LATTICES:
+                direct = expression_matrix(tree, lat).entries[margin:40 - margin]
+                via_nf = to_matrix(nf, lat).entries[margin:40 - margin]
+                assert np.array_equal(direct, via_nf), (text, lat.descriptor())
 
 
 class TestSerialization:

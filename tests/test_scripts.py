@@ -100,7 +100,7 @@ def test_byte_diff_names_the_calls_that_differ(tmp_path):
     assert "differs in stderr: momlat check 10000000000000000000...00000000000000000000" \
         "[5001 chars]" in lines
     assert max(map(len, lines)) < 100
-    assert lines[-1] == "8 of 96 calls differ in stdout, stderr or exit code"
+    assert lines[-1] == "8 of 98 calls differ in stdout, stderr or exit code"
 
 
 def test_oneshot_bench_measures_one_call():
