@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -95,6 +96,13 @@ def build_parser() -> argparse.ArgumentParser:
     _output_args(p)
     p.set_defaults(handler=run_well)
 
+    # argparse reads a token that starts with '-' as an option unless it looks
+    # like -1 or -.5, so `--p0 -1e3` and `--window -8:8` would lose their
+    # value: in each subcommand, a token that starts with '-' and is neither
+    # one of its options nor a '--' token is a value.
+    value = re.compile("-[^-]")
+    for sub in subs.choices.values():
+        sub._negative_number_matcher = value
     return parser
 
 
@@ -234,7 +242,7 @@ def run_well(args) -> int:
 
 def _expression_first(argv: list) -> list:
     """argv with `--` put before a `check` expression that starts with '-'
-    (such as "-A"), which argparse would otherwise read as an unknown option;
+    (such as "--A"), which argparse would otherwise read as an unknown option;
     `-h` and the abbreviations of `--help` stay options."""
     if len(argv) == 2 and argv[0] == "check" and argv[1].startswith("-") \
             and argv[1] != "-h" and not "--help".startswith(argv[1]):

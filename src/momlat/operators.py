@@ -19,15 +19,15 @@ supplies only its lattice domain, in which scalar subtrees stay Python
 numbers standing for c*I, so a*A scales A, and its applied domain, which
 keeps those rules but holds each operator as the map v -> M v on stacks of
 grid values.  `continuum_scan` folds "[X,P] + i" in the applied domain,
-parsed once at import, and applies the result to the sampled test function,
-so it builds no banded product.  The suite folds its rows as
-the one DAG `algebra` interned, with one `algebra.FoldMemo`: a banded
-matrix that several rows share, such as [X,H] + 2*i*P, is built once per
-call and dropped after its last use.  The suite's adjoint check draws its
-four pairs of random grid functions as two (4, n) stacks and applies A and
-Abar to each stack at once, with the kernel that `apply` runs on one row;
-it holds only the two shifts and the stacks, not the other operators, so
-it stays below the peak of the folds.
+parsed once at import, and applies the result to its one test function,
+exp(-p^2/2) sampled as a real array, so it builds no banded product.  The
+suite folds its rows as the one DAG `algebra` interned, with one
+`algebra.FoldMemo`: a banded matrix that several rows share, such as
+[X,H] + 2*i*P, is built once per call and dropped after its last use.  The
+suite's adjoint check draws its four pairs of random grid functions as two
+(4, n) stacks and applies A and Abar to each stack at once, with the kernel
+that `apply` runs on one row; it holds only the two shifts and the stacks,
+not the other operators, so it stays below the peak of the folds.
 
 Every operator that this module's own arithmetic makes (sums, products,
 scalings, adjoints, `to_matrix`) takes over the bands it has just allocated
@@ -46,7 +46,7 @@ import numpy as np
 from .algebra import (ATOMS, DEFINITION_TREES, IDENTITY_TREES, OPERATOR_NAMES, FoldMemo,
                       SymbolicOperator, fold, parse, shared_visits)
 from .formatting import fmt_real
-from .lattice import GridFunction, MomentumLattice, sample
+from .lattice import GridFunction, MomentumLattice
 from .record import Record, ValueRecord
 
 RESIDUAL_CSV_HEADER = "identity,margin,residual"
@@ -55,9 +55,9 @@ ADJOINT_SEED = 181054
 CONVERGENCE_CSV_HEADER = "a,r,log_a,log_r"
 DEFAULT_WINDOW = (-8.0, 8.0)
 # Most lattice points `continuum_scan` samples at one spacing.  A scan peaks
-# near 330 bytes a point (328 under tracemalloc at 2e5 and 1.6e6 points,
-# 284-289 in max RSS over the import at 4e5 and 1.6e6), so the cap keeps one
-# spacing near 1 GB; a ladder down to 1.6e6 points takes ~0.55 s (2-core VM).
+# near 320 bytes a point (320 under tracemalloc at 2e5 and 1.6e6 points,
+# 272-276 in max RSS over the import at 4e5 and 1.6e6), so the cap keeps one
+# spacing near 1 GB; a ladder down to 1.6e6 points takes ~0.45 s (2-core VM).
 MAX_CONTINUUM_POINTS = 3_000_000
 # Largest lattice `verify_identity_suite` accepts (`verify --n`, `well
 # --levels`).  The suite peaks near 784 bytes a point under tracemalloc (at
@@ -390,9 +390,14 @@ def to_matrix(op: SymbolicOperator, lattice: MomentumLattice) -> OperatorMatrix:
     """Evaluate a normal form on a lattice: diagonal m is sum_k c_{k,m}(a) p^k,
     accumulated in ascending (k, m).  The momenta are read only when some
     term has a power of P, so A, Abar, I and the operators folded from them
-    alone never compute p_j."""
+    alone never compute p_j.  A coefficient past double precision is a
+    ValueError."""
     n = lattice.n_points
-    coefficients = op.evaluate(lattice.a)
+    try:
+        coefficients = op.evaluate(lattice.a)
+    except OverflowError:
+        raise ValueError("a coefficient of the normal form overflows double precision at "
+                         f"a={fmt_real(lattice.a)}") from None
     momenta = lattice.momenta().astype(complex) if any(k for k, _ in coefficients) else None
     radius = op.shift_radius
     bands = np.zeros((2 * radius + 1, n), dtype=complex)
@@ -403,11 +408,16 @@ def to_matrix(op: SymbolicOperator, lattice: MomentumLattice) -> OperatorMatrix:
 
 
 def expression_matrix(expr, lattice: MomentumLattice) -> OperatorMatrix:
-    """Evaluate an expression (AST or text) directly with truncated matrices."""
+    """Evaluate an expression (AST or text) directly with truncated matrices.
+    A scalar subtree past double precision is a ValueError."""
     if isinstance(expr, str):
         expr = parse(expr)
     atoms = _LatticeAtoms(lattice)
-    return atoms.matrix(fold(expr, atoms))
+    try:
+        return atoms.matrix(fold(expr, atoms))
+    except OverflowError:
+        raise ValueError("a scalar of the expression overflows double precision on the "
+                         f"lattice {lattice.descriptor()}") from None
 
 
 def verify_identity_suite(lattice: MomentumLattice) -> list:
@@ -494,8 +504,8 @@ def _adjoint_residual(A: OperatorMatrix, Abar: OperatorMatrix) -> float:
 
 
 def unit_gaussian(p: np.ndarray) -> np.ndarray:
-    """Default continuum-scan test function exp(-p^2/2).  Where p^2
-    overflows, the value is exp(-inf) = 0, exact in double precision."""
+    """The continuum scan's test function exp(-p^2/2), in [0, 1] on finite
+    momenta; where p^2 overflows it is exp(-inf) = 0, exact in double precision."""
     with np.errstate(over="ignore"):
         return np.exp(-np.asarray(p, dtype=float) ** 2 / 2.0)
 
@@ -503,10 +513,15 @@ def unit_gaussian(p: np.ndarray) -> np.ndarray:
 def window_lattice(spacing: float, window: tuple) -> MomentumLattice:
     """Smallest lattice with the given spacing whose points cover the window.
 
-    The scan measures interior rows, so a spacing that leaves fewer than 3
-    points in the window is rejected, and so is one that needs more than
-    MAX_CONTINUUM_POINTS, before anything is allocated.
+    The spacing must be finite and positive.  The scan measures interior
+    rows, so a spacing that leaves fewer than 3 points in the window is
+    rejected, and so is one that needs more than MAX_CONTINUUM_POINTS,
+    before anything is allocated.
     """
+    if not math.isfinite(spacing):
+        raise ValueError(f"spacings must be finite, got {spacing}")
+    if spacing <= 0:
+        raise ValueError("spacings must be positive")
     lo, hi = window
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise ValueError(f"window must be finite with lo < hi, got {lo}:{hi}")
@@ -525,44 +540,35 @@ def window_lattice(spacing: float, window: tuple) -> MomentumLattice:
 _CANONICAL_RESIDUAL = parse("[X,P] + i")
 
 
-def continuum_scan(spacings, test_function=None, window=DEFAULT_WINDOW) -> ConvergenceTable:
+def continuum_scan(spacings, window=DEFAULT_WINDOW) -> ConvergenceTable:
     """Residual of the canonical commutation relation as the spacing shrinks.
 
-    For each spacing a the test function is sampled on a lattice covering the
-    window and r(a) = max_j |(([X,P] + i I) f)(p_j)| / max|f| is measured on
-    interior rows, with [X,P] + i folded in the applied domain: X and P are
-    applied to f, never multiplied.  Returns the table together with the
-    least-squares slope of log r against log a.  Every spacing's lattice is
-    checked before the first is scanned.
+    For each spacing a, f = `unit_gaussian` is sampled on the `window_lattice`
+    covering the window and r(a) = max_j |(([X,P] + i I) f)(p_j)| / max f is
+    measured on interior rows, with [X,P] + i folded in the applied domain:
+    X and P are applied to f, never multiplied.  Returns the table together
+    with the least-squares slope of log r against log a.  Every spacing's
+    lattice, then the ladder's order, is checked before the first is scanned.
     """
     spacings = tuple(float(s) for s in spacings)
     if len(spacings) < 3:
         raise ValueError(f"need at least 3 spacings, got {len(spacings)}")
-    for s in spacings:
-        if not math.isfinite(s):
-            raise ValueError(f"spacings must be finite, got {s}")
-    if any(s <= 0 for s in spacings):
-        raise ValueError("spacings must be positive")
+    lattices = [window_lattice(a, window) for a in spacings]
     if any(s2 >= s1 for s1, s2 in zip(spacings, spacings[1:])):
         raise ValueError("spacings must be strictly decreasing")
-    fn = test_function if test_function is not None else unit_gaussian
 
     residuals = []
-    for lat in [window_lattice(a, window) for a in spacings]:
-        f = sample(lat, fn)
-        scale = np.max(np.abs(f.values))
-        if not math.isfinite(scale):
-            raise ValueError(f"the test function's largest value on the lattice "
-                             f"{lat.descriptor()} is {fmt_real(scale)}, not a finite number, "
-                             "so the residual has no scale")
-        if not scale > 0:
+    for lat in lattices:
+        f = unit_gaussian(lat.momenta())
+        scale = np.max(f)
+        if scale == 0:
             raise ValueError(f"the test function vanishes on the lattice {lat.descriptor()}, "
                              "so the residual has no scale")
         if scale < np.finfo(float).tiny:
             raise ValueError(f"the test function's largest value on the lattice "
                              f"{lat.descriptor()} is {fmt_real(scale)}, below the smallest "
                              "normal double, so the residual has no scale")
-        g = fold(_CANONICAL_RESIDUAL, _AppliedAtoms(lat)).map(f.values[None])[0, 1:-1]
+        g = fold(_CANONICAL_RESIDUAL, _AppliedAtoms(lat)).map(f[None])[0, 1:-1]
         residuals.append(float(np.max(np.abs(g)) / scale))
 
     if all(r > 0 for r in residuals):

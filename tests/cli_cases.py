@@ -136,13 +136,19 @@ USAGE_ERROR_CASES = [
     # the Gaussian's p^2 overflows at every momentum, and reads exp(-inf) = 0
     (("continuum", "--window=-1e200:1e200", "--spacings", "1e199,5e198,2.5e198"),
      "the test function vanishes on the lattice p0=-1e+200,a=1e+199,n=21"),
+    # a value that starts with '-' reaches the library, whatever its form
+    (("verify", "--p0", "-inf"), "base momentum must be finite"),
+    (("verify", "--tol", "-1e-3"),
+     "tolerance must be a non-negative number, got --tol -0.001"),
+    (("continuum", "--spacings", "-0.1,0.05,0.025"), "spacings must be positive"),
 ]
 
 
 # Valid calls that take a branch no other table reaches: a `check` expression
 # that starts with '-', the one-point eigenvector (null formula fields),
-# spectra that LAPACK's driver would scale and a continuum window whose
-# Gaussian overflows p^2.  Each exits 0 with no warning.
+# spectra that LAPACK's driver would scale, a continuum window whose
+# Gaussian overflows p^2 and negative values that argparse alone would take
+# for options.  Each exits 0 with no warning.
 EDGE_CASES = [
     ("check", "-{Q,P}+{Q,P}"),
     ("eigvec", "--x", "0.5", "--a", "1", "--n", "1"),
@@ -151,6 +157,11 @@ EDGE_CASES = [
     ("spectrum", "--a", "1e-200", "--n", "64"),
     # p^2 overflows on all but the point p = 0, where the Gaussian reads 1
     ("continuum", "--window=-1e300:1e300", "--spacings", "1e299,5e298,2.5e298"),
+    # negative values in exponent form, and a window with no '=', are values
+    ("eigvec", "--x", "-2.5e-1", "--a", "1", "--n", "3"),
+    ("spectrum", "--p0", "-1E2", "--n", "3"),
+    ("continuum", "--window", "-8:8"),
+    ("verify", "--p0", "-1e-3", "--n", "64"),
 ]
 
 

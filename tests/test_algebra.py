@@ -789,7 +789,24 @@ class TestMatrixEvaluation:
         assert power.shift_radius == P.shift_radius
         assert np.array_equal(power.bands, P.bands)
 
-    @pytest.mark.parametrize("node", [object(), "P", BinOp("*", Atom("P"), 2)])
+    # a^-2 past the double range, and a 401-digit literal as a coefficient
+    # and as a scalar of the lattice fold
+    @pytest.mark.parametrize("evaluate,message", [
+        (lambda: to_matrix(normal_form("H"), MomentumLattice(0.0, 1e-200, 8)),
+         r"^a coefficient of the normal form overflows double precision at a=1e-200$"),
+        (lambda: to_matrix(normal_form("1" + "0" * 400 + "*P"), MomentumLattice(0.0, 0.5, 8)),
+         r"^a coefficient of the normal form overflows double precision at a=0\.5$"),
+        (lambda: expression_matrix("1" + "0" * 400 + "*P", MomentumLattice(0.0, 0.5, 8)),
+         r"^a scalar of the expression overflows double precision on the lattice "
+         r"p0=0,a=0\.5,n=8$"),
+        (lambda: expression_matrix("P/1" + "0" * 400, MomentumLattice(0.0, 0.5, 8)),
+         "^a scalar of the expression overflows double precision"),
+    ], ids=["a_power", "nf_literal", "fold_literal", "fold_divisor"])
+    def test_overflow_is_a_value_error(self, evaluate, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate()
+
+    @pytest.mark.parametrize("node",[object(), "P", BinOp("*", Atom("P"), 2)])
     def test_non_node_rejected_in_both_domains(self, node):
         tree = Neg(Power(node, 2))
         with pytest.raises(TypeError, match="not an expression node"):

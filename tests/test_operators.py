@@ -13,8 +13,8 @@ from bits import same_bits
 import momlat.algebra
 import momlat.operators
 from momlat.algebra import (ATOMS, DEFINITION_TREES, DEFINITIONS, IDENTITIES, IDENTITY_TREES,
-                            OPERATOR_NAMES, SymbolicCheck, SymbolicOperator, fold, normal_form,
-                            parse, verify_symbolic_suite)
+                            OPERATOR_NAMES, SymbolicCheck, SymbolicOperator, fold,
+                            format_normal_form, normal_form, parse, verify_symbolic_suite)
 from momlat.lattice import (GridFunction, MomentumLattice, inner_product, sample,
                             square_well_lattice)
 from momlat.operators import (
@@ -973,16 +973,17 @@ class TestContinuumScan:
         for a, r in zip(table.spacings, table.residuals):
             assert r == pytest.approx(a * a / 2.0, rel=0.15)
 
-    def test_constant_function_annihilated(self):
-        table = continuum_scan((0.5, 0.25, 0.125),
-                               test_function=lambda p: np.ones_like(p))
+    def test_constant_function_annihilated(self, monkeypatch):
+        # the scan's one test function, swapped for a constant
+        monkeypatch.setattr(momlat.operators, "unit_gaussian", np.ones_like)
+        table = continuum_scan((0.5, 0.25, 0.125))
         assert all(r < 1e-13 for r in table.residuals)
 
-    def test_zero_residual_has_no_log_row(self):
+    def test_zero_residual_has_no_log_row(self, monkeypatch):
         # the constant function's residuals are exactly 0: the scan returns
         # them with a nan slope, and neither writer takes their log
-        table = continuum_scan((0.5, 0.25, 0.125),
-                               test_function=lambda p: np.ones_like(p))
+        monkeypatch.setattr(momlat.operators, "unit_gaussian", np.ones_like)
+        table = continuum_scan((0.5, 0.25, 0.125))
         assert table.residuals == (0.0, 0.0, 0.0) and math.isnan(table.slope)
         for writer in (convergence_to_csv, convergence_to_dict):
             with pytest.raises(ValueError, match=r"^the residual at spacing 0\.5 is 0, which "
@@ -994,11 +995,22 @@ class TestContinuumScan:
             continuum_scan((0.1, 0.05))
         with pytest.raises(ValueError):
             continuum_scan((0.05, 0.1, 0.2))
-        with pytest.raises(ValueError):
+        # every spacing's lattice is checked before the ladder's order
+        with pytest.raises(ValueError, match="^spacings must be positive$"):
             continuum_scan((0.1, -0.05, 0.025))
         for spacings in ((math.nan, 0.05, 0.025), (0.1, 0.05, math.nan), (math.inf, 0.05, 0.025)):
             with pytest.raises(ValueError, match="spacings must be finite"):
                 continuum_scan(spacings)
+
+    @pytest.mark.parametrize("spacing,message", [(0.0, "^spacings must be positive$"),
+                                                 (-0.1, "^spacings must be positive$"),
+                                                 (math.nan, "^spacings must be finite, got nan$"),
+                                                 (math.inf, "^spacings must be finite, got inf$")],
+                             ids=["zero", "negative", "nan", "inf"])
+    def test_window_lattice_refuses_a_bad_spacing(self, spacing, message):
+        # in the scan's wording, before any point count is computed from it
+        with pytest.raises(ValueError, match=message):
+            window_lattice(spacing, DEFAULT_WINDOW)
 
     def test_window_with_no_interior_row_rejected(self):
         assert window_lattice(0.025, (0.0, 0.05)).n_points == 3
@@ -1012,17 +1024,8 @@ class TestContinuumScan:
             window_lattice(0.1, (-math.inf, 8.0))
         with pytest.raises(ValueError, match="vanishes"):
             continuum_scan((0.1, 0.05, 0.025), window=(100.0, 110.0))
-        # the scale is checked before the residual, so a nan does not read as
-        # a vanishing function and no inf - inf is computed
-        for fn, value in ((lambda p: np.full_like(p, np.nan), "nan"),
-                          (lambda p: np.where(p == p[5], np.nan, 1.0), "nan"),
-                          (lambda p: np.where(p == p[5], np.inf, 1.0), "inf")):
-            with pytest.raises(ValueError, match=rf"^the test function's largest value on the "
-                                                 rf"lattice p0=-8,a=0\.5,n=33 is {value}, not "
-                                                 "a finite number"):
-                continuum_scan((0.5, 0.25, 0.125), test_function=fn)
 
-    def test_subnormal_scale_rejected(self):
+    def test_subnormal_scale_rejected(self, monkeypatch):
         # far out in the Gaussian's tail its largest sample is 5e-324, and the
         # residuals over it would read 10, 20 and 1
         with pytest.raises(ValueError, match=r"^the test function's largest value on the "
@@ -1031,11 +1034,13 @@ class TestContinuumScan:
                                              "normal double"):
             continuum_scan((0.4, 0.2, 0.1), window=(38.6, 45.0))
         tiny = np.finfo(float).tiny
-        table = continuum_scan((0.5, 0.25, 0.125), test_function=lambda p: np.full_like(p, tiny))
+        monkeypatch.setattr(momlat.operators, "unit_gaussian", lambda p: np.full_like(p, tiny))
+        table = continuum_scan((0.5, 0.25, 0.125))
         assert len(table.residuals) == 3
+        monkeypatch.setattr(momlat.operators, "unit_gaussian",
+                            lambda p: np.full_like(p, np.nextafter(tiny, 0)))
         with pytest.raises(ValueError, match="is 2.2250738585072e-308, below the smallest"):
-            continuum_scan((0.5, 0.25, 0.125),
-                           test_function=lambda p: np.full_like(p, np.nextafter(tiny, 0)))
+            continuum_scan((0.5, 0.25, 0.125))
 
     def test_point_cap_rejected_before_allocation(self):
         # a window of MAX_CONTINUUM_POINTS unit steps needs the cap + 1 points;
@@ -1053,11 +1058,15 @@ class TestContinuumScan:
         with pytest.raises(ValueError, match="spacing 0.1 needs inf points"):
             window_lattice(0.1, (-1e308, 1e308))
 
-    def test_every_spacing_checked_before_the_first_scan(self):
+    def test_every_spacing_checked_before_the_first_scan(self, monkeypatch):
         sampled = []
+        monkeypatch.setattr(momlat.operators, "unit_gaussian",
+                            lambda p: sampled.append(p) or np.ones_like(p))
         spacings = (0.1, 0.05, 16.0 / MAX_CONTINUUM_POINTS)
         with pytest.raises(ValueError, match=f"{MAX_CONTINUUM_POINTS + 1} points"):
-            continuum_scan(spacings, test_function=lambda p: sampled.append(p) or np.ones_like(p))
+            continuum_scan(spacings)
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            continuum_scan((0.1, 0.2, 0.05))
         assert sampled == []
 
     def test_window_lattice_covers(self):
@@ -1068,8 +1077,8 @@ class TestContinuumScan:
 
 
 def hand_written_scan(spacings, fn=unit_gaussian, window=DEFAULT_WINDOW):
-    """The residuals and slope of `continuum_scan`, with [X,P] + i applied
-    to each sampled test function by hand."""
+    """The residuals and slope of `continuum_scan` on the test function fn,
+    with [X,P] + i applied to each complex sample of fn by hand."""
     residuals = []
     for a in spacings:
         lat = window_lattice(a, window)
@@ -1108,14 +1117,16 @@ class TestContinuumFold:
     hand-written residual it replaced is the reference."""
 
     @pytest.mark.parametrize("spacings,fn,window", _hand_written_cases())
-    def test_bits_equal_hand_written_residual(self, spacings, fn, window):
-        table = continuum_scan(spacings, test_function=fn, window=window)
+    def test_bits_equal_hand_written_residual(self, spacings, fn, window, monkeypatch):
+        # the scan's one test function, swapped where a case has another
+        monkeypatch.setattr(momlat.operators, "unit_gaussian", fn)
+        table = continuum_scan(spacings, window=window)
         residuals, slope = hand_written_scan(spacings, fn, window)
         assert [r.hex() for r in table.residuals] == [r.hex() for r in residuals]
         assert table.slope.hex() == slope.hex()
 
     def test_scan_peak_within_its_per_point_model(self):
-        # MAX_CONTINUUM_POINTS is sized from a peak of ~328 bytes a point
+        # MAX_CONTINUUM_POINTS is sized from a peak of ~320 bytes a point
         n = 200_000
         a = 16.0 / (n - 1)
         continuum_scan((0.4, 0.2, 0.1))  # caches warmed
@@ -1131,18 +1142,24 @@ class TestContinuumFold:
 
 _LEAVES = (*OPERATOR_NAMES, "i", "a", "2", "(1/2)", "3")
 _FORMS = ("({} + {})", "({} - {})", "{} * {}", "[{},{}]", "{{{},{}}}", "({})^2")
+# Divisors that the generator may also use: scalar subtrees, which every
+# evaluator divides by, and operators, which only the exact engine may.
+_SCALAR_DIVISORS = ("2", "(2*i)", "a^2")
+_OPERATOR_DIVISORS = ("A", "(P+I)", "X")
 
 
-def random_texts(count, seed):
+def random_texts(count, seed, divisors=()):
     """`count` seeded expression texts of depth at most 3 over the operator
-    names, i, a and the literals 2, 1/2 and 3, with + - *, both brackets and
-    squares, followed by every DEFINITIONS and IDENTITIES text."""
+    names, i, a and the literals 2, 1/2 and 3, with + - *, both brackets,
+    squares and division by each of `divisors`, followed by every
+    DEFINITIONS and IDENTITIES text."""
     rng = np.random.default_rng(seed)
+    forms = _FORMS + tuple("({})/" + divisor for divisor in divisors)
 
     def text(depth):
         if depth == 0 or rng.random() < 0.3:
             return _LEAVES[rng.integers(len(_LEAVES))]
-        return _FORMS[rng.integers(len(_FORMS))].format(text(depth - 1), text(depth - 1))
+        return forms[rng.integers(len(forms))].format(text(depth - 1), text(depth - 1))
     return ([text(3) for _ in range(count)] + [text for _, text in DEFINITIONS]
             + [text for _, text, _ in IDENTITIES])
 
@@ -1172,8 +1189,9 @@ class TestRandomExpressions:
                 expected = momlat.operators._apply_rows(expression_matrix(tree, lat), v)
                 assert np.array_equal(got, expected), (text, lat.descriptor())
 
-    def test_matrix_fold_equals_normal_form_inside_the_margin(self):
-        for text in self.TEXTS:
+    @staticmethod
+    def assert_matrix_fold_equals_normal_form(texts):
+        for text in texts:
             tree = parse(text)
             margin = fold(tree, MarginBound())[1]
             assert 2 * margin < 40, text
@@ -1182,6 +1200,47 @@ class TestRandomExpressions:
                 direct = expression_matrix(tree, lat).entries[margin:40 - margin]
                 via_nf = to_matrix(nf, lat).entries[margin:40 - margin]
                 assert np.array_equal(direct, via_nf), (text, lat.descriptor())
+
+    def test_matrix_fold_equals_normal_form_inside_the_margin(self):
+        self.assert_matrix_fold_equals_normal_form(self.TEXTS)
+
+    def test_check_verdict_is_what_the_matrix_fold_reads(self):
+        # E - (E's normal form as `check` prints it) is ZERO by construction,
+        # and its fold reads exactly 0 inside its margin on every lattice; a
+        # NONZERO E reads nonzero inside its own margin on at least one
+        for text in self.TEXTS:
+            nf = normal_form(text)
+            zero = parse(f"({text}) - ({format_normal_form(nf)})")
+            assert normal_form(zero).is_zero, text
+            for tree, is_zero in ((zero, True), (parse(text), nf.is_zero)):
+                margin = fold(tree, MarginBound())[1]
+                assert 2 * margin < 40, text
+                reads = [np.any(expression_matrix(tree, lat).bands[:, margin:40 - margin])
+                         for lat in _DYADIC_LATTICES]
+                assert not any(reads) if is_zero else any(reads), (text, is_zero)
+
+    def test_scalar_divisors_agree_across_the_pillars(self):
+        texts = random_texts(160, 2027, _SCALAR_DIVISORS)
+        assert sum(")/" in text for text in texts[:160]) > 60
+        self.assert_matrix_fold_equals_normal_form(texts)
+
+    @pytest.mark.parametrize("divisor", _OPERATOR_DIVISORS)
+    def test_operator_divisors_refused_by_both_folds(self, divisor):
+        lat = _DYADIC_LATTICES[4]
+        for text in self.TEXTS[:40]:
+            tree = parse(f"({text})/{divisor}")
+            with pytest.raises(ValueError, match="^division is only defined by nonzero "
+                                                 "scalars$"):
+                expression_matrix(tree, lat)
+            with pytest.raises(ValueError, match="^division is only defined by nonzero "
+                                                 "scalars$"):
+                fold(tree, momlat.operators._AppliedAtoms(lat))
+
+    def test_check_decides_a_divisor_by_its_normal_form(self):
+        # 2*I is the scalar 2 to the exact engine, an operator to the folds
+        assert normal_form("X/(2*I)") == normal_form("X/2")
+        with pytest.raises(ValueError, match="division is only defined by nonzero scalars"):
+            expression_matrix("X/(2*I)", _DYADIC_LATTICES[0])
 
 
 class TestSerialization:

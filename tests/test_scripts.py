@@ -16,7 +16,8 @@ SCRIPTS = Path(__file__).parent.parent / "scripts"
 SRC = Path(momlat.__file__).parent.parent
 
 sys.path.insert(0, str(SCRIPTS))
-import oneshot_bench  # noqa: E402  (scripts/ is not a package)
+import byte_diff  # noqa: E402  (scripts/ is not a package)
+import oneshot_bench  # noqa: E402
 
 
 @pytest.mark.parametrize("script,verdict", [
@@ -100,7 +101,8 @@ def test_byte_diff_names_the_calls_that_differ(tmp_path):
     assert "differs in stderr: momlat check 10000000000000000000...00000000000000000000" \
         "[5001 chars]" in lines
     assert max(map(len, lines)) < 100
-    assert lines[-1] == "8 of 98 calls differ in stdout, stderr or exit code"
+    replayed = len(byte_diff.calls(range(1, 1)))
+    assert lines[-1] == f"8 of {replayed} calls differ in stdout, stderr or exit code"
 
 
 def test_oneshot_bench_measures_one_call():
