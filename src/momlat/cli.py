@@ -82,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spacings", default="0.1,0.05,0.025,0.0125",
                    help="comma-separated decreasing spacings")
     window = "{:g}:{:g}".format(*operators.DEFAULT_WINDOW)
-    p.add_argument("--window", default=window, help="momentum window lo:hi "
-                   f"(use --window={window} for negative bounds)")
+    p.add_argument("--window", default=window,
+                   help=f"momentum window lo:hi (default {window})")
     _output_args(p)
     p.set_defaults(handler=run_continuum)
 
@@ -250,9 +250,27 @@ def _expression_first(argv: list) -> list:
     return argv
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """The namespace `_PARSER.parse_args(argv)` returns, parsed once.
+
+    The full parse reads every token twice: the top-level parser classifies
+    each one before it hands the rest to the subcommand's parser.  So when
+    argv starts with a subcommand name, that subcommand's parser alone reads
+    the rest.  Only when it leaves a token over, or argv starts with no
+    subcommand name, does the full parse run.
+    """
+    sub = _SUBCOMMANDS.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return _PARSER.parse_args(argv)
+
+
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(_expression_first(sys.argv[1:] if argv is None else list(argv)))
+        args = _parse(_expression_first(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
@@ -267,6 +285,8 @@ def main(argv=None) -> int:
 # it follows the COLUMNS of that moment), and the handlers it holds look up
 # everything else through module globals at call time.
 _PARSER = build_parser()
+# The subcommand parsers by name: the objects `_PARSER` hands each subcommand to.
+_SUBCOMMANDS = _PARSER._subparsers._group_actions[0].choices
 
 
 def entry():

@@ -21,7 +21,7 @@ leaves to `%` only the values whose rounding it cannot settle.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -98,7 +98,9 @@ def format_rows(template: str, columns, start: int | None = None):
 def dumps(obj, indent: int = 0) -> str:
     """Serialize dicts/lists/arrays/scalars to JSON with fmt_real for floats.
 
-    Complex numbers are emitted as two-element [re, im] arrays.  A 1-d
+    Strings and keys are written by `encode_basestring_ascii`, the function
+    `json.dumps` writes a string with at its default settings.  Complex
+    numbers are emitted as two-element [re, im] arrays.  A 1-d
     float or complex numpy array is printed by `format_rows` in blocks, with
     the bytes of one `dumps` per item and, when it is too long for one line,
     the separators in the template; any other array is rejected.  Lists
@@ -106,30 +108,32 @@ def dumps(obj, indent: int = 0) -> str:
     newline and have fewer than 70 characters in all fits on one line; any
     other list takes one line per item.
     """
+    # the types of most values first: no float, str or dict is None, a bool
+    # or another of the types below
+    if isinstance(obj, float):
+        return fmt_real(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
     pad = " " * indent
     inner = " " * (indent + 2)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            inner + encode_basestring_ascii(str(k)) + ": " + dumps(v, indent + 2)
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if obj is None:
         return "null"
     if obj is True:
         return "true"
     if obj is False:
         return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):
-        return fmt_real(obj)
     if isinstance(obj, complex):
         return "[" + fmt_real(obj.real) + ", " + fmt_real(obj.imag) + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            inner + json.dumps(str(k)) + ": " + dumps(v, indent + 2)
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, np.ndarray):
         if obj.ndim != 1 or obj.dtype.kind not in "fc":
             raise TypeError(f"cannot serialize a {obj.ndim}-d {obj.dtype} array")

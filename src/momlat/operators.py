@@ -165,22 +165,36 @@ class OperatorMatrix(Record):
         (LR)[i, i+m] = sum over m1 + m2 = m of L[i, i+m1] * R[i+m1, i+m], each
         entry summed in ascending column i+m1, as a dense product summing in
         column order would.  Columns off the lattice hold zeros and add none.
+        Where a factor is diagonal, each entry is its one product plus the
+        0.0 the sum starts with, added once to the whole result.
         """
         self._same_lattice(other)
         n = self.lattice.n_points
         r1, r2 = self.shift_radius, other.shift_radius
         r = r1 + r2
-        out = np.zeros((2 * r + 1, n), dtype=complex)
-        for m1 in range(-r1, r1 + 1):
-            rows = _rows(m1, n)
-            # kept 2-d: numpy multiplies a (1,) by a (1, 1) array in a loop
-            # that rounds differently from the loop every other shape takes
-            left = self.bands[r1 + m1, None, rows]
-            right = other.bands[:, rows.start + m1:rows.stop + m1]
-            # added into the view in place: `out[...] += ...` would also write
-            # the view back through a second indexing
-            view = out[r + m1 - r2:r + m1 + r2 + 1, rows]
-            np.add(view, np.multiply(left, right), out=view)
+        if r1 == 0:
+            # row i of every diagonal of R times L[i, i], in one multiply
+            out = np.multiply(self.bands, other.bands)
+        else:
+            out = np.zeros((2 * r + 1, n), dtype=complex)
+            # diagonals m1 with |m1| >= n have no row on the lattice
+            for m1 in range(-min(r1, n - 1), min(r1, n - 1) + 1):
+                lo, hi = max(0, -m1), min(n, n - m1)
+                # kept 2-d: numpy multiplies a (1,) by a (1, 1) array in a loop
+                # that rounds differently from the loop every other shape takes
+                left = self.bands[r1 + m1, None, lo:hi]
+                right = other.bands[:, lo + m1:hi + m1]
+                view = out[r + m1 - r2:r + m1 + r2 + 1, lo:hi]
+                if r2 == 0:
+                    # R diagonal: one product per entry, nothing to sum
+                    np.multiply(left, right, out=view)
+                else:
+                    # added into the view in place: `out[...] += ...` would
+                    # also write the view back through a second indexing
+                    np.add(view, np.multiply(left, right), out=view)
+        if r1 == 0 or r2 == 0:
+            # the 0 + x the sum starts with: -0.0 becomes 0.0, inf and nan stay
+            np.add(out, 0.0, out=out)
         return _result(self.lattice, out, r)
 
     def scaled(self, c: complex) -> "OperatorMatrix":
@@ -358,13 +372,13 @@ def _apply_rows(M: OperatorMatrix, values: np.ndarray) -> np.ndarray:
     other one."""
     n, r = M.lattice.n_points, M.shift_radius
     out = np.zeros(values.shape, dtype=complex)
-    for m in range(-r, r + 1):
-        rows = _rows(m, n)
+    for m in range(-min(r, n - 1), min(r, n - 1) + 1):
+        lo, hi = max(0, -m), min(n, n - m)
         # the band kept 2-d, as in `__matmul__`, so one row takes the same
         # multiply loop as a stack of several
-        view = out[:, rows]
-        np.add(view, np.multiply(M.bands[r + m, None, rows],
-                                 values[:, rows.start + m:rows.stop + m]), out=view)
+        view = out[:, lo:hi]
+        np.add(view, np.multiply(M.bands[r + m, None, lo:hi], values[:, lo + m:hi + m]),
+               out=view)
     return out
 
 
@@ -409,15 +423,21 @@ def to_matrix(op: SymbolicOperator, lattice: MomentumLattice) -> OperatorMatrix:
 
 def expression_matrix(expr, lattice: MomentumLattice) -> OperatorMatrix:
     """Evaluate an expression (AST or text) directly with truncated matrices.
-    A scalar subtree past double precision is a ValueError."""
+    A scalar subtree or a matrix entry past double precision is a ValueError."""
     if isinstance(expr, str):
         expr = parse(expr)
     atoms = _LatticeAtoms(lattice)
     try:
-        return atoms.matrix(fold(expr, atoms))
+        with np.errstate(over="ignore", invalid="ignore"):
+            matrix = atoms.matrix(fold(expr, atoms))
     except OverflowError:
         raise ValueError("a scalar of the expression overflows double precision on the "
                          f"lattice {lattice.descriptor()}") from None
+    # an entry that overflowed stays inf, or turns nan where it meets 0 or -inf
+    if not np.isfinite(matrix.bands).all():
+        raise ValueError("an entry of the expression overflows double precision on the "
+                         f"lattice {lattice.descriptor()}")
+    return matrix
 
 
 def verify_identity_suite(lattice: MomentumLattice) -> list:

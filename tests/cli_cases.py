@@ -172,7 +172,7 @@ PARSER_CASES = [
     ((), 2, "momlat: error: the following arguments are required: command"),
     (("--help",), 0, "usage: momlat [-h] {verify,check,eigvec,spectrum,continuum,well} ..."),
     (("verify", "-h"), 0, "usage: momlat verify [-h]"),
-    (("continuum", "-h"), 0, "--window=-8:8"),
+    (("continuum", "-h"), 0, "momentum window lo:hi (default -8:8)"),
     (("bogus",), 2, "momlat: error: argument command: invalid choice: 'bogus'"),
     (("verify", "--bogus"), 2, "momlat: error: unrecognized arguments: --bogus"),
     (("eigvec",), 2, "momlat eigvec: error: the following arguments are required: --x"),

@@ -789,8 +789,8 @@ class TestMatrixEvaluation:
         assert power.shift_radius == P.shift_radius
         assert np.array_equal(power.bands, P.bands)
 
-    # a^-2 past the double range, and a 401-digit literal as a coefficient
-    # and as a scalar of the lattice fold
+    # a^-2 past the double range, a 401-digit literal as a coefficient and
+    # as a scalar of the lattice fold, and an entry of the lattice fold
     @pytest.mark.parametrize("evaluate,message", [
         (lambda: to_matrix(normal_form("H"), MomentumLattice(0.0, 1e-200, 8)),
          r"^a coefficient of the normal form overflows double precision at a=1e-200$"),
@@ -801,7 +801,11 @@ class TestMatrixEvaluation:
          r"p0=0,a=0\.5,n=8$"),
         (lambda: expression_matrix("P/1" + "0" * 400, MomentumLattice(0.0, 0.5, 8)),
          "^a scalar of the expression overflows double precision"),
-    ], ids=["a_power", "nf_literal", "fold_literal", "fold_divisor"])
+        # H's X*X: entries of ~1e400, with no numpy warning on the way
+        (lambda: expression_matrix("H", MomentumLattice(0.0, 1e-200, 8)),
+         r"^an entry of the expression overflows double precision on the lattice "
+         r"p0=0,a=1e-200,n=8$"),
+    ], ids=["a_power", "nf_literal", "fold_literal", "fold_divisor", "fold_entry"])
     def test_overflow_is_a_value_error(self, evaluate, message):
         with pytest.raises(ValueError, match=message):
             evaluate()

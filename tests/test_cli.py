@@ -415,6 +415,52 @@ class TestParserReuse:
             assert run_cli(*argv)[1] == (GOLDEN / fname).read_text(), fname
 
 
+class TestDirectParse:
+    """An argv that starts with a subcommand name is parsed by that
+    subcommand's parser alone; every call ends as under the full parse, which
+    runs when `_SUBCOMMANDS` is empty.  The argvs are seeded draws over every
+    option token of every subcommand, their prefixes, `-h`, `--`, unknown
+    options, extra positionals and values that start with '-'."""
+
+    VALUES = ("-1e3", "-2.5e-1", "0.5", "8", "-8:8", "1,0.5,0.25", "json", "x", "A", "--A",
+              "-h", "--", "-x", "--bogus", "-", "--x=8", "--n=-1e3")
+    REQUIRED = {"eigvec": ("--x", "0.5"), "well": ("--L", "1")}
+
+    @classmethod
+    def argv(cls, rng):
+        command = rng.choice(sorted(cli._SUBCOMMANDS))
+        options = list(cli._SUBCOMMANDS[command]._option_string_actions)
+        prefixes = [option[:k] for option in options if option.startswith("--")
+                    for k in range(3, len(option))]
+        tokens = [*options, *prefixes, *cls.VALUES]
+        argv = [command, *rng.choice((cls.REQUIRED.get(command, ()), ()))]
+        argv += [rng.choice(tokens) for _ in range(rng.randint(0, 4))]
+        if rng.random() < 0.1:
+            argv.insert(0, rng.choice(("-h", "--he", "--", "bogus", "ver", command)))
+        return argv
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_calls_end_as_under_the_full_parse(self, seed, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)  # --out writes its file here
+        rng = random.Random(seed)
+        argvs = [self.argv(rng) for _ in range(150)]
+        full, namespaces = [], []
+        parse_args, parse = cli._PARSER.parse_args, cli._parse
+        monkeypatch.setattr(cli._PARSER, "parse_args",
+                            lambda argv: full.append(argv) or parse_args(argv))
+        monkeypatch.setattr(cli, "_parse", lambda argv: namespaces.append(parse(argv)) or
+                            namespaces[-1])
+        direct = [run_cli(*argv) for argv in argvs]
+        # both ways of parsing are taken
+        assert 0 < len(full) < len(argvs) / 2
+        parsed = [vars(args) for args in namespaces]
+        namespaces.clear()
+        monkeypatch.setattr(cli, "_SUBCOMMANDS", {})
+        for argv, outcome in zip(argvs, direct):
+            assert run_cli(*argv) == outcome, argv
+        assert [vars(args) for args in namespaces] == parsed
+
+
 class TestOutputFile:
     def test_out_flag_writes_file(self, tmp_path):
         target = tmp_path / "spectrum.csv"

@@ -781,6 +781,22 @@ class TestInPlaceAccumulation:
             expected = accumulated_product(L, R)
         assert same_bits(got, expected)
 
+    # A diagonal factor's product adds no two products, so only the sum's
+    # 0 + x sets the sign of a zero: p_j = 0 at j = n // 2 and the negative
+    # momenta and entries make products of -0.0, which must print as 0.0.
+    @pytest.mark.parametrize("n", [1, 2, 3, 64])
+    def test_diagonal_factor_bitwise_equal_to_accumulated_loop(self, n):
+        lat = MomentumLattice(-0.5 * (n // 2), 0.5, n)
+        assert lat.momenta()[n // 2] == 0.0
+        rng = np.random.default_rng(n)
+        P, I = build_operator(lat, "P"), build_operator(lat, "I")
+        for M in (build_operator(lat, "X"), build_operator(lat, "H"),
+                  random_banded(lat, 2, rng), -random_banded(lat, 1, rng)):
+            for c in (-1.5, complex(-0.0, 2.0), 0.0):
+                for L, R in ((P, M), (M, P), (I.scaled(c), M), (M, I.scaled(c)), (P, P)):
+                    assert same_bits((L @ R).bands, accumulated_product(L, R)), \
+                        (L.shift_radius, R.shift_radius, c)
+
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 40), st.integers(0, 4))
     @settings(max_examples=100, deadline=None)
     def test_apply_bitwise_equal_to_one_row_loop(self, seed, n, r):

@@ -129,6 +129,23 @@ def test_oneshot_bench_measures_two_calls_over_the_floor():
     assert all("over_floor_ms" not in mode for mode in results[oneshot_bench.FLOOR].values())
 
 
+def test_oneshot_bench_pairs_two_trees_round_by_round():
+    label = "momlat check H^12"
+    commands = {label: oneshot_bench.COMMANDS[label]}
+    change, parent, paired = oneshot_bench.measure_pair(commands, 1, SRC, SRC)
+    for results in (change, parent):
+        assert list(results) == [label]
+        assert [mode["exit_codes"] for mode in results[label].values()] == [[1], [1]]
+    assert list(paired) == [label] and list(paired[label]) == ["host", "cached"]
+    for mode, pair in paired[label].items():
+        diff = pair["diff_ms"]
+        assert diff["q1"] == diff["median"] == diff["q3"]
+        assert diff["median"] == pytest.approx(change[label][mode]["wall_ms"]["median"]
+                                               - parent[label][mode]["wall_ms"]["median"],
+                                               abs=0.11)
+        assert pair["change_faster"] + pair["parent_faster"] <= 1
+
+
 def test_the_case_tables_import_without_momlat():
     # scripts/byte_diff.py imports them before it imports each tree's momlat;
     # the child could import momlat, from the same tree as these tests
