@@ -99,10 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
     # argparse reads a token that starts with '-' as an option unless it looks
     # like -1 or -.5, so `--p0 -1e3` and `--window -8:8` would lose their
     # value: in each subcommand, a token that starts with '-' and is neither
-    # one of its options nor a '--' token is a value.
+    # one of its options nor a '--' token is a value, so `verify --out --bogus`
+    # is still refused.  `check` has no option but help: there every other
+    # token that starts with '-', bar '--', is its expression.
     value = re.compile("-[^-]")
     for sub in subs.choices.values():
         sub._negative_number_matcher = value
+    subs.choices["check"]._negative_number_matcher = re.compile("-")
     return parser
 
 
@@ -240,16 +243,6 @@ def run_well(args) -> int:
                          head)
 
 
-def _expression_first(argv: list) -> list:
-    """argv with `--` put before a `check` expression that starts with '-'
-    (such as "--A"), which argparse would otherwise read as an unknown option;
-    `-h` and the abbreviations of `--help` stay options."""
-    if len(argv) == 2 and argv[0] == "check" and argv[1].startswith("-") \
-            and argv[1] != "-h" and not "--help".startswith(argv[1]):
-        return ["check", "--", argv[1]]
-    return argv
-
-
 def _parse(argv: list) -> argparse.Namespace:
     """The namespace `_PARSER.parse_args(argv)` returns, parsed once.
 
@@ -262,15 +255,19 @@ def _parse(argv: list) -> argparse.Namespace:
     sub = _SUBCOMMANDS.get(argv[0]) if argv else None
     if sub is not None:
         args, extras = sub.parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return _PARSER.parse_args(argv)
+        args.command = argv[0]
+    if sub is None or extras:
+        args = _PARSER.parse_args(argv)
+    # Python 3.10-3.12 drop the '--' of `--opt=--` and leave the option at [].
+    for dest, value in vars(args).items():
+        if value == []:
+            _PARSER.error(f"argument --{dest.replace('_', '-')}: expected one argument")
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = _parse(_expression_first(sys.argv[1:] if argv is None else list(argv)))
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:

@@ -141,6 +141,14 @@ USAGE_ERROR_CASES = [
     (("verify", "--tol", "-1e-3"),
      "tolerance must be a non-negative number, got --tol -0.001"),
     (("continuum", "--spacings", "-0.1,0.05,0.025"), "spacings must be positive"),
+    # Python 3.10-3.12 read `--opt=--` as an option with no value at all
+    (("verify", "--tol=--"), "argument --tol: expected one argument"),
+    (("verify", "--format=--"), "argument --format: expected one argument"),
+    (("eigvec", "--x=--"), "argument --x: expected one argument"),
+    (("continuum", "--window=--"), "argument --window: expected one argument"),
+    (("well", "--L", "1", "--levels=--"), "argument --levels: expected one argument"),
+    # a `check` token that starts with '-' is the expression, also before a '--'
+    (("check", "--x", "--"), "unknown identifier 'x'"),
 ]
 
 
@@ -178,6 +186,10 @@ PARSER_CASES = [
     (("eigvec",), 2, "momlat eigvec: error: the following arguments are required: --x"),
     (("spectrum", "--n", "abc"), 2,
      "momlat spectrum: error: argument --n: invalid int value: 'abc'"),
+    # a `check` token that starts with '-' is the expression wherever it stands
+    (("check", "--A", "extra"), 2, "momlat: error: unrecognized arguments: extra"),
+    (("check", "extra", "--A"), 2, "momlat: error: unrecognized arguments: --A"),
+    (("check", "-h=x"), 2, "argument -h/--help: ignored explicit argument 'x'"),
 ]
 
 

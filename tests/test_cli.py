@@ -423,7 +423,7 @@ class TestDirectParse:
     options, extra positionals and values that start with '-'."""
 
     VALUES = ("-1e3", "-2.5e-1", "0.5", "8", "-8:8", "1,0.5,0.25", "json", "x", "A", "--A",
-              "-h", "--", "-x", "--bogus", "-", "--x=8", "--n=-1e3")
+              "-h", "--", "-x", "--bogus", "-", "--x=8", "--n=-1e3", "--tol=--", "--x=--")
     REQUIRED = {"eigvec": ("--x", "0.5"), "well": ("--L", "1")}
 
     @classmethod
@@ -482,12 +482,14 @@ class TestOutputFile:
 class TestRandomArgv:
     """Seeded random calls over all six subcommands end in a result or in a
     usage error: exit 0, 1 or 2, never a traceback or a warning, and no
-    `nan` on stdout.  The values are extreme where the code has edges; the
-    sizes are small (n <= 64, exponents <= 4, spacings >= 0.01), so each
-    call is cheap."""
+    `nan` on stdout.  The values are extreme where the code has edges, and
+    one in twenty is malformed (`--opt=--`, `--opt=`); the sizes are small
+    (n <= 64, exponents <= 4, spacings >= 0.01), so each call is cheap."""
 
     FLOATS = ("0", "-0", "5e-324", "-5e-324", "1e17", "-1e17", "1e308", "-1e308", "inf",
               "-inf", "nan", "0.1", "1", "-3.5", "0.25", "2")
+    # values that are no value at all, or an option's name
+    MALFORMED = ("--", "-", "--x", "")
     WORDS = ("A", "Abar", "P", "I", "i", "a", "D", "Dbar", "X", "Q", "H", "2", "1/3", "0")
 
     @classmethod
@@ -517,13 +519,15 @@ class TestRandomArgv:
                               for _ in range(rng.randint(1, 4))))),
             "well": (("--levels", size), ("--hbar", real), ("--tol", real)),
         }[command]
-        required = {"eigvec": [f"--x={real()}"], "well": [f"--L={real()}"]}
+        if command != "continuum":
+            options += (("--format", lambda: "json"),)
+        option = lambda flag, value: \
+            f"{flag}={rng.choice(cls.MALFORMED) if rng.random() < 0.05 else value()}"
+        required = {"eigvec": [option("--x", real)], "well": [option("--L", real)]}
         argv = [command, *required.get(command, ())]
         for flag, value in options:
-            if rng.random() < 0.5:
-                argv.append(f"{flag}={value()}")
-        if command != "continuum" and rng.random() < 0.3:
-            argv += ["--format", "json"]
+            if rng.random() < (0.3 if flag == "--format" else 0.5):
+                argv.append(option(flag, value))
         return tuple(argv)
 
     @pytest.mark.parametrize("seed", range(10))

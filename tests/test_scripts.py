@@ -1,6 +1,7 @@
 """Smoke runs of the scripts: each exits 0 and prints its verdict or its result;
 the one-shot bench measures one call."""
 
+import json
 import re
 import shutil
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-import momlat
+import momlat.cli
 from cli_cases import subprocess_env
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
@@ -18,6 +19,7 @@ SRC = Path(momlat.__file__).parent.parent
 sys.path.insert(0, str(SCRIPTS))
 import byte_diff  # noqa: E402  (scripts/ is not a package)
 import oneshot_bench  # noqa: E402
+import parser_versions  # noqa: E402
 
 
 @pytest.mark.parametrize("script,verdict", [
@@ -144,6 +146,29 @@ def test_oneshot_bench_pairs_two_trees_round_by_round():
                                                - parent[label][mode]["wall_ms"]["median"],
                                                abs=0.11)
         assert pair["change_faster"] + pair["parent_faster"] <= 1
+
+
+def test_parser_versions_outcomes_are_those_of_the_cli(tmp_path):
+    # one interpreter, loading cli.py with stand-ins, against the real cli in process
+    out = tmp_path / "outcomes.json"
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "parser_versions.py"), "--count", "600",
+                           "--json", str(out), sys.executable], capture_output=True, text=True,
+                          timeout=120, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == \
+        "0 of 600 argvs differ in exit code or namespace between the interpreters (1 run)"
+    doc = json.loads(out.read_text())
+    [outcomes] = doc["outcomes"].values()
+    assert outcomes == [parser_versions.outcome(momlat.cli, argv) for argv in doc["argvs"]]
+    # the draws hold both option forms, the values that hid `--opt=--` and every ending
+    tokens = [token for argv in doc["argvs"] for token in argv]
+    assert sum(token.startswith("--") and token.endswith("=--") for token in tokens) > 10
+    for value in ("--", "--A", "-1e3", "-", ""):
+        assert value in tokens, value
+    pairs = {pair for argv in doc["argvs"] for pair in zip(argv, argv[1:])}
+    assert any(option in ("--p0", "--a", "--tol") and value == "-1e3" for option, value in pairs)
+    assert set(map(parser_versions.shown, outcomes)) == {"parsed", "0", "2"}
+    assert not any("[]" in namespace.values() for _, namespace in outcomes if namespace)
 
 
 def test_the_case_tables_import_without_momlat():
