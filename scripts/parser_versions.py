@@ -1,27 +1,26 @@
 #!/usr/bin/env python3
 """How the momlat CLI's parser reads the same argvs under several Pythons.
 
-    python scripts/parser_versions.py [--src SRC] [--count 4000] [--json OUT]
-                                      PYTHON...
+    python scripts/parser_versions.py [--src SRC] PYTHON...
 
 argparse's reading of a token that starts with '-' has changed between
 Python versions, so one argv can parse to a namespace on one interpreter
-and end in a usage error on another.  The script draws `--count` seeded
-argvs over every option of every subcommand, written both as `--opt V` and
-as `--opt=V`, with values such as `--`, `-`, `--A`, `-1e3` and the empty
-string, and runs each through `momlat.cli._parse` under every PYTHON given.
-Each interpreter loads `SRC/momlat/cli.py` (default: this checkout's `src/`)
-with the real `momlat.algebra` and stand-ins for numpy and every other
-module cli imports, since the grammar reads only `algebra.ATOM_NAMES` and
+and end in a usage error on another.  The script draws 4000 seeded argvs
+with `parser_argv` of tests/cli_cases.py (every option of every subcommand,
+written both as `--opt V` and as `--opt=V`, with values such as `--`, `-`,
+`--A`, `-1e3` and the empty string) and runs each through
+`momlat.cli._parse` under every PYTHON given.  Each interpreter loads
+`SRC/momlat/cli.py` (default: this checkout's `src/`) with the real
+`momlat.algebra` and stand-ins for numpy and every other module cli
+imports, since the grammar reads only `algebra.ATOM_NAMES` and
 `operators.DEFAULT_WINDOW`: an interpreter needs no numpy to run it.
 
 An argv's outcome is its exit code when the parse ends the call (0 for
 help, 2 for a usage error), or the namespace it parses to.  The script
 prints, per interpreter, how many argvs parsed, printed help or were
-refused, and how many namespaces hold an option at `[]`; then it names
-every argv whose outcome differs between the interpreters, and ends with a
-verdict line.  It exits 1 when any argv differs.  `--json OUT` also writes
-the argvs and every interpreter's outcomes.
+refused, and how many namespaces hold an option at `[]` or `'--'`; then it
+names every argv whose outcome differs between the interpreters, and ends
+with a verdict line.  It exits 1 when any argv differs.
 """
 
 import argparse
@@ -38,13 +37,10 @@ import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# values drawn for an option, a `check` expression or a stray token
-VALUES = ("-1e3", "-2.5e-1", "0.5", "8", "-8:8", "1,0.5,0.25", "json", "x", "A", "--A",
-          "-A", "-{Q,P}+{Q,P}", "--", "-", "--x", "--bogus", "")
-# help tokens, put anywhere after the subcommand name
-HELP = ("-h", "--help", "--he", "-h=x", "--help=--")
-# tokens put in front of a subcommand name
-LEADERS = ("-h", "--he", "--", "bogus", "ver")
+sys.path.insert(0, str(ROOT / "tests"))
+from cli_cases import parser_argv  # noqa: E402  (tests/ is not a package)
+
+COUNT = 4000
 
 
 def default_window(src: Path) -> tuple:
@@ -77,36 +73,6 @@ def load_cli(src: Path):
         setattr(package, name, module)
     package.operators.DEFAULT_WINDOW = default_window(src)
     return importlib.import_module("momlat.cli")
-
-
-def draw(rng: random.Random, subcommands: dict) -> list:
-    """One argv: a subcommand, maybe its required options, and up to four
-    options (`--opt V`, `--opt=V`, bare or cut to a prefix) or values; one
-    argv in ten also gets a help token, and one in ten a leading token."""
-    command = rng.choice(sorted(subcommands))
-    parser = subcommands[command]
-    options = sorted(set(parser._option_string_actions) - set(HELP))
-    argv = [command]
-    if rng.random() < 0.5:
-        for action in parser._actions:
-            if action.required and action.option_strings:
-                argv += [action.option_strings[0], "0.5"]
-    for _ in range(rng.randint(0, 4)):
-        value, form = rng.choice(VALUES), rng.random()
-        option = rng.choice(options) if options else None
-        if option is None or form < 0.3:
-            argv.append(value)
-        elif form < 0.6:
-            argv += [option, value]
-        elif form < 0.9:
-            argv.append(f"{option}={value}")
-        else:
-            argv.append(rng.choice((option, option[:3])))
-    if rng.random() < 0.1:
-        argv.insert(rng.randint(1, len(argv)), rng.choice(HELP))
-    if rng.random() < 0.1:
-        argv.insert(0, rng.choice(LEADERS))
-    return argv
 
 
 def outcome(cli, argv) -> list:
@@ -153,24 +119,24 @@ def main():
     ap.add_argument("pythons", nargs="+", metavar="PYTHON", help="interpreters to compare")
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="source tree holding momlat (default: this checkout's src/)")
-    ap.add_argument("--count", type=int, default=4000, help="argvs to draw (default 4000)")
-    ap.add_argument("--json", type=Path, default=None, help="write argvs and outcomes here")
     args = ap.parse_args()
 
     src = args.src.resolve()
     subcommands = load_cli(src)._SUBCOMMANDS
     rng = random.Random(0)
-    argvs = [draw(rng, subcommands) for _ in range(args.count)]
+    argvs = [parser_argv(rng, subcommands) for _ in range(COUNT)]
     results = {}
     for python in args.pythons:
         result = run(python, src, argvs)
         results[f"{result['version']} ({python})"] = result["outcomes"]
     for label, outcomes in results.items():
         codes = [code for code, namespace in outcomes if namespace is None]
-        empty = sum("[]" in namespace.values() for _, namespace in outcomes if namespace)
+        empty = sum(any(value in ("[]", "'--'") and dest != "expression"
+                        for dest, value in namespace.items())
+                    for _, namespace in outcomes if namespace)
         print(f"{label}: {len(outcomes) - len(codes)} parsed, {codes.count(0)} help, "
               f"{codes.count(2)} refused, {len(codes) - codes.count(0) - codes.count(2)} "
-              f"other; {empty} leave an option at []")
+              f"other; {empty} leave an option at [] or '--'")
     differ = 0
     for k, argv in enumerate(argvs):
         seen = [outcomes[k] for outcomes in results.values()]
@@ -181,8 +147,6 @@ def main():
                               for label, result in zip(results, seen)))
     print(f"{differ} of {len(argvs)} argvs differ in exit code or namespace "
           f"between the interpreters ({len(results)} run)")
-    if args.json:
-        args.json.write_text(json.dumps({"argvs": argvs, "outcomes": results}) + "\n")
     sys.exit(1 if differ else 0)
 
 

@@ -250,7 +250,9 @@ def _parse(argv: list) -> argparse.Namespace:
     each one before it hands the rest to the subcommand's parser.  So when
     argv starts with a subcommand name, that subcommand's parser alone reads
     the rest.  Only when it leaves a token over, or argv starts with no
-    subcommand name, does the full parse run.
+    subcommand name, does the full parse run.  After either parse, an option
+    left at [] or '--' by `--opt=--` (Python 3.10-3.12 or 3.13; the `check`
+    expression may be '--') is refused as `--opt` with no value is.
     """
     sub = _SUBCOMMANDS.get(argv[0]) if argv else None
     if sub is not None:
@@ -258,10 +260,10 @@ def _parse(argv: list) -> argparse.Namespace:
         args.command = argv[0]
     if sub is None or extras:
         args = _PARSER.parse_args(argv)
-    # Python 3.10-3.12 drop the '--' of `--opt=--` and leave the option at [].
     for dest, value in vars(args).items():
-        if value == []:
-            _PARSER.error(f"argument --{dest.replace('_', '-')}: expected one argument")
+        if value == [] or value == "--" and dest != "expression":
+            _PARSER._subparsers._group_actions[0].choices[args.command].error(
+                f"argument --{dest.replace('_', '-')}: expected one argument")
     return args
 
 

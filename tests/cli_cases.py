@@ -1,7 +1,8 @@
 """Shared CLI invocation helpers, the golden-file case table, the table of
 inputs that must end in a usage error, the table of valid edge calls, the
 table of inputs that argparse itself ends, the table of north-star-sized
-calls and the table of calls across the closed form's power cutoff.
+calls, the table of calls across the closed form's power cutoff and the
+seeded argv draw for the parser.
 
 Importing this module does not import momlat: the helpers import it when
 they are called, so `scripts/byte_diff.py` can read the tables before it
@@ -141,14 +142,20 @@ USAGE_ERROR_CASES = [
     (("verify", "--tol", "-1e-3"),
      "tolerance must be a non-negative number, got --tol -0.001"),
     (("continuum", "--spacings", "-0.1,0.05,0.025"), "spacings must be positive"),
-    # Python 3.10-3.12 read `--opt=--` as an option with no value at all
-    (("verify", "--tol=--"), "argument --tol: expected one argument"),
-    (("verify", "--format=--"), "argument --format: expected one argument"),
-    (("eigvec", "--x=--"), "argument --x: expected one argument"),
-    (("continuum", "--window=--"), "argument --window: expected one argument"),
-    (("well", "--L", "1", "--levels=--"), "argument --levels: expected one argument"),
+    # `--opt=--` gives the option no value: "expected one argument" on Python
+    # 3.10-3.12, while 3.13's argparse tries '--' as a number or a choice first
+    (("verify", "--tol=--"), "momlat verify: error: argument --tol: "),
+    (("verify", "--format=--"), "momlat verify: error: argument --format: "),
+    (("eigvec", "--x=--"), "momlat eigvec: error: argument --x: "),
+    (("continuum", "--window=--"),
+     "momlat continuum: error: argument --window: expected one argument"),
+    (("well", "--L", "1", "--levels=--"), "momlat well: error: argument --levels: "),
     # a `check` token that starts with '-' is the expression, also before a '--'
     (("check", "--x", "--"), "unknown identifier 'x'"),
+    # a string option refuses `--opt=--` on every Python: no file named '--'
+    (("verify", "--out=--"), "momlat verify: error: argument --out: expected one argument"),
+    (("continuum", "--spacings=--"),
+     "momlat continuum: error: argument --spacings: expected one argument"),
 ]
 
 
@@ -219,6 +226,48 @@ POWER_CUTOFF_CASES = [
     ("eigvec", "--x", "-0.3", "--a", "1", "--n", "100", "--format", "json"),
     ("eigvec", "--x", "0.999999999999", "--a", "1", "--n", "16385"),
 ]
+
+
+# Tokens of `parser_argv`: values (for an option, a `check` expression or a
+# stray token), help tokens, and tokens put in front of the subcommand name.
+ARGV_VALUES = ("-1e3", "-2.5e-1", "0.5", "8", "-8:8", "1,0.5,0.25", "json", "x", "A", "--A",
+               "-A", "-x", "-{Q,P}+{Q,P}", "-h", "--", "-", "--x", "--bogus", "", "--x=8",
+               "--x=--")
+ARGV_HELP = ("-h", "--help", "--he", "-h=x", "--help=--")
+ARGV_LEADERS = ("-h", "--he", "--", "bogus", "ver")
+
+
+def parser_argv(rng, subcommands) -> list:
+    """One seeded argv for the parser: a subcommand, maybe its required
+    options, and up to four tokens, each a value, an option with a value
+    (`--opt V` or `--opt=V`) or an option alone or cut to a prefix.  One
+    argv in ten also gets a help token after the subcommand name, and one
+    in ten a token in front of it.  `subcommands` maps each subcommand name
+    to its parser, as `momlat.cli._SUBCOMMANDS` does."""
+    command = rng.choice(sorted(subcommands))
+    parser = subcommands[command]
+    options = sorted(set(parser._option_string_actions) - {"-h", "--help"})
+    argv = [command]
+    if rng.random() < 0.5:
+        for action in parser._actions:
+            if action.required and action.option_strings:
+                argv += [action.option_strings[0], "0.5"]
+    for _ in range(rng.randint(0, 4)):
+        value, form = rng.choice(ARGV_VALUES), rng.random()
+        option = rng.choice(options) if options else None
+        if option is None or form < 0.3:
+            argv.append(value)
+        elif form < 0.6:
+            argv += [option, value]
+        elif form < 0.9:
+            argv.append(f"{option}={value}")
+        else:
+            argv.append(option[:rng.randint(3, len(option))])
+    if rng.random() < 0.1:
+        argv.insert(rng.randint(1, len(argv)), rng.choice(ARGV_HELP))
+    if rng.random() < 0.1:
+        argv.insert(0, rng.choice((*ARGV_LEADERS, command)))
+    return argv
 
 
 def run_cli(*argv):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cli_cases import (EDGE_CASES, GOLDEN, GOLDEN_CASES, PARSER_CASES, POWER_CUTOFF_CASES,
-                       USAGE_ERROR_CASES, run_cli, subprocess_env)
+                       USAGE_ERROR_CASES, parser_argv, run_cli, subprocess_env)
 from momlat import cli, eigen
 
 
@@ -418,26 +418,14 @@ class TestParserReuse:
 class TestDirectParse:
     """An argv that starts with a subcommand name is parsed by that
     subcommand's parser alone; every call ends as under the full parse, which
-    runs when `_SUBCOMMANDS` is empty.  The argvs are seeded draws over every
-    option token of every subcommand, their prefixes, `-h`, `--`, unknown
-    options, extra positionals and values that start with '-'."""
+    runs when `_SUBCOMMANDS` is empty.  The argvs are `parser_argv`'s seeded
+    draws over every option of every subcommand (as `--opt V`, as
+    `--opt=V`, alone or cut to a prefix), help tokens, `--`, unknown options,
+    extra positionals and values that start with '-'."""
 
-    VALUES = ("-1e3", "-2.5e-1", "0.5", "8", "-8:8", "1,0.5,0.25", "json", "x", "A", "--A",
-              "-h", "--", "-x", "--bogus", "-", "--x=8", "--n=-1e3", "--tol=--", "--x=--")
-    REQUIRED = {"eigvec": ("--x", "0.5"), "well": ("--L", "1")}
-
-    @classmethod
-    def argv(cls, rng):
-        command = rng.choice(sorted(cli._SUBCOMMANDS))
-        options = list(cli._SUBCOMMANDS[command]._option_string_actions)
-        prefixes = [option[:k] for option in options if option.startswith("--")
-                    for k in range(3, len(option))]
-        tokens = [*options, *prefixes, *cls.VALUES]
-        argv = [command, *rng.choice((cls.REQUIRED.get(command, ()), ()))]
-        argv += [rng.choice(tokens) for _ in range(rng.randint(0, 4))]
-        if rng.random() < 0.1:
-            argv.insert(0, rng.choice(("-h", "--he", "--", "bogus", "ver", command)))
-        return argv
+    @staticmethod
+    def argv(rng):
+        return parser_argv(rng, cli._SUBCOMMANDS)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_calls_end_as_under_the_full_parse(self, seed, monkeypatch, tmp_path):
