@@ -20,7 +20,7 @@ from it, and `SymbolicOperator.evaluate`, which `operators.to_matrix` reads,
 turns it into floating point at a concrete spacing.  Operators are built
 only by this module, from the grammar (`parse`, `normal_form`), which checks
 its input.  One `normal_form` call multiplies at most `MAX_PRODUCT_WORK`
-pairs of flat terms.
+pairs of flat terms, each term an adjoint writes counted as one pair.
 
 The module also owns the expression grammar, its one tree walker and the
 two tables the other layers read.  `fold(node, domain)` visits each node of
@@ -65,9 +65,9 @@ MAX_LITERAL_DIGITS = 4300
 # Deepest nesting the parser descends into, and deepest expression tree it
 # returns; both are walked recursively, so deeper input is a usage error.
 MAX_DEPTH = 200
-# Most flat term pairs the products of one normal_form call may multiply
-# (|left| * |right| summed over its products, powers included).  H^16*H^8
-# takes 1,412,780 and 1.1-1.7 s; H^16*H^16 would take 9,788,756 (~9 s).
+# Most flat term pairs one normal_form call may multiply (|left| * |right|
+# per product, powers included, and one per term an adjoint writes).
+# H^16*H^8 takes 1,412,780 (1.1-1.7 s), H^16*H^16 would take 9,788,756 (~9 s).
 MAX_PRODUCT_WORK = 2_000_000
 # Most digits of a printed normal-form coefficient (numerator or
 # denominator).  Turning an int into decimal text takes time quadratic in its
@@ -267,6 +267,11 @@ class Bracket(ValueRecord):
         self.__dict__.update(kind=kind, left=left, right=right)
 
 
+class Adjoint(ValueRecord):
+    def __init__(self, operand):
+        self.__dict__.update(operand=operand)
+
+
 # The whitespace before a token, then the token: an operator character, an
 # ASCII name, an ASCII integer or any other character, which is an error.
 # `\s` is Unicode whitespace, as `str.isspace` is.  One `findall` scans the
@@ -367,6 +372,11 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "NAME":
             self.advance()
+            if value == "adj" and self.peek()[0] == "(":
+                self.advance()
+                operand, height = self.parse_expr()
+                self.expect(")")
+                return Adjoint(operand), height + 1
             if value not in ATOM_NAMES:
                 raise ExpressionError(f"unknown identifier {value!r}", pos)
             return Atom(value), 1
@@ -423,10 +433,10 @@ def fold(node, domain, memo=None):
     """Value of an expression tree in a domain.
 
     A domain maps each atom name to its value and supplies `literal(int)`,
-    `times(x, y)`, `plus(op, x, y)` with op "+" or "-", and `divide(x, y)`;
-    a value also negates with unary minus.  Operands are folded left to
-    right, and a power multiplies its base in one at a time, base first:
-    squaring was measured slower on H.
+    `times(x, y)`, `plus(op, x, y)` with op "+" or "-", `divide(x, y)` and
+    `adjoint(x)`; a value also negates with unary minus.  Operands are
+    folded left to right, and a power multiplies its base in one at a time,
+    base first: squaring was measured slower on H.
 
     With a `FoldMemo`, a node the memo lists is folded on its first visit
     only: later visits return that value, and the last one drops it.
@@ -448,6 +458,8 @@ def fold(node, domain, memo=None):
             result = domain.times(result, base)
         return result
     if not isinstance(node, (Bracket, BinOp)):
+        if isinstance(node, Adjoint):
+            return domain.adjoint(fold(node.operand, domain, memo))
         raise TypeError(f"not an expression node: {node!r}")
     left = fold(node.left, domain, memo)
     right = fold(node.right, domain, memo)
@@ -462,7 +474,7 @@ def fold(node, domain, memo=None):
 
 
 # The fields of each inner node class that hold subtrees, in fold's order.
-_OPERAND_FIELDS = {Neg: ("operand",), Power: ("base",),
+_OPERAND_FIELDS = {Neg: ("operand",), Adjoint: ("operand",), Power: ("base",),
                    BinOp: ("left", "right"), Bracket: ("left", "right")}
 
 
@@ -529,8 +541,8 @@ class FoldMemo(dict):
 
 
 class _Exact(dict):
-    """The exact domain: normal forms of the atoms, and the flat term pairs
-    the products of one fold have multiplied so far."""
+    """The exact domain: normal forms of the atoms, and the work of one fold
+    so far, the term pairs its products multiplied and its adjoints' terms."""
 
     def __init__(self, atoms: dict):
         super().__init__(atoms)
@@ -540,12 +552,28 @@ class _Exact(dict):
     def literal(value: int) -> SymbolicOperator:
         return _operator({(0, 0, 0): (value, 0)}, 1) if value else OP_ZERO
 
-    def times(self, left: SymbolicOperator, right: SymbolicOperator) -> SymbolicOperator:
-        self.pairs += len(left._terms) * len(right._terms)
+    def _charge(self, work: int, what: str):
+        self.pairs += work
         if self.pairs > MAX_PRODUCT_WORK:
             raise ExpressionError(f"normal form needs more than the work limit of "
-                                  f"{MAX_PRODUCT_WORK} term pairs in products")
+                                  f"{MAX_PRODUCT_WORK} term pairs in {what}")
+
+    def times(self, left: SymbolicOperator, right: SymbolicOperator) -> SymbolicOperator:
+        self._charge(len(left._terms) * len(right._terms), "products")
         return left * right
+
+    def adjoint(self, x: SymbolicOperator) -> SymbolicOperator:
+        # (c a^e P^k A^m)^dagger = conj(c) a^e A^-m P^k = conj(c) a^e (P - m a)^k A^-m:
+        # each shift group is moved past A^-m by `_shifted`, which writes k + 1
+        # terms a term, each charged as a pair; the groups land on distinct shifts
+        self._charge(sum(k + 1 if m else 1 for k, m, _ in x._terms), "products and adjoints")
+        by_shift: dict = {}
+        for (k, m, e), (re, im) in x._terms.items():
+            by_shift.setdefault(m, {})[k, -m, e] = (re, -im)
+        acc: dict = {}
+        for m, terms in by_shift.items():
+            acc.update(_shifted(terms, -m) if m else terms)
+        return _operator(*_reduced(acc, x._den))
 
     @staticmethod
     def plus(op: str, left: SymbolicOperator, right: SymbolicOperator) -> SymbolicOperator:

@@ -12,13 +12,13 @@ hold here on interior rows only; `interior_residual` measures exactly that.
 The algebra is not restated here: A, Abar, P and I are their exact
 `algebra.ATOMS` normal forms evaluated by `to_matrix`, every other operator
 folds its `algebra.DEFINITIONS` row, and `verify_identity_suite` folds the
-`algebra.IDENTITIES` rows that have a margin.  Both tables are read as the
-trees `algebra` parsed once at import, so building an operator or running
-the suite parses nothing.  The tree walker is `algebra.fold`; this module
-supplies only its lattice domain, in which scalar subtrees stay Python
-numbers standing for c*I, so a*A scales A, and its applied domain, which
-keeps those rules but holds each operator as the map v -> M v on stacks of
-grid values.  `continuum_scan` folds "[X,P] + i" in the applied domain,
+`algebra.IDENTITIES` rows that have a margin, then three hermiticity rows
+such as "X - adj(X)".  All are trees parsed once at import, so building an
+operator or running the suite parses nothing.  The tree walker is
+`algebra.fold`; this module supplies only its lattice domain, in which
+scalar subtrees stay Python numbers standing for c*I, so a*A scales A, and
+its applied domain, which keeps those rules but holds each operator as the
+map v -> M v on stacks of grid values.  `continuum_scan` folds "[X,P] + i" in the applied domain,
 parsed once at import, and applies the result to its one test function,
 exp(-p^2/2) sampled as a real array, so it builds no banded product.  The
 suite folds its rows as the one DAG `algebra` interned, with one
@@ -230,7 +230,11 @@ class ConvergenceTable(ValueRecord):
         self.__dict__.update(spacings=spacings, residuals=residuals, slope=slope)
 
 
-_NUMERIC_IDENTITIES = tuple(row for row in IDENTITY_TREES if row[2] is not None)
+# The numeric suite's rows: the table's rows with a margin, then hermiticity.
+_NUMERIC_IDENTITIES = (*(row for row in IDENTITY_TREES if row[2] is not None),
+                       *((name, parse(text), 0) for name, text in (
+                           ("P_hermitian", "P - adj(P)"), ("X_hermitian", "X - adj(X)"),
+                           ("Abar_is_A_adjoint", "Abar - adj(A)"))))
 # The shared nodes of one fold of those rows, for the memo of that fold.
 _NUMERIC_VISITS = shared_visits(tree for _, tree, _ in _NUMERIC_IDENTITIES)
 
@@ -281,6 +285,10 @@ class _LatticeAtoms(dict):
         if isinstance(y, _OPERATORS) or y == 0:
             raise ValueError("division is only defined by nonzero scalars")
         return x.scaled(1.0 / y) if isinstance(x, _OPERATORS) else x / y
+
+    @staticmethod
+    def adjoint(x):
+        return adjoint(x) if isinstance(x, OperatorMatrix) else x.conjugate()
 
 
 class _Applied:
@@ -443,20 +451,20 @@ def expression_matrix(expr, lattice: MomentumLattice) -> OperatorMatrix:
 def verify_identity_suite(lattice: MomentumLattice) -> list:
     """Check every operator identity on the truncated matrices.
 
-    Each row of `algebra.IDENTITIES` with a margin is evaluated on the
-    lattice and reported with the largest residual entry at least `margin`
-    rows inside the window.  The grammar has no adjoint, so the hermiticity
-    rows and the adjoint relation between the shifts are checked here; the
-    latter on four pairs of random grid functions vanishing at both
-    endpoints, checked as one batch (`_adjoint_residual`) once every
-    operator but A and Abar is released, so the batch's stacks take the
-    place they held and the suite's peak stays that of its folds.  A residual
-    that is not finite means the entries overflowed double precision; it is
-    rejected with a ValueError naming the identity and the lattice.  Before
-    any operator is built, a lattice of more than MAX_SUITE_POINTS is
-    rejected, and so are a spacing whose square underflows to 0 (H_shift_form
-    divides by a^2) and a relative spacing error above MAX_SPACING_ERROR,
-    which two equal consecutive momenta raise to at least 1.
+    Each row of `algebra.IDENTITIES` with a margin, then each hermiticity
+    row, is evaluated on the lattice and reported with the largest residual
+    entry at least `margin` rows inside the window.  The adjoint relation
+    between the shifts is then checked on four pairs of random grid
+    functions vanishing at both endpoints, as one batch
+    (`_adjoint_residual`) once every operator but A and Abar is released,
+    so the batch's stacks take the place they held and the suite's peak
+    stays that of its folds.  A residual that is not finite means the
+    entries overflowed double precision; it is rejected with a ValueError
+    naming the identity and the lattice.  Before any operator is built, a
+    lattice of more than MAX_SUITE_POINTS is rejected, and so are a spacing
+    whose square underflows to 0 (H_shift_form divides by a^2) and a
+    relative spacing error above MAX_SPACING_ERROR, which two equal
+    consecutive momenta raise to at least 1.
     """
     n = lattice.n_points
     if n < 8:
@@ -482,12 +490,8 @@ def verify_identity_suite(lattice: MomentumLattice) -> list:
                            margin, desc)
             for name, tree, margin in _NUMERIC_IDENTITIES
         ]
-        for name, left, right in (("P_hermitian", "P", "P"), ("X_hermitian", "X", "X"),
-                                  ("Abar_is_A_adjoint", "Abar", "A")):
-            resid = atoms[left] - adjoint(atoms[right])
-            reports.append(ResidualReport(name, interior_residual(resid, 0), 0, desc))
         A, Abar = atoms["A"], atoms["Abar"]
-        del atoms, resid  # the batch below peaks with only the two shifts held
+        del atoms  # the batch below peaks with only the two shifts held
         reports.append(ResidualReport("A_adjoint_inner_product", _adjoint_residual(A, Abar),
                                       0, desc))
     for r in reports:

@@ -156,6 +156,13 @@ USAGE_ERROR_CASES = [
     (("verify", "--out=--"), "momlat verify: error: argument --out: expected one argument"),
     (("continuum", "--spacings=--"),
      "momlat continuum: error: argument --spacings: expected one argument"),
+    # `adj` is a name only before '(': alone it is an unknown identifier
+    (("check", "adj(X"), "expected ')', found end of input at offset 5"),
+    (("check", "adj X"), "unknown identifier 'adj' at offset 0"),
+    # adjoints charge the terms they write to the product work limit
+    (("check", "adj(" * 190 + "H^16*H^8" + ")" * 190),
+     "normal form needs more than the work limit of 2000000 term pairs in products and "
+     "adjoints"),
 ]
 
 
@@ -177,6 +184,10 @@ EDGE_CASES = [
     ("spectrum", "--p0", "-1E2", "--n", "3"),
     ("continuum", "--window", "-8:8"),
     ("verify", "--p0", "-1e-3", "--n", "64"),
+    # the exact adjoint certifies that X is Hermitian, and that adj(i*a*P*A)
+    # is the normal form `check "adj(i*a*P*A)"` prints
+    ("check", "X - adj(X)"),
+    ("check", "adj(i*a*P*A) - (-i*a*P+i*a^2)*Abar"),
 ]
 
 

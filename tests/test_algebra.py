@@ -17,6 +17,7 @@ from momlat.algebra import (
     ATOM_NAMES,
     ATOMS,
     DEFINITIONS,
+    Adjoint,
     OPERATOR_NAMES,
     Atom,
     BinOp,
@@ -114,6 +115,17 @@ class TestParse:
             parse("A + B")
         assert err.value.position == 4
         assert "B" in str(err.value)
+
+    def test_adjoint_primary(self):
+        assert parse("adj(X) - X") == BinOp("-", Adjoint(Atom("X")), Atom("X"))
+        assert parse("adj((P))^2") == Power(Adjoint(Atom("P")), 2)
+        with pytest.raises(ExpressionError,
+                           match=r"^expected '\)', found end of input at offset 5$"):
+            parse("adj(X")
+        # without its '(' the name is no primary: an unknown identifier
+        for text in ("adj X", "adj", "adj + P", "adj[X,P]"):
+            with pytest.raises(ExpressionError, match="^unknown identifier 'adj' at offset 0$"):
+                parse(text)
 
     def test_unexpected_character(self):
         with pytest.raises(ExpressionError) as err:
@@ -735,6 +747,52 @@ class TestWorkBudget:
         with pytest.raises(ExpressionError, match="work limit") as err:
             normal_form("H^16*H^16")
         assert err.value.position is None
+
+
+class TestExactAdjoint:
+    @pytest.mark.parametrize("text", ["X - adj(X)", "P - adj(P)", "Q - adj(Q)", "H - adj(H)",
+                                      "Abar - adj(A)", "adj(D) + Dbar", "adj(H^16) - H^16"])
+    def test_hermiticity_facts_are_exact(self, text):
+        assert normal_form(text).is_zero
+
+    def test_each_term_is_conjugated_and_moved_past_its_shift(self):
+        # (c a^e P^k A^m)^dagger = conj(c) a^e (P - m a)^k A^-m
+        assert format_normal_form(normal_form("adj(i*a*P*A)")) == "(-i*a*P+i*a^2)*Abar"
+        assert format_normal_form(normal_form("adj(3*a^2*P^3*A^2 + (2-i)/a*Abar)")) == \
+            "(2+i)/a*A+(3*a^2*P^3-18*a^3*P^2+36*a^4*P-24*a^5)*Abar^2"
+        assert normal_form("adj(2 - 3*i)") == normal_form("2 + 3*i")
+
+    @given(EXPR_ST)
+    @settings(max_examples=60, deadline=None)
+    def test_double_adjoint_is_the_operator(self, e):
+        assert normal_form(Adjoint(Adjoint(e))) == normal_form(e)
+
+    @given(EXPR_ST, EXPR_ST)
+    @settings(max_examples=40, deadline=None)
+    def test_adjoint_reverses_products(self, e1, e2):
+        assert normal_form(Adjoint(BinOp("*", e1, e2))) == \
+            normal_form(BinOp("*", Adjoint(e2), Adjoint(e1)))
+
+    def test_charges_the_terms_it_writes(self, monkeypatch):
+        # A*P = (P+a)*A: one product pair, then the adjoint writes two terms,
+        # (P-a)*Abar, for P*A and one for a*A; a term with no shift writes one
+        work = 1 + 3
+        monkeypatch.setattr("momlat.algebra.MAX_PRODUCT_WORK", work)
+        assert format_normal_form(normal_form("adj(A*P)")) == "P*Abar"
+        monkeypatch.setattr("momlat.algebra.MAX_PRODUCT_WORK", work - 1)
+        with pytest.raises(ExpressionError, match=f"^normal form needs more than the work limit "
+                                                  f"of {work - 1} term pairs in products and "
+                                                  f"adjoints$"):
+            normal_form("adj(A*P)")
+        domain = algebra._Exact(ATOMS)
+        algebra.fold(parse("adj(P^2 + 1)"), domain)
+        assert domain.pairs == 1 + 2
+
+    def test_a_refusal_by_products_alone_keeps_its_message(self):
+        with pytest.raises(ExpressionError) as err:
+            normal_form("H^16*H^16")
+        assert str(err.value) == ("normal form needs more than the work limit of 2000000 "
+                                  "term pairs in products")
 
 
 class TestMatrixEvaluation:

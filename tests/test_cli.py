@@ -147,6 +147,15 @@ class TestExitCodes:
         assert code == 1
         assert out.splitlines()[-1] == "NONZERO"
 
+    def test_nested_adjoints_end_at_the_work_limit(self):
+        # 190 adjoints of H^16*H^8's 10,078 terms would take ~19 s; the limit
+        # charges each adjoint's 125,078 written terms, so the fifth is refused
+        start = time.perf_counter()
+        code, out, err = run_cli("check", "adj(" * 190 + "H^16*H^8" + ")" * 190)
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (2, "")
+        assert "work limit of 2000000 term pairs in products and adjoints" in err
+
     def test_check_prints_coefficients_longer_than_int_to_text_allows(self):
         # (10^3000 - 1)^2 has 6000 digits; str() prints at most 4300
         nines = "9" * 3000

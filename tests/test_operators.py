@@ -287,8 +287,14 @@ def reference_operator(lattice, name):
     return ref("X") @ ref("X") + ref("P") @ ref("P")
 
 
+def dagger(M):
+    """Dense conjugate transpose."""
+    return Dense(M.entries.conj().T, M.shift_radius)
+
+
 def reference_checks(lattice):
-    """(name, residual, margin) of every identity with a margin, in table order."""
+    """(name, residual, margin) of every identity with a margin, in table
+    order, then of the three hermiticity rows."""
     a = lattice.a
     A, Abar, D, Dbar, P, X, Q, I = (reference_operator(lattice, name) for name in
                                     ("A", "Abar", "D", "Dbar", "P", "X", "Q", "I"))
@@ -317,6 +323,9 @@ def reference_checks(lattice):
          XH + P.scaled(2.0j) - (P @ Q).scaled(1.0j * a) - X.scaled(a * a), 3),
         ("commutator_P_H_braced", PH - X.scaled(2.0j) + anti(Q, X).scaled(0.5j * a), 3),
         ("commutator_P_H_expanded", PH - X.scaled(2.0j) + (X @ Q).scaled(1.0j * a), 3),
+        ("P_hermitian", P - dagger(P), 0),
+        ("X_hermitian", X - dagger(X), 0),
+        ("Abar_is_A_adjoint", Abar - dagger(A), 0),
     ]
     return [(name, dense_residual(M, margin), margin) for name, M, margin in checks]
 
@@ -421,7 +430,8 @@ class MarginBound(dict):
     i of a product L*R is exact when row i of L is and the r(L) rows of R
     around it are, so b(L*R) = max(b(L), r(L) + b(R)).  A composite atom
     folds its definition row, as the lattice domain builds it; dividing by
-    a scalar changes neither r nor b."""
+    a scalar changes neither r nor b, and an adjoint moves b in by r unless
+    b = 0."""
 
     def __init__(self):
         super().__init__({name: Band(op.shift_radius, 0) for name, op in ATOMS.items()
@@ -447,6 +457,13 @@ class MarginBound(dict):
     def divide(left, right):
         assert right == (0, 0)
         return left
+
+    @staticmethod
+    def adjoint(x):
+        # row i of the conjugate transpose is column i, which rows i-r..i+r
+        # write; exact bands stay exact
+        r, b = x
+        return Band(r, b + r if b else 0)
 
 
 class Band(tuple):
@@ -1164,13 +1181,13 @@ _SCALAR_DIVISORS = ("2", "(2*i)", "a^2")
 _OPERATOR_DIVISORS = ("A", "(P+I)", "X")
 
 
-def random_texts(count, seed, divisors=()):
+def random_texts(count, seed, divisors=(), adjoint=False):
     """`count` seeded expression texts of depth at most 3 over the operator
     names, i, a and the literals 2, 1/2 and 3, with + - *, both brackets,
-    squares and division by each of `divisors`, followed by every
-    DEFINITIONS and IDENTITIES text."""
+    squares, division by each of `divisors` and, if `adjoint`, adj(...),
+    followed by every DEFINITIONS and IDENTITIES text."""
     rng = np.random.default_rng(seed)
-    forms = _FORMS + tuple("({})/" + divisor for divisor in divisors)
+    forms = _FORMS + tuple("({})/" + divisor for divisor in divisors) + ("adj({})",) * adjoint
 
     def text(depth):
         if depth == 0 or rng.random() < 0.3:
@@ -1257,6 +1274,54 @@ class TestRandomExpressions:
         assert normal_form("X/(2*I)") == normal_form("X/2")
         with pytest.raises(ValueError, match="division is only defined by nonzero scalars"):
             expression_matrix("X/(2*I)", _DYADIC_LATTICES[0])
+
+
+class TestRandomAdjoints:
+    """Seeded expressions with adjoints, across the two pillars: the lattice
+    fold takes the conjugate transpose of a truncated matrix, the exact fold
+    the adjoint of a normal form.  The applied domain folds only the
+    continuum scan's own text, so these are not folded there."""
+
+    TEXTS = random_texts(160, 2028, adjoint=True)
+
+    def test_matrix_fold_equals_normal_form_inside_the_margin(self):
+        assert sum("adj(" in text for text in self.TEXTS[:160]) >= 32  # a fifth
+        TestRandomExpressions.assert_matrix_fold_equals_normal_form(self.TEXTS)
+
+    def test_check_verdict_is_what_the_matrix_fold_reads(self):
+        TestRandomExpressions.test_check_verdict_is_what_the_matrix_fold_reads(self)
+
+    def test_lattice_adjoint_is_the_conjugate_transpose(self):
+        # bitwise where E folds to a matrix; a scalar E folds to c*I and
+        # adj(E) to conj(c)*I, which may differ from the conjugate of c*I
+        # in the sign of a zero imaginary part
+        for lat in (_DYADIC_LATTICES[5], MomentumLattice(-2.3, 0.37, 17)):
+            atoms = momlat.operators._LatticeAtoms(lat)
+            for text in self.TEXTS:
+                got = expression_matrix(f"adj({text})", lat)
+                expected = adjoint(expression_matrix(text, lat))
+                same = (same_bits if isinstance(fold(parse(text), atoms), OperatorMatrix)
+                        else np.array_equal)
+                assert got.shift_radius == expected.shift_radius, text
+                assert same(got.bands, expected.bands), (text, lat.descriptor())
+
+    def test_an_adjoint_moves_the_margin_in_by_the_radius(self):
+        # ({H,Dbar}*H)^2 has r = 10 and b = 9; its conjugate transpose differs
+        # from the normal form's matrix on 16 rows at an end: more than b rows
+        # and fewer than b + r
+        text = "adj(({H,Dbar} * H)^2)"
+        assert fold(parse(text), MarginBound()) == (10, 19)
+        nf = normal_form(text)
+        derived = 0
+        for lat in _DYADIC_LATTICES:
+            wrong = expression_matrix(text, lat).bands != to_matrix(nf, lat).bands
+            while np.any(wrong[:, derived:40 - derived]):
+                derived += 1
+        assert derived == 16
+
+    def test_double_adjoint_is_exactly_the_operator(self):
+        for text in self.TEXTS:
+            assert normal_form(f"adj(adj({text}))") == normal_form(text), text
 
 
 class TestSerialization:

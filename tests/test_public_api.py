@@ -13,7 +13,7 @@ from cli_cases import GOLDEN, subprocess_env
 from momlat import (ConvergenceTable, EigenResult, GridFunction, MomentumLattice, OperatorMatrix,
                     ResidualReport, verify_identity_suite, verify_symbolic_suite)
 from momlat import algebra, eigen, lattice, operators
-from momlat.algebra import Atom, BinOp, Bracket, IntLit, Neg, Power, SymbolicCheck
+from momlat.algebra import Adjoint, Atom, BinOp, Bracket, IntLit, Neg, Power, SymbolicCheck
 from momlat.record import Record
 
 PUBLIC_NAMES = [
@@ -58,6 +58,7 @@ VALUE_RECORDS = {
     BinOp: (("+", Atom("P"), IntLit(1)), ("-", Atom("P"), IntLit(1))),
     Power: ((Atom("H"), 2), (Atom("H"), 3)),
     Bracket: (("commutator", Atom("X"), Atom("P")), ("anticommutator", Atom("X"), Atom("P"))),
+    Adjoint: ((Atom("X"),), (Atom("P"),)),
     SymbolicCheck: (("commutator_X_P", True, 0), ("commutator_X_P", False, 0)),
     MomentumLattice: ((0.0, 0.1, 8), (0.0, 0.1, 9)),
     ResidualReport: (("P_hermitian", 0.0, 0, "p0=0,a=0.1,n=8"),
@@ -79,7 +80,7 @@ def test_the_tables_hold_every_record_class():
                for value in vars(module).values()
                if isinstance(value, type) and issubclass(value, Record)
                and value.__module__ == module.__name__}
-    assert defined == set(RECORDS) and len(RECORDS) == 13
+    assert defined == set(RECORDS) and len(RECORDS) == 14
 
 
 @pytest.mark.parametrize("cls", VALUE_RECORDS, ids=lambda cls: cls.__name__)
