@@ -33,6 +33,10 @@ Abar, P, I, i, a; `ATOMS` is its exact fold, and the name tables
 `IDENTITIES` holds one `(name, text, margin)` row per identity: every row is
 certified here as an exact rewrite to zero, and `operators` evaluates each
 row with a margin on truncated matrices.  Adding an identity takes one row.
+`margin(expr)` is the one rule for the rows of a truncated matrix that can
+be trusted: a numpy-free domain folds an expression to its band radius and
+a bound on the rows truncation corrupts, which the table's margin column is
+held against and `operators.continuum_scan` reads its interior from.
 Each table text is parsed once, at import: `DEFINITION_TREES` and
 `IDENTITY_TREES` hold the parsed rows next to the text tables, and every
 consumer (`_build_atoms`, the verdicts and `operators`) folds those trees,
@@ -632,6 +636,49 @@ def _build_atoms() -> dict:
 # domain copies the dict behind it, ~3x faster than copying the view.
 _ATOMS = _build_atoms()
 ATOMS = MappingProxyType(_ATOMS)
+
+
+class _Margin(tuple):
+    """(r, b) of the margin domain; negation changes neither."""
+
+    __slots__ = ()
+
+    def __neg__(self):
+        return self
+
+
+class _Margins(dict):
+    """The margin domain of `fold`: (r, b), a truncated matrix's band radius r
+    and a bound b on the rows at each end that truncation corrupts.  Primitives
+    and scalars are exact, a composite atom folds its definition row, and a sum
+    corrupts the rows either operand does; row i of L*R is exact when row i of L
+    and the r(L) rows of R around it are; a scalar divisor changes nothing; an
+    adjoint's row i is column i, which rows i-r..i+r write."""
+
+    def __init__(self):
+        super().__init__({name: _Margin((op.shift_radius, 0)) for name, op in _PRIMITIVES.items()})
+        for name, tree in DEFINITION_TREES.items():
+            self[name] = fold(tree, self)
+
+    literal = staticmethod(lambda value: _Margin((0, 0)))
+    times = staticmethod(lambda x, y: _Margin((x[0] + y[0], max(x[1], x[0] + y[1]))))
+    plus = staticmethod(lambda op, x, y: _Margin((max(x[0], y[0]), max(x[1], y[1]))))
+    divide = staticmethod(lambda x, y: x)
+    adjoint = staticmethod(lambda x: _Margin((x[0], x[1] + x[0] if x[1] else 0)))
+
+
+_MARGINS = _Margins()
+
+
+def margin(expr) -> tuple:
+    """(radius, rows) of an expression (AST or text): its truncated matrix's
+    band radius, and a bound, on every lattice, on the rows at each end where
+    that matrix may differ from `operators.to_matrix` of its normal form.
+    Defined only for expressions that the lattice domain folds: every divisor
+    is taken to be a nonzero scalar, which is not checked."""
+    if isinstance(expr, str):
+        expr = parse(expr)
+    return tuple(fold(expr, _MARGINS))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ scalar subtrees stay Python numbers standing for c*I, so a*A scales A, and
 its applied domain, which keeps those rules but holds each operator as the
 map v -> M v on stacks of grid values.  `continuum_scan` folds "[X,P] + i" in the applied domain,
 parsed once at import, and applies the result to its one test function,
-exp(-p^2/2) sampled as a real array, so it builds no banded product.  The
+exp(-p^2/2) sampled as a real array, so it builds no banded product; it
+reads the rows inside the `algebra.margin` of that text, which the
+window's minimum of points is derived from too.  The
 suite folds its rows as the one DAG `algebra` interned, with one
 `algebra.FoldMemo`: a banded matrix that several rows share, such as
 [X,H] + 2*i*P, is built once per call and dropped after its last use.  The
@@ -44,7 +46,7 @@ import math
 import numpy as np
 
 from .algebra import (ATOMS, DEFINITION_TREES, IDENTITY_TREES, OPERATOR_NAMES, FoldMemo,
-                      SymbolicOperator, fold, parse, shared_visits)
+                      SymbolicOperator, fold, margin, parse, shared_visits)
 from .formatting import fmt_real
 from .lattice import GridFunction, MomentumLattice
 from .record import Record, ValueRecord
@@ -59,6 +61,11 @@ DEFAULT_WINDOW = (-8.0, 8.0)
 # 272-276 in max RSS over the import at 4e5 and 1.6e6), so the cap keeps one
 # spacing near 1 GB; a ladder down to 1.6e6 points takes ~0.45 s (2-core VM).
 MAX_CONTINUUM_POINTS = 3_000_000
+# Most lattice points one `continuum_scan` samples over all its spacings, so
+# its run time is bounded, not only its memory.  A halving ladder whose finest
+# lattice fits the cap above stays within it unless it halves on down to 3
+# points (21 spacings on the default window, 6000003 points).
+MAX_CONTINUUM_LADDER_POINTS = 2 * MAX_CONTINUUM_POINTS
 # Largest lattice `verify_identity_suite` accepts (`verify --n`, `well
 # --levels`).  The suite peaks near 784 bytes a point under tracemalloc (at
 # 2e4 and 1e5 points) and 810-830 bytes a point of max RSS above the import
@@ -534,13 +541,19 @@ def unit_gaussian(p: np.ndarray) -> np.ndarray:
         return np.exp(-np.asarray(p, dtype=float) ** 2 / 2.0)
 
 
+# The operator whose action on the test function `continuum_scan` measures,
+# and the rows at each end of its truncated action that the scan skips.
+_CANONICAL_RESIDUAL = parse("[X,P] + i")
+_SCAN_MARGIN = margin(_CANONICAL_RESIDUAL)[1]
+
+
 def window_lattice(spacing: float, window: tuple) -> MomentumLattice:
     """Smallest lattice with the given spacing whose points cover the window.
 
-    The spacing must be finite and positive.  The scan measures interior
-    rows, so a spacing that leaves fewer than 3 points in the window is
-    rejected, and so is one that needs more than MAX_CONTINUUM_POINTS,
-    before anything is allocated.
+    The spacing must be finite and positive.  The scan measures the rows
+    inside its residual's `algebra.margin` m, so a spacing that leaves fewer
+    than 2*m + 1 = 3 points in the window is rejected, and so is one that
+    needs more than MAX_CONTINUUM_POINTS, before anything is allocated.
     """
     if not math.isfinite(spacing):
         raise ValueError(f"spacings must be finite, got {spacing}")
@@ -554,14 +567,10 @@ def window_lattice(spacing: float, window: tuple) -> MomentumLattice:
     if n > MAX_CONTINUUM_POINTS:
         raise ValueError(f"spacing {spacing} needs {fmt_real(n)} points to cover the window "
                          f"{lo}:{hi}, more than the limit of {MAX_CONTINUUM_POINTS}")
-    if n < 3:
+    if n < 2 * _SCAN_MARGIN + 1:
         raise ValueError(f"spacing {spacing} leaves {n} point(s) in the window {lo}:{hi}; "
-                         "the scan needs at least 3 for an interior row")
+                         f"the scan needs at least {2 * _SCAN_MARGIN + 1} for an interior row")
     return MomentumLattice(p0=lo, a=spacing, n_points=n)
-
-
-# The operator whose action on the test function `continuum_scan` measures.
-_CANONICAL_RESIDUAL = parse("[X,P] + i")
 
 
 def continuum_scan(spacings, window=DEFAULT_WINDOW) -> ConvergenceTable:
@@ -569,10 +578,12 @@ def continuum_scan(spacings, window=DEFAULT_WINDOW) -> ConvergenceTable:
 
     For each spacing a, f = `unit_gaussian` is sampled on the `window_lattice`
     covering the window and r(a) = max_j |(([X,P] + i I) f)(p_j)| / max f is
-    measured on interior rows, with [X,P] + i folded in the applied domain:
-    X and P are applied to f, never multiplied.  Returns the table together
-    with the least-squares slope of log r against log a.  Every spacing's
-    lattice, then the ladder's order, is checked before the first is scanned.
+    measured on the rows inside the residual's `algebra.margin`, with
+    [X,P] + i folded in the applied domain: X and P are applied to f, never
+    multiplied.  Returns the table together with the least-squares slope of
+    log r against log a.  Every spacing's lattice, then the ladder's order,
+    then its total against MAX_CONTINUUM_LADDER_POINTS, is checked before
+    the first is scanned.
     """
     spacings = tuple(float(s) for s in spacings)
     if len(spacings) < 3:
@@ -580,6 +591,10 @@ def continuum_scan(spacings, window=DEFAULT_WINDOW) -> ConvergenceTable:
     lattices = [window_lattice(a, window) for a in spacings]
     if any(s2 >= s1 for s1, s2 in zip(spacings, spacings[1:])):
         raise ValueError("spacings must be strictly decreasing")
+    total = sum(lat.n_points for lat in lattices)
+    if total > MAX_CONTINUUM_LADDER_POINTS:
+        raise ValueError(f"the spacings need {total} points in all, more than the limit of "
+                         f"{MAX_CONTINUUM_LADDER_POINTS} for one ladder")
 
     residuals = []
     for lat in lattices:
@@ -592,8 +607,8 @@ def continuum_scan(spacings, window=DEFAULT_WINDOW) -> ConvergenceTable:
             raise ValueError(f"the test function's largest value on the lattice "
                              f"{lat.descriptor()} is {fmt_real(scale)}, below the smallest "
                              "normal double, so the residual has no scale")
-        g = fold(_CANONICAL_RESIDUAL, _AppliedAtoms(lat)).map(f[None])[0, 1:-1]
-        residuals.append(float(np.max(np.abs(g)) / scale))
+        g = fold(_CANONICAL_RESIDUAL, _AppliedAtoms(lat)).map(f[None])[0]
+        residuals.append(float(np.max(np.abs(g[_SCAN_MARGIN:g.size - _SCAN_MARGIN])) / scale))
 
     if all(r > 0 for r in residuals):
         slope = float(np.polyfit(np.log(spacings), np.log(residuals), 1)[0])

@@ -163,6 +163,9 @@ USAGE_ERROR_CASES = [
     (("check", "adj(" * 190 + "H^16*H^8" + ")" * 190),
      "normal form needs more than the work limit of 2000000 term pairs in products and "
      "adjoints"),
+    # every spacing fits its own cap, but the ladder is refused before a scan
+    (("continuum", "--spacings", "6e-6,5.9e-6,5.8e-6"),
+     "the spacings need 8137153 points in all, more than the limit of 6000000 for one ladder"),
 ]
 
 

@@ -298,13 +298,15 @@ def test_algebra_does_not_import_operators():
             f"pkg.__path__ = [{str(Path(momlat.__file__).parent)!r}]\n"
             "sys.modules['momlat'] = pkg\n"
             "import momlat.algebra\n"
-            "print(sorted(m for m in sys.modules if m.startswith('momlat.')))\n")
+            "print(sorted(m for m in sys.modules if m.startswith('momlat.') or m == 'numpy'))\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = ast.literal_eval(proc.stdout)
     assert "momlat.algebra" in loaded
     assert "momlat.operators" not in loaded
+    # numpy-free, so a command that needs only the exact engine need not load it
+    assert "numpy" not in loaded
 
 
 # --- exact reference evaluation -------------------------------------------

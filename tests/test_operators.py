@@ -20,6 +20,7 @@ from momlat.lattice import (GridFunction, MomentumLattice, inner_product, sample
 from momlat.operators import (
     ADJOINT_SEED,
     DEFAULT_WINDOW,
+    MAX_CONTINUUM_LADDER_POINTS,
     MAX_CONTINUUM_POINTS,
     MAX_SUITE_POINTS,
     OperatorMatrix,
@@ -394,7 +395,7 @@ class TestTableDrivenSuite:
         lattices = [MomentumLattice(p0, a, 16) for p0, a in ((0.0, 1.0), (0.25, 0.5),
                                                              (-3.0, 0.25), (1.5, 2.0))]
         derived = {}
-        bounds = {name: fold(tree, MarginBound())[1]
+        bounds = {name: momlat.algebra.margin(tree)[1]
                   for name, tree, margin in IDENTITY_TREES if margin is not None}
         for name, tree, margin in IDENTITY_TREES:
             if margin is None:
@@ -414,66 +415,15 @@ class TestTableDrivenSuite:
     def test_table_margins_cover_the_bound_of_the_margin_domain(self):
         # The bound is derived from each row's tree alone, for every lattice;
         # the table's margins are written by hand and may exceed it.
-        bounds = {name: fold(tree, MarginBound())[1]
-                  for name, tree, margin in IDENTITY_TREES if margin is not None}
-        assert list(bounds.values()) == [1] * 8 + [2] * 4
-        for name, _, margin in IDENTITY_TREES:
-            if margin is not None:
-                assert bounds[name] <= margin, (name, bounds[name], margin)
-
-
-class MarginBound(dict):
-    """The margin domain of `algebra.fold`.  A value is (r, b): the band
-    radius r of a truncated matrix and a bound b on the rows at each end
-    that truncation corrupts.  The primitive atoms and the scalars are exact
-    (b = 0); a sum or difference corrupts the rows either operand does; row
-    i of a product L*R is exact when row i of L is and the r(L) rows of R
-    around it are, so b(L*R) = max(b(L), r(L) + b(R)).  A composite atom
-    folds its definition row, as the lattice domain builds it; dividing by
-    a scalar changes neither r nor b, and an adjoint moves b in by r unless
-    b = 0."""
-
-    def __init__(self):
-        super().__init__({name: Band(op.shift_radius, 0) for name, op in ATOMS.items()
-                          if name not in DEFINITION_TREES})
-
-    def __missing__(self, name):
-        value = self[name] = fold(DEFINITION_TREES[name], self)
-        return value
-
-    @staticmethod
-    def literal(value):
-        return Band(0, 0)
-
-    @staticmethod
-    def times(left, right):
-        return Band(left[0] + right[0], max(left[1], left[0] + right[1]))
-
-    @staticmethod
-    def plus(op, left, right):
-        return Band(max(left[0], right[0]), max(left[1], right[1]))
-
-    @staticmethod
-    def divide(left, right):
-        assert right == (0, 0)
-        return left
-
-    @staticmethod
-    def adjoint(x):
-        # row i of the conjugate transpose is column i, which rows i-r..i+r
-        # write; exact bands stay exact
-        r, b = x
-        return Band(r, b + r if b else 0)
-
-
-class Band(tuple):
-    """(r, b) of `MarginBound`; negation changes neither."""
-
-    def __new__(cls, r, b):
-        return super().__new__(cls, (r, b))
-
-    def __neg__(self):
-        return self
+        # Every numeric row is held against it, the hermiticity rows' 0 too.
+        rows = momlat.operators._NUMERIC_IDENTITIES
+        bounds = {name: momlat.algebra.margin(tree)[1] for name, tree, _ in rows}
+        assert list(bounds.values()) == [1] * 8 + [2] * 4 + [0] * 3
+        for name, _, margin in rows:
+            assert bounds[name] <= margin, (name, bounds[name], margin)
+        assert momlat.algebra.margin("[X,P] + i") == (1, 1)
+        for _, text, _ in IDENTITIES:
+            assert momlat.algebra.margin(text) == momlat.algebra.margin(parse(text)), text
 
 
 class TestParsedOnce:
@@ -1102,6 +1052,29 @@ class TestContinuumScan:
             continuum_scan((0.1, 0.2, 0.05))
         assert sampled == []
 
+    def test_ladder_total_checked_before_the_first_scan(self, monkeypatch):
+        sampled = []
+        monkeypatch.setattr(momlat.operators, "unit_gaussian",
+                            lambda p: sampled.append(p) or np.ones_like(p))
+        # each spacing fits the per-spacing cap; the three need 8137153 points
+        spacings = (6e-6, 5.9e-6, 5.8e-6)
+        assert all(window_lattice(a, DEFAULT_WINDOW).n_points <= MAX_CONTINUUM_POINTS
+                   for a in spacings)
+        with pytest.raises(ValueError, match="^the spacings need 8137153 points in all, more "
+                                             "than the limit of 6000000 for one ladder$"):
+            continuum_scan(spacings)
+        # the per-spacing and order checks come first, with their own messages
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            continuum_scan(spacings[::-1])
+        with pytest.raises(ValueError, match=f"{MAX_CONTINUUM_POINTS + 1} points"):
+            continuum_scan(spacings + (16.0 / MAX_CONTINUUM_POINTS,))
+        assert sampled == []
+        # a halving ladder down to the per-spacing cap fits, short of 3 points
+        finest = 16.0 / (MAX_CONTINUUM_POINTS - 1)
+        points = [window_lattice(finest * 2 ** j, DEFAULT_WINDOW).n_points for j in range(21)]
+        assert points[0] == MAX_CONTINUUM_POINTS and points[-1] == 3
+        assert sum(points[:-1]) <= MAX_CONTINUUM_LADDER_POINTS < sum(points)
+
     def test_window_lattice_covers(self):
         lat = window_lattice(0.1, (-8.0, 8.0))
         assert lat.n_points == 161
@@ -1226,7 +1199,7 @@ class TestRandomExpressions:
     def assert_matrix_fold_equals_normal_form(texts):
         for text in texts:
             tree = parse(text)
-            margin = fold(tree, MarginBound())[1]
+            margin = momlat.algebra.margin(tree)[1]
             assert 2 * margin < 40, text
             nf = normal_form(tree)
             for lat in _DYADIC_LATTICES:
@@ -1246,7 +1219,7 @@ class TestRandomExpressions:
             zero = parse(f"({text}) - ({format_normal_form(nf)})")
             assert normal_form(zero).is_zero, text
             for tree, is_zero in ((zero, True), (parse(text), nf.is_zero)):
-                margin = fold(tree, MarginBound())[1]
+                margin = momlat.algebra.margin(tree)[1]
                 assert 2 * margin < 40, text
                 reads = [np.any(expression_matrix(tree, lat).bands[:, margin:40 - margin])
                          for lat in _DYADIC_LATTICES]
@@ -1310,7 +1283,7 @@ class TestRandomAdjoints:
         # from the normal form's matrix on 16 rows at an end: more than b rows
         # and fewer than b + r
         text = "adj(({H,Dbar} * H)^2)"
-        assert fold(parse(text), MarginBound()) == (10, 19)
+        assert momlat.algebra.margin(text) == (10, 19)
         nf = normal_form(text)
         derived = 0
         for lat in _DYADIC_LATTICES:
@@ -1322,6 +1295,39 @@ class TestRandomAdjoints:
     def test_double_adjoint_is_exactly_the_operator(self):
         for text in self.TEXTS:
             assert normal_form(f"adj(adj({text}))") == normal_form(text), text
+
+
+# The exact algebra of the paper's position operator, with C = (A + Abar)/2,
+# and the rows its truncated matrix gets wrong on the dyadic lattices:
+# [X,P] = -iC, [C,X] = 0, [C,P] = i a^2 X and (aX)^2 + C^2 = 1; with
+# b = X - iP, H = b^dagger b + C and H = P^2 + (1 - C^2)/a^2; and the
+# Heisenberg equations i[H,P] = 2XC, i[H,X] = -(PC + CP), i[H,C] = a^2 (PX + XP).
+_POSITION_ALGEBRA = (
+    ("[X,P] + i*(A+Abar)/2", 0),
+    ("[(A+Abar)/2, X]", 1),
+    ("[(A+Abar)/2, P] - i*a^2*X", 0),
+    ("a^2*X*X + ((A+Abar)/2)^2 - I", 1),
+    ("(X + i*P)*(X - i*P) - (H - (A+Abar)/2)", 0),
+    ("adj(X - i*P) - (X + i*P)", 0),
+    ("H - (P*P + (I - ((A+Abar)/2)^2)/a^2)", 1),
+    ("i*[H,P] - X*(A + Abar)", 1),
+    ("i*[H,X] + (P*(A+Abar) + (A+Abar)*P)/2", 0),
+    ("i*[H,(A+Abar)/2] - a^2*(P*X + X*P)", 2),
+)
+
+
+@pytest.mark.parametrize("text,derived", _POSITION_ALGEBRA)
+def test_position_operator_algebra_is_zero_in_both_pillars(text, derived):
+    # exactly ZERO, and on every dyadic lattice the fold reads exactly 0 on
+    # the rows inside `derived`, which the margin bound never under-reads
+    assert normal_form(text).is_zero
+    rows = 0
+    for lat in _DYADIC_LATTICES:
+        bands = expression_matrix(text, lat).bands
+        while np.any(bands[:, rows:40 - rows]):
+            rows += 1
+    assert rows == derived
+    assert derived <= momlat.algebra.margin(text)[1]
 
 
 class TestSerialization:
