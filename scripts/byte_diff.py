@@ -35,20 +35,12 @@ import cli_cases  # noqa: E402
 import workloads  # noqa: E402
 
 
-def case_argvs() -> list:
-    """The argv of every golden file, usage-error, edge, parser, scale and
-    power-cutoff case in tests/cli_cases.py."""
-    return [*cli_cases.GOLDEN_CASES.values(), *(argv for argv, _ in cli_cases.USAGE_ERROR_CASES),
-            *cli_cases.EDGE_CASES, *(argv for argv, _, _ in cli_cases.PARSER_CASES),
-            *cli_cases.SCALE_CASES, *cli_cases.POWER_CUTOFF_CASES]
-
-
 def calls(seeds) -> list:
     argvs = [job.argv for job in workloads.PROBES]
     for name in workloads.WORKLOADS:
         for seed in seeds:
             argvs += [job.argv for job in workloads.build(name, seed)]
-    return argvs + case_argvs()
+    return argvs + cli_cases.case_argvs()
 
 
 def import_cli(src: Path):

@@ -15,10 +15,11 @@ folds its `algebra.DEFINITIONS` row, and `verify_identity_suite` folds the
 `algebra.IDENTITIES` rows that have a margin, then three hermiticity rows
 such as "X - adj(X)".  All are trees parsed once at import, so building an
 operator or running the suite parses nothing.  The tree walker is
-`algebra.fold`; this module supplies only its lattice domain, in which
-scalar subtrees stay Python numbers standing for c*I, so a*A scales A, and
-its applied domain, which keeps those rules but holds each operator as the
-map v -> M v on stacks of grid values.  `continuum_scan` folds "[X,P] + i" in the applied domain,
+`algebra.fold`; this module supplies two of its domains: the lattice
+domain, in which scalar subtrees stay Python numbers standing for c*I, so
+a*A scales A, and the applied domain, which keeps those rules but holds each
+operator as the map v -> M v on stacks of grid values, and so refuses the
+adjoint of an operator.  `continuum_scan` folds "[X,P] + i" in the applied domain,
 parsed once at import, and applies the result to its one test function,
 exp(-p^2/2) sampled as a real array, so it builds no banded product; it
 reads the rows inside the `algebra.margin` of that text, which the
@@ -334,7 +335,8 @@ class _AppliedAtoms(_LatticeAtoms):
     every operator an `_Applied` map.  An atom applies its `build_operator`
     matrix through `_apply_rows` (a composite atom is not re-folded here, so
     X keeps its bits), a number c maps v to c*v, and a matrix divisor is
-    refused with the lattice domain's message."""
+    refused with the lattice domain's message.  The adjoint of a number is its
+    conjugate; that of an operator is refused, as a map has no transpose."""
 
     def __missing__(self, name):
         M = build_operator(self.lattice, name)
@@ -344,6 +346,12 @@ class _AppliedAtoms(_LatticeAtoms):
     @staticmethod
     def matrix(value) -> _Applied:
         return value if isinstance(value, _Applied) else _Applied(lambda v: value * v)
+
+    @staticmethod
+    def adjoint(x):
+        if isinstance(x, _Applied):
+            raise ValueError("the applied domain takes no adjoint of an operator")
+        return x.conjugate()
 
 
 def build_operator(lattice: MomentumLattice, name: str) -> OperatorMatrix:

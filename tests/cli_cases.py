@@ -1,8 +1,10 @@
 """Shared CLI invocation helpers, the golden-file case table, the table of
 inputs that must end in a usage error, the table of valid edge calls, the
 table of inputs that argparse itself ends, the table of north-star-sized
-calls, the table of calls across the closed form's power cutoff and the
-seeded argv draw for the parser.
+calls, the table of calls across the closed form's power cutoff, the
+seeded argv draw for the parser and `case_argvs`, the argvs of all six
+tables in one list, which `scripts/byte_diff.py` replays and in which a
+tier-1 test holds that no argv repeats.
 
 Importing this module does not import momlat: the helpers import it when
 they are called, so `scripts/byte_diff.py` can read the tables before it
@@ -166,6 +168,38 @@ USAGE_ERROR_CASES = [
     # every spacing fits its own cap, but the ladder is refused before a scan
     (("continuum", "--spacings", "6e-6,5.9e-6,5.8e-6"),
      "the spacings need 8137153 points in all, more than the limit of 6000000 for one ladder"),
+    (("verify", "--n", "4"), "identity suite needs at least 8 lattice points, got 4"),
+    (("well", "--L", "1", "--levels", "4"),
+     "identity suite needs at least 8 lattice points, got 4"),
+    (("check", "[X,[P,"), "expected an operand, found end of input at offset 6"),
+    # a non-finite value is named as it was given
+    (("verify", "--p0", "nan"), "base momentum must be finite, got p0=nan"),
+    (("verify", "--a", "inf"), "lattice spacing must be positive and finite, got a=inf"),
+    (("spectrum", "--a", "inf"), "lattice spacing must be positive and finite, got a=inf"),
+    (("eigvec", "--x", "nan"), "a*x is not a number: a=0.1, x=nan"),
+    (("verify", "--tol", "nan"), "tolerance must be a non-negative number, got --tol nan"),
+    (("well", "--L", "1", "--tol", "nan"),
+     "tolerance must be a non-negative number, got --tol nan"),
+    (("eigvec", "--x", "0.5", "--phi0-phase", "inf"), "seed phase must be finite, got phase=inf"),
+    (("eigvec", "--x", "0.5", "--phi0-phase", "nan"), "seed phase must be finite, got phase=nan"),
+    (("eigvec", "--x", "0.5", "--phi0-phase", "inf", "--format", "json"),
+     "seed phase must be finite, got phase=inf"),
+    (("eigvec", "--x", "0.5", "--phi0-phase", "nan", "--format", "json"),
+     "seed phase must be finite, got phase=nan"),
+    # finite inputs whose matrix entries overflow: one message names the
+    # identity, the lattice and the overflow
+    (("verify", "--a", "1e200"),
+     "identity H_shift_form on the lattice p0=0,a=1e+200,n=64 has no finite residual: its "
+     "matrix entries overflowed double precision"),
+    (("verify", "--p0", "1e300", "--a", "1e299"),
+     "identity H_shift_form on the lattice p0=1e+300,a=1e+299,n=64 has no finite residual: "
+     "its matrix entries overflowed double precision"),
+    (("well", "--L", "1e-300", "--levels", "8"),
+     "identity H_shift_form on the lattice p0=3.14159265358979e+300,a=3.14159265358979e+300,"
+     "n=8 has no finite residual: its matrix entries overflowed double precision"),
+    (("eigvec", "--x", "2", "--a", "1", "--n", "5"),
+     "eigenvalue outside lattice band: |a*x| = 2.0 > 1"),
+    (("continuum", "--spacings", "0.1,0.2,0.3"), "spacings must be strictly decreasing"),
 ]
 
 
@@ -211,6 +245,7 @@ PARSER_CASES = [
     (("check", "--A", "extra"), 2, "momlat: error: unrecognized arguments: extra"),
     (("check", "extra", "--A"), 2, "momlat: error: unrecognized arguments: --A"),
     (("check", "-h=x"), 2, "argument -h/--help: ignored explicit argument 'x'"),
+    (("verify", "--bogus", "1"), 2, "momlat: error: unrecognized arguments: --bogus 1"),
 ]
 
 
@@ -282,6 +317,13 @@ def parser_argv(rng, subcommands) -> list:
     if rng.random() < 0.1:
         argv.insert(0, rng.choice((*ARGV_LEADERS, command)))
     return argv
+
+
+def case_argvs() -> list:
+    """The argv of every golden file, usage-error, edge, parser, scale and
+    power-cutoff case, in table order."""
+    return [*GOLDEN_CASES.values(), *(argv for argv, _ in USAGE_ERROR_CASES), *EDGE_CASES,
+            *(argv for argv, _, _ in PARSER_CASES), *SCALE_CASES, *POWER_CUTOFF_CASES]
 
 
 def run_cli(*argv):

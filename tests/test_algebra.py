@@ -45,6 +45,7 @@ from momlat.operators import (
     to_matrix,
     verify_identity_suite,
 )
+from test_operators import _POSITION_ALGEBRA
 
 @dataclass(frozen=True)
 class GQ:
@@ -350,6 +351,9 @@ def exact_eval(node, p0: Fraction, a: Fraction, n):
     if isinstance(node, Neg):
         M = exact_eval(node.operand, p0, a, n)
         return [[-v for v in row] for row in M]
+    if isinstance(node, Adjoint):
+        M = exact_eval(node.operand, p0, a, n)
+        return [[GQ(M[c][r].re, -M[c][r].im) for c in range(n)] for r in range(n)]
     if isinstance(node, Power):
         out = exact_scalar_matrix(ONE, n)
         base = exact_eval(node.base, p0, a, n)
@@ -387,23 +391,6 @@ def exact_eval_normal(op: SymbolicOperator, p0: Fraction, a: Fraction, n):
                 p = p0 + r * a
                 out[r][col] = out[r][col] + c * GQ(p ** k)
     return out
-
-
-def tracked_radius(node) -> int:
-    if isinstance(node, Atom):
-        return {"P": 0, "I": 0, "i": 0, "a": 0, "H": 2}.get(node.name, 1)
-    if isinstance(node, IntLit):
-        return 0
-    if isinstance(node, Neg):
-        return tracked_radius(node.operand)
-    if isinstance(node, Power):
-        return node.exponent * tracked_radius(node.base)
-    if isinstance(node, Bracket):
-        return tracked_radius(node.left) + tracked_radius(node.right)
-    if isinstance(node, BinOp):
-        left, right = tracked_radius(node.left), tracked_radius(node.right)
-        return left + right if node.op == "*" else max(left, right)
-    raise TypeError(node)
 
 
 def render_tree(node) -> str:
@@ -456,7 +443,7 @@ class TestFoldMemo:
         # the commutator of the last with the first
         rows = [*exprs, *(BinOp("*", x, y) for x, y in zip(exprs, exprs[1:])),
                 Bracket("commutator", exprs[-1], exprs[0])]
-        assume(all(tracked_radius(row) <= 8 for row in rows))
+        assume(all(algebra.margin(row)[0] <= 8 for row in rows))
         trees = algebra._interned(rows)
         assert trees == rows
         visits = algebra.shared_visits(trees)
@@ -485,14 +472,14 @@ class TestConfluenceAndHomomorphism:
     def test_multiplication_associative(self, e1, e2, e3):
         # rewriting order cannot matter: the exchange-rule closed form must
         # give an associative product on normal forms
-        assume(tracked_radius(e1) + tracked_radius(e2) + tracked_radius(e3) <= 8)
+        assume(algebra.margin(e1)[0] + algebra.margin(e2)[0] + algebra.margin(e3)[0] <= 8)
         s1, s2, s3 = normal_form(e1), normal_form(e2), normal_form(e3)
         assert (s1 * s2) * s3 == s1 * (s2 * s3)
 
     @given(EXPR_ST, EXPR_ST, EXPR_ST)
     @settings(max_examples=40, deadline=None)
     def test_multiplication_distributes(self, e1, e2, e3):
-        assume(tracked_radius(e1) + max(tracked_radius(e2), tracked_radius(e3)) <= 8)
+        assume(algebra.margin(e1)[0] + max(algebra.margin(e2)[0], algebra.margin(e3)[0]) <= 8)
         s1, s2, s3 = normal_form(e1), normal_form(e2), normal_form(e3)
         assert s1 * (s2 + s3) == s1 * s2 + s1 * s3
         assert (s2 + s3) * s1 == s2 * s1 + s3 * s1
@@ -500,14 +487,28 @@ class TestConfluenceAndHomomorphism:
     @given(EXPR_ST)
     @settings(max_examples=40, deadline=None)
     def test_exact_evaluation_homomorphism(self, e):
-        radius = tracked_radius(e)
+        radius, b = algebra.margin(e)
         assume(radius <= 4)
         n = 2 * radius + 3
         p0, a = Fraction(-1, 2), Fraction(1, 3)
         direct = exact_eval(e, p0, a, n)
         via_nf = exact_eval_normal(normal_form(e), p0, a, n)
-        for r in range(radius, n - radius):
+        for r in range(b, n - b):
             assert direct[r] == via_nf[r], f"row {r} differs"
+
+    @pytest.mark.parametrize("tree", [
+        *(pytest.param(tree, id=name) for name, tree, _ in operators._NUMERIC_IDENTITIES),
+        *(pytest.param(parse(text), id=text) for text, _ in _POSITION_ALGEBRA)])
+    def test_identities_are_exact_zeros_inside_the_margin(self, tree):
+        """Every row inside `algebra.margin` of an identity is exactly 0 on a
+        lattice whose spacing 1/3 no double holds.  `exact_eval` evaluates a
+        composite atom as its normal form's matrix, so this checks margin's
+        rules above the atoms, not the truncated fold of each atom."""
+        radius, b = algebra.margin(tree)
+        n = 2 * radius + 3
+        rows = exact_eval(tree, Fraction(-1, 2), Fraction(1, 3), n)[b:n - b]
+        assert rows
+        assert all(v.is_zero for row in rows for v in row)
 
     def test_known_exchange_example_exact(self):
         p0, a, n = Fraction(0), Fraction(1, 4), 6
@@ -651,7 +652,7 @@ class TestFlatEngine:
     @given(EXPR_ST, DIVISOR_ST)
     @settings(max_examples=80, deadline=None)
     def test_storage_is_reduced(self, e, divisor):
-        assume(tracked_radius(e) <= 6)
+        assume(algebra.margin(e)[0] <= 6)
         for op in (normal_form(e), normal_form(BinOp("/", e, parse(divisor)))):
             assert_reduced(op)
             if op.is_zero:

@@ -1253,7 +1253,8 @@ class TestRandomAdjoints:
     """Seeded expressions with adjoints, across the two pillars: the lattice
     fold takes the conjugate transpose of a truncated matrix, the exact fold
     the adjoint of a normal form.  The applied domain folds only the
-    continuum scan's own text, so these are not folded there."""
+    continuum scan's own text, so these are not folded there; it refuses the
+    adjoint of an operator."""
 
     TEXTS = random_texts(160, 2028, adjoint=True)
 
@@ -1295,6 +1296,19 @@ class TestRandomAdjoints:
     def test_double_adjoint_is_exactly_the_operator(self):
         for text in self.TEXTS:
             assert normal_form(f"adj(adj({text}))") == normal_form(text), text
+
+    def test_applied_domain_refuses_an_operator_adjoint(self):
+        lat = _DYADIC_LATTICES[5]
+        for text in ("X - adj(X)", "adj(P)*A", "adj(2*X)"):
+            with pytest.raises(ValueError, match="^the applied domain takes no adjoint of an "
+                                                 "operator$"):
+                fold(parse(text), momlat.operators._AppliedAtoms(lat))
+        # a number's adjoint is its conjugate, as in the lattice domain
+        v = np.arange(80).reshape(2, 40) + 1j
+        atoms = momlat.operators._AppliedAtoms(lat)
+        got = atoms.matrix(fold(parse("adj(2 - 3*i)*X"), atoms)).map(v)
+        expected = momlat.operators._apply_rows(expression_matrix("(2 + 3*i)*X", lat), v)
+        assert np.array_equal(got, expected)
 
 
 # The exact algebra of the paper's position operator, with C = (A + Abar)/2,
