@@ -24,12 +24,14 @@ pairs of flat terms, each term an adjoint writes counted as one pair.
 
 The module also owns the expression grammar, its one tree walker and the
 two tables the other layers read.  `fold(node, domain)` visits each node of
-a parsed expression once and leaves the arithmetic to a domain: the exact
-domain here multiplies normal forms and counts their term pairs, and
-`operators` supplies the lattice domain of banded matrices.  `DEFINITIONS`
-writes the composite operators D, Dbar, X, Q, H over the primitives A,
-Abar, P, I, i, a; `ATOMS` is its exact fold, and the name tables
-`ATOM_NAMES` and `OPERATOR_NAMES` are read off the two.
+a parsed expression once and leaves the arithmetic to one of four domains.
+Two are here: the exact domain multiplies normal forms and counts their
+term pairs, and the margin domain folds band radii and corrupted-row bounds
+for `margin`.  Two are in `operators`: the lattice domain multiplies banded
+matrices, and the applied domain applies each operator to a vector.
+`DEFINITIONS` writes the composite operators D, Dbar, X, Q, H over the
+primitives A, Abar, P, I, i, a; `ATOMS` is its exact fold, and the name
+tables `ATOM_NAMES` and `OPERATOR_NAMES` are read off the two.
 `IDENTITIES` holds one `(name, text, margin)` row per identity: every row is
 certified here as an exact rewrite to zero, and `operators` evaluates each
 row with a margin on truncated matrices.  Adding an identity takes one row.

@@ -1,10 +1,11 @@
 """Shared CLI invocation helpers, the golden-file case table, the table of
-inputs that must end in a usage error, the table of valid edge calls, the
-table of inputs that argparse itself ends, the table of north-star-sized
-calls, the table of calls across the closed form's power cutoff, the
-seeded argv draw for the parser and `case_argvs`, the argvs of all six
-tables in one list, which `scripts/byte_diff.py` replays and in which a
-tier-1 test holds that no argv repeats.
+inputs that must end in a usage error and the time and memory bounds of
+some of its rows, the table of valid edge calls, the table of inputs that
+argparse itself ends, the table of north-star-sized calls, the table of
+calls across the closed form's power cutoff, the seeded argv draw for the
+parser and `case_argvs`, the argvs of all six tables in one list, which
+`scripts/byte_diff.py` replays and in which a tier-1 test holds that no
+argv repeats.
 
 Importing this module does not import momlat: the helpers import it when
 they are called, so `scripts/byte_diff.py` can read the tables before it
@@ -200,7 +201,54 @@ USAGE_ERROR_CASES = [
     (("eigvec", "--x", "2", "--a", "1", "--n", "5"),
      "eigenvalue outside lattice band: |a*x| = 2.0 > 1"),
     (("continuum", "--spacings", "0.1,0.2,0.3"), "spacings must be strictly decreasing"),
+    # size caps, just past each limit and far past it
+    (("verify", "--n", "1000001"),
+     "identity suite on n=1000001 points exceeds the limit of 1000000: it needs ~900 bytes "
+     "a point"),
+    (("verify", "--n", "1000000000000"),
+     "identity suite on n=1000000000000 points exceeds the limit of 1000000: it needs ~900 "
+     "bytes a point"),
+    (("well", "--L", "1", "--levels", "1000001"),
+     "identity suite on n=1000001 points exceeds the limit of 1000000: it needs ~900 bytes "
+     "a point"),
+    (("well", "--L", "1", "--levels", "1000000000000"),
+     "identity suite on n=1000000000000 points exceeds the limit of 1000000: it needs ~900 "
+     "bytes a point"),
+    (("eigvec", "--x", "0.5", "--n", "1000000000000"),
+     "eigenvector of n=1000000000000 points exceeds the limit of 3000000: it needs ~300 bytes "
+     "a point"),
+    (("spectrum", "--n", "4097"),
+     "spectrum of n=4097 points exceeds the limit of 4096: the dense fallback needs O(n^2) "
+     "memory and O(n^3) time"),
+    (("check", "H^16*H^16*H^16"),
+     "normal form needs more than the work limit of 2000000 term pairs in products"),
 ]
+
+
+MIB = 2 ** 20
+
+# {argv: (max_seconds, max_peak_bytes)}: bounds on a `USAGE_ERROR_CASES` call,
+# either of them None.  A refused call ends fast, and a size cap refuses
+# before it allocates what it refuses.
+BOUNDS = {
+    # 190 adjoints of H^16*H^8's 10,078 terms would take ~19 s; the limit
+    # charges each adjoint's 125,078 written terms, so the fifth is refused
+    ("check", "adj(" * 190 + "H^16*H^8" + ")" * 190): (5, None),
+    ("check", "H^16*H^16*H^16"): (30, None),
+    ("spectrum", "--n", "4097"): (1, None),
+    # one complex array of the capped size would take 16 MB
+    ("verify", "--n", "1000001"): (None, 4 * MIB),
+    ("verify", "--n", "1000000000000"): (None, 4 * MIB),
+    ("well", "--L", "1", "--levels", "1000001"): (None, 4 * MIB),
+    ("well", "--L", "1", "--levels", "1000000000000"): (None, 4 * MIB),
+    ("eigvec", "--x", "0.5", "--n", "3000001"): (None, 4 * MIB),
+    ("eigvec", "--x", "0.5", "--n", "1000000000000"): (None, 4 * MIB),
+    # an eigvec CSV grid is refused before any eigenvector: at most one
+    # momenta array at the size cap, 24 MB
+    ("eigvec", "--x", "0.5", "--n", "3000000", "--p0", "1e308"): (None, 64e6),
+    ("eigvec", "--x", "20", "--a", "0.1", "--n", "4", "--p0", "1e308"): (None, 64e6),
+    ("eigvec", "--x", "0", "--a", "7e307", "--n", "4"): (None, 64e6),
+}
 
 
 # Valid calls that take a branch no other table reaches: a `check` expression

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from momlat.algebra import verify_symbolic_suite
+from momlat.algebra import IDENTITIES, verify_symbolic_suite
 from momlat.eigen import (
     alpha,
     eigenvector_closed_form,
@@ -17,6 +17,7 @@ from momlat.eigen import (
     normalization_direct,
     normalization_formula,
     normalized,
+    truncated_spectrum,
 )
 from momlat.lattice import MomentumLattice, square_well_lattice
 from momlat.operators import apply, build_operator, continuum_scan, verify_identity_suite
@@ -40,27 +41,20 @@ def test_criterion_1_symbolic_suite_exact_zero():
     start = time.perf_counter()
     checks = verify_symbolic_suite()
     elapsed = time.perf_counter() - start
-    by_name = {c.identity: c for c in checks}
-    required = [
-        "A_Abar_is_identity", "Abar_A_is_identity",
-        "commutator_A_P", "commutator_Abar_P",
-        "commutator_D_P", "commutator_Dbar_P",
-        "commutator_X_P", "H_shift_form",
-        "commutator_X_H_braced", "commutator_X_H_expanded",
-        "commutator_P_H_braced", "commutator_P_H_expanded",
-        "QP_brace_expansion",
-    ]
-    for name in required:
-        assert by_name[name].zero, name
-        assert by_name[name].normal_form_term_count == 0
+    assert [c.identity for c in checks] == [name for name, _, _ in IDENTITIES]
+    assert len(checks) == 14
+    for check in checks:
+        assert check.zero, check.identity
+        assert check.normal_form_term_count == 0
     assert elapsed < 1.0
     report("criterion 1 (symbolic suite reduces to exact zero, "
-           f"{len(required)} checks in {elapsed:.3f}s)")
+           f"{len(checks)} checks in {elapsed:.3f}s)")
 
 
 def test_criterion_2_numeric_suite_tolerances():
     start = time.perf_counter()
     fine = verify_identity_suite(MomentumLattice(0.0, 0.1, 64))
+    assert len(fine) == 16
     for r in fine:
         assert r.max_interior_residual < 1e-12, (r.identity_name, r.max_interior_residual)
     well = verify_identity_suite(square_well_lattice(1.0, 16, hbar=1.0))
@@ -72,13 +66,15 @@ def test_criterion_2_numeric_suite_tolerances():
 
 
 def test_criterion_3_hermiticity_exact():
-    for lat in (MomentumLattice(0.0, 0.1, 64), square_well_lattice(1.0, 16),
-                MomentumLattice(-3.0, 0.7, 11)):
+    lattices = (MomentumLattice(0.0, 0.1, 64), square_well_lattice(1.0, 16),
+                MomentumLattice(-3.0, 0.7, 11), MomentumLattice(-3.0, 0.37, 21))
+    for lat in lattices:
         by_name = {r.identity_name: r for r in verify_identity_suite(lat)}
         assert by_name["P_hermitian"].max_interior_residual == 0.0
         assert by_name["X_hermitian"].max_interior_residual == 0.0
         assert by_name["Abar_is_A_adjoint"].max_interior_residual == 0.0
-    report("criterion 3 (P, X hermitian and Abar = adjoint(A) with residual exactly 0)")
+    report("criterion 3 (P, X hermitian and Abar = adjoint(A) with residual exactly 0, "
+           f"on {len(lattices)} lattices)")
 
 
 def test_criterion_4_eigenvector_equivalence_grid():
@@ -151,20 +147,20 @@ def test_criterion_6_continuum_limit():
 
 
 def test_criterion_7_truncated_spectrum():
-    a = 1.0
-    for n in (1, 2, 3, 16):
-        lat = MomentumLattice(0.0, a, n)
+    lattices = [MomentumLattice(p0, a, n)
+                for p0, a in ((0.0, 1.0), (-2.0, 1.0), (-2.0, 0.3)) for n in (1, 2, 3, 16)]
+    for lat in lattices:
+        n, a = lat.n_points, lat.a
         X = build_operator(lat, "X")
         oracle = np.linalg.eigvalsh(X.entries)
-        from momlat.eigen import truncated_spectrum
         ev = truncated_spectrum(lat)
-        assert np.max(np.abs(ev - oracle)) < 1e-10
-        assert np.all(np.abs(ev) <= 1.0 / a + 1e-10)
+        assert np.max(np.abs(ev - oracle)) < 1e-10, lat.descriptor()
+        assert np.all(np.abs(ev) <= 1.0 / a + 1e-10), lat.descriptor()
         # closed pattern, asserted after oracle confirmation
         pattern = np.sort(np.cos(np.arange(1, n + 1) * np.pi / (n + 1)) / a)
-        assert np.max(np.abs(ev - pattern)) < 1e-10
+        assert np.max(np.abs(ev - pattern)) < 1e-10, lat.descriptor()
     report("criterion 7 (spectrum matches eigensolver oracle and the "
-           "cos(k*pi/(n+1))/a pattern, all inside [-1/a, 1/a])")
+           f"cos(k*pi/(n+1))/a pattern, all inside [-1/a, 1/a], on {len(lattices)} lattices)")
 
 
 def test_criterion_8_cli_contract():

@@ -34,7 +34,6 @@ from momlat.algebra import (
     format_normal_form,
     normal_form,
     parse,
-    verify_symbolic_suite,
 )
 import momlat
 from momlat.lattice import MomentumLattice
@@ -268,13 +267,6 @@ class TestNormalForm:
 
 
 class TestSymbolicSuite:
-    def test_all_identities_reduce_to_zero(self):
-        checks = verify_symbolic_suite()
-        assert len(checks) == len(IDENTITIES) == 14
-        for check in checks:
-            assert check.zero, check.identity
-            assert check.normal_form_term_count == 0
-
     def test_parsed_tables_are_the_text_tables_parsed(self):
         assert list(algebra.IDENTITY_TREES) == [(name, parse(text), margin)
                                                 for name, text, margin in IDENTITIES]
