@@ -1,7 +1,8 @@
-"""Acceptance suite: one test per criterion, at the stated tolerances.
+"""Acceptance suite: one test function per criterion, at the stated tolerances.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see one PASS line per
-criterion.
+Criteria 3, 4, 7 and 8 run one item per lattice, grid case or CLI call, so a
+failure names its case.  Run with `pytest tests/test_acceptance.py -v -s` to
+see one PASS line per item.
 """
 
 import time
@@ -31,6 +32,29 @@ EQUIVALENCE_GRID = [
     for a in (0.1, 1.0)
     for n in (8, 128, 1024)
 ]
+
+HERMITICITY_LATTICES = (MomentumLattice(0.0, 0.1, 64), square_well_lattice(1.0, 16),
+                        MomentumLattice(-3.0, 0.7, 11), MomentumLattice(-3.0, 0.37, 21))
+
+SPECTRUM_LATTICES = tuple(MomentumLattice(p0, a, n)
+                          for p0, a in ((0.0, 1.0), (-2.0, 1.0), (-2.0, 0.3))
+                          for n in (1, 2, 3, 16))
+
+# (argv, expected: an exit code, "golden" or "deterministic", golden file name)
+CLI_CONTRACT = [
+    pytest.param(("verify", "--p0", "0", "--a", "0.1", "--n", "64"), 0, None,
+                 id="exit0-verify"),
+    pytest.param(("check", "A*P"), 1, None, id="exit1-check-nonzero"),
+    pytest.param(("verify", "--p0", "0", "--a", "0.1", "--n", "64", "--tol", "0"), 1, None,
+                 id="exit1-verify-tol0"),
+    pytest.param(("verify", "--n", "4"), 2, None, id="exit2-verify-n4"),
+    pytest.param(("check", "[X,[P,"), 2, None, id="exit2-check-unbalanced"),
+] + [pytest.param(argv, expected, fname, id=f"{expected}-{fname}")
+      for expected in ("golden", "deterministic") for fname, argv in GOLDEN_CASES.items()]
+
+
+def lattice_ids(lattices):
+    return [lat.descriptor() for lat in lattices]
 
 
 def report(name: str):
@@ -65,45 +89,43 @@ def test_criterion_2_numeric_suite_tolerances():
     report(f"criterion 2 (numeric suite: a=0.1/n=64 < 1e-12, well-16 < 1e-10, {elapsed:.3f}s)")
 
 
-def test_criterion_3_hermiticity_exact():
-    lattices = (MomentumLattice(0.0, 0.1, 64), square_well_lattice(1.0, 16),
-                MomentumLattice(-3.0, 0.7, 11), MomentumLattice(-3.0, 0.37, 21))
-    for lat in lattices:
-        by_name = {r.identity_name: r for r in verify_identity_suite(lat)}
-        assert by_name["P_hermitian"].max_interior_residual == 0.0
-        assert by_name["X_hermitian"].max_interior_residual == 0.0
-        assert by_name["Abar_is_A_adjoint"].max_interior_residual == 0.0
+@pytest.mark.parametrize("lat", HERMITICITY_LATTICES, ids=lattice_ids(HERMITICITY_LATTICES))
+def test_criterion_3_hermiticity_exact(lat):
+    by_name = {r.identity_name: r for r in verify_identity_suite(lat)}
+    assert by_name["P_hermitian"].max_interior_residual == 0.0
+    assert by_name["X_hermitian"].max_interior_residual == 0.0
+    assert by_name["Abar_is_A_adjoint"].max_interior_residual == 0.0
     report("criterion 3 (P, X hermitian and Abar = adjoint(A) with residual exactly 0, "
-           f"on {len(lattices)} lattices)")
+           f"on {lat.descriptor()})")
 
 
-def test_criterion_4_eigenvector_equivalence_grid():
-    for x, a, n in EQUIVALENCE_GRID:
-        lat = MomentumLattice(0.0, a, n)
-        closed = eigenvector_closed_form(lat, x, 1.0)
-        rec = eigenvector_recurrence(lat, x, 1.0)
-        phi_c = closed.phi.values
-        phi_r = rec.phi.values
-        scale = np.max(np.abs(phi_c))
+@pytest.mark.parametrize("x, a, n", EQUIVALENCE_GRID)
+def test_criterion_4_eigenvector_equivalence_grid(x, a, n):
+    lat = MomentumLattice(0.0, a, n)
+    closed = eigenvector_closed_form(lat, x, 1.0)
+    rec = eigenvector_recurrence(lat, x, 1.0)
+    phi_c = closed.phi.values
+    phi_r = rec.phi.values
+    scale = np.max(np.abs(phi_c))
 
-        # recurrence and closed form agree entrywise
-        assert np.max(np.abs(phi_c - phi_r)) < 1e-12 * scale, (x, a, n)
+    # recurrence and closed form agree entrywise
+    assert np.max(np.abs(phi_c - phi_r)) < 1e-12 * scale, (x, a, n)
 
-        # h factorization: phi_j - alpha phi_{j-1} is a geometric sequence
-        al = alpha(x, a)
-        h = np.empty(n, dtype=complex)
-        h[0] = phi_r[0]
-        h[1:] = phi_r[1:] - al * phi_r[:-1]
-        expected = (-al.conjugate()) ** np.arange(n) * phi_r[0]
-        assert np.max(np.abs(h - expected)) < 1e-12 * np.max(np.abs(expected)), (x, a, n)
+    # h factorization: phi_j - alpha phi_{j-1} is a geometric sequence
+    al = alpha(x, a)
+    h = np.empty(n, dtype=complex)
+    h[0] = phi_r[0]
+    h[1:] = phi_r[1:] - al * phi_r[:-1]
+    expected = (-al.conjugate()) ** np.arange(n) * phi_r[0]
+    assert np.max(np.abs(h - expected)) < 1e-12 * np.max(np.abs(expected)), (x, a, n)
 
-        # interior eigen-equation at rows 1..n-2
-        if n >= 3:
-            X = build_operator(lat, "X")
-            resid = apply(X, closed.phi).values - x * phi_c
-            assert np.max(np.abs(resid[1:-1])) < 1e-12 * max(1.0, abs(x) * scale), (x, a, n)
-    report(f"criterion 4 (recurrence/closed-form/h-factor/eigen-equation on "
-           f"{len(EQUIVALENCE_GRID)} grid cases, 1e-12 relative)")
+    # interior eigen-equation at rows 1..n-2
+    if n >= 3:
+        X = build_operator(lat, "X")
+        resid = apply(X, closed.phi).values - x * phi_c
+        assert np.max(np.abs(resid[1:-1])) < 1e-12 * max(1.0, abs(x) * scale), (x, a, n)
+    report(f"criterion 4 (recurrence/closed-form/h-factor/eigen-equation at "
+           f"x={x}, a={a}, n={n}, 1e-12 relative)")
 
 
 def test_criterion_5_normalization_and_side_by_side_report():
@@ -146,35 +168,32 @@ def test_criterion_6_continuum_limit():
            f"ratios in [3.8,4.2], {elapsed:.2f}s)")
 
 
-def test_criterion_7_truncated_spectrum():
-    lattices = [MomentumLattice(p0, a, n)
-                for p0, a in ((0.0, 1.0), (-2.0, 1.0), (-2.0, 0.3)) for n in (1, 2, 3, 16)]
-    for lat in lattices:
-        n, a = lat.n_points, lat.a
-        X = build_operator(lat, "X")
-        oracle = np.linalg.eigvalsh(X.entries)
-        ev = truncated_spectrum(lat)
-        assert np.max(np.abs(ev - oracle)) < 1e-10, lat.descriptor()
-        assert np.all(np.abs(ev) <= 1.0 / a + 1e-10), lat.descriptor()
-        # closed pattern, asserted after oracle confirmation
-        pattern = np.sort(np.cos(np.arange(1, n + 1) * np.pi / (n + 1)) / a)
-        assert np.max(np.abs(ev - pattern)) < 1e-10, lat.descriptor()
+@pytest.mark.parametrize("lat", SPECTRUM_LATTICES, ids=lattice_ids(SPECTRUM_LATTICES))
+def test_criterion_7_truncated_spectrum(lat):
+    n, a = lat.n_points, lat.a
+    X = build_operator(lat, "X")
+    oracle = np.linalg.eigvalsh(X.entries)
+    ev = truncated_spectrum(lat)
+    assert np.max(np.abs(ev - oracle)) < 1e-10, lat.descriptor()
+    assert np.all(np.abs(ev) <= 1.0 / a + 1e-10), lat.descriptor()
+    # closed pattern, asserted after oracle confirmation
+    pattern = np.sort(np.cos(np.arange(1, n + 1) * np.pi / (n + 1)) / a)
+    assert np.max(np.abs(ev - pattern)) < 1e-10, lat.descriptor()
     report("criterion 7 (spectrum matches eigensolver oracle and the "
-           f"cos(k*pi/(n+1))/a pattern, all inside [-1/a, 1/a], on {len(lattices)} lattices)")
+           f"cos(k*pi/(n+1))/a pattern, all inside [-1/a, 1/a], on {lat.descriptor()})")
 
 
-def test_criterion_8_cli_contract():
-    # exit-code classes
-    assert run_cli("verify", "--p0", "0", "--a", "0.1", "--n", "64")[0] == 0
-    assert run_cli("check", "A*P")[0] == 1
-    assert run_cli("verify", "--p0", "0", "--a", "0.1", "--n", "64", "--tol", "0")[0] == 1
-    assert run_cli("verify", "--n", "4")[0] == 2
-    assert run_cli("check", "[X,[P,")[0] == 2
-
-    # byte-deterministic golden outputs
-    for fname, argv in GOLDEN_CASES.items():
-        _, first, _ = run_cli(*argv)
+@pytest.mark.parametrize("argv, expected, fname", CLI_CONTRACT)
+def test_criterion_8_cli_contract(argv, expected, fname):
+    code, first, _ = run_cli(*argv)
+    if expected == "golden":
+        assert first == (GOLDEN / fname).read_text(), fname
+        report(f"criterion 8 (output matches golden file {fname})")
+    elif expected == "deterministic":
         _, second, _ = run_cli(*argv)
         assert first == second, fname
-        assert first == (GOLDEN / fname).read_text(), fname
-    report("criterion 8 (exit-code classes 0/1/2 and byte-identical golden outputs)")
+        report(f"criterion 8 (second run byte-identical for {fname})")
+    else:
+        # exit-code classes
+        assert code == expected, argv
+        report(f"criterion 8 (exit code {expected} for {' '.join(argv)})")
